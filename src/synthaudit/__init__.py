@@ -27,7 +27,6 @@ from .linkage import (
     QIRule,
     ScoredPair,
     attack,
-    candidate_pairs,
     filter_matches,
     score_pairs,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "attribute_coverage",
     "boundary_adherence",
     "build_noisy_histogram",
-    "candidate_pairs",
     "category_coverage",
     "category_set",
     "column_stats",

@@ -134,8 +134,7 @@ def _audit_one_variant(
             "linkage": {},
         }
         for subset in plan.ladder:
-            # blocking is an execution optimization; it only applies to
-            # subsets that actually score the blocking QI
+            # blocking is only validated, against the subsets that score it
             blocking = plan.blocking if plan.blocking in subset else None
             result = attack(
                 original,

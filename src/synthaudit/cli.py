@@ -68,7 +68,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     subset = tuple(args.qis.split(",")) if args.qis else None
     blocking = cfg.blocking
     if blocking is not None and subset is not None and blocking not in subset:
-        blocking = None  # optimization only valid when the blocked QI is scored
+        blocking = None  # only validated against subsets that score it
     result = attack(
         original,
         variant,

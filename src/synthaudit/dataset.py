@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+
+logger = logging.getLogger(__name__)
 
 # Cell values treated as missing in every column kind. Anything else that
 # fails to parse in a numeric column is corruption, not missingness.
@@ -152,14 +155,15 @@ def load_dataset(
     """Read an RFC 4180 file into a Dataset.
 
     The header must contain exactly the schema's attribute names (any order);
-    columns are reordered to schema order. Rows containing a missing cell are
-    dropped under ``DROP_ROW`` or rejected under ``ERROR``; surviving rows
+    columns are reordered to schema order. A UTF-8 byte order mark is
+    skipped. Rows containing a missing cell are dropped under ``DROP_ROW``
+    (with one warning per file) or rejected under ``ERROR``; surviving rows
     keep their relative order.
     """
     validate_schema(schema)
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -181,12 +185,14 @@ def load_dataset(
         pos = {name: header.index(name) for name in header}
 
         raw: dict[str, list] = {a.name: [] for a in schema}
+        line = dropped = 0
         for line, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataError(f"{path}: data row {line} has {len(row)} cells, expected {len(header)}")
             if any(row[pos[a.name]] in MISSING_MARKERS for a in schema):
                 if missing_policy is MissingPolicy.ERROR:
                     raise DataError(f"{path}: missing value in data row {line}")
+                dropped += 1
                 continue
             for attr in schema:
                 token = row[pos[attr.name]]
@@ -195,6 +201,8 @@ def load_dataset(
                 else:
                     raw[attr.name].append(sys.intern(token))
 
+    if dropped:
+        logger.warning("%s: dropped %d of %d data rows with missing cells", path, dropped, line)
     return Dataset.from_columns(schema, raw)
 
 

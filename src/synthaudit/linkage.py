@@ -7,9 +7,13 @@ meets its threshold (conjunctive, worst-case semantics). Aggregation then
 counts matches per original record; an original with exactly one possible
 match is a unique match, the maximum-risk case.
 
-Scoring is vectorized over blocks of targets and parallelizable across
-blocks; any schedule produces a result identical to the sequential one,
-and the match set is identical to naive pair-by-pair enumeration.
+A categorical QI at threshold 1 demands exact agreement, so :func:`attack`
+partitions targets and variant rows on the values of every such QI and
+compares only pairs within one partition; each of those QIs scores 1.0 on
+every pair it lets through. The remaining QIs are scored in dense blocks of
+targets against the partition's rows, optionally on a thread pool. Any
+schedule gives the same result, and the match set equals naive pair-by-pair
+enumeration (:func:`score_pairs` then :func:`filter_matches`).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,7 +30,7 @@ import numpy as np
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import Dataset, Kind
 from .errors import ConfigError, DataError
-from .outliers import OutlierConfig, OutlierSet, detect_outliers
+from .outliers import OutlierConfig, detect_outliers
 
 # Default match thresholds: numeric QIs pass at half similarity, categorical
 # QIs only on exact agreement.
@@ -135,49 +140,20 @@ def _check_same_schema(original: Dataset, variant: Dataset) -> None:
         raise DataError("variant does not share the original's schema")
 
 
-def _validate_blocking(blocking: str, ds: Dataset, qi_cfg: QIConfig | None) -> None:
-    # Blocking is only score-equivalent to full enumeration when the blocked
-    # QI demands exact agreement, i.e. a categorical comparator at threshold 1.
-    if qi_cfg is None:
-        raise ConfigError("blocking requires the QI config to verify a threshold of 1")
+def _demands_exact_agreement(rule: QIRule) -> bool:
+    return rule.comparator.kind is not ComparatorKind.GAUSS and rule.threshold == 1
+
+
+def _validate_blocking(blocking: str, ds: Dataset, cfg: QIConfig) -> None:
+    # The engine already partitions on every QI that demands exact agreement,
+    # so blocking selects nothing; it is only checked to be such a QI.
     if ds.attribute(blocking).kind is not Kind.CATEGORICAL:
         raise ConfigError(f"blocking attribute {blocking!r} is not categorical")
-    rule = qi_cfg.rule(blocking)
+    rule = cfg.rule(blocking)
     if rule.threshold != 1:
         raise ConfigError(
             f"blocking on {blocking!r} requires threshold 1, configured {rule.threshold}"
         )
-
-
-def candidate_pairs(
-    targets: OutlierSet,
-    original: Dataset,
-    variant: Dataset,
-    blocking: str | None = None,
-    qi_cfg: QIConfig | None = None,
-) -> Iterator[tuple[int, int]]:
-    """Yield (original ordinal, variant ordinal) candidate pairs.
-
-    Without blocking this is the full cross product of targets and variant
-    rows. With blocking, only pairs agreeing exactly on the blocking QI are
-    yielded, which is match-equivalent whenever that QI's threshold is 1.
-    """
-    _check_same_schema(original, variant)
-    ordered = sorted(targets.flagged)
-    if blocking is None:
-        for i in ordered:
-            for j in range(variant.row_count):
-                yield i, j
-        return
-
-    _validate_blocking(blocking, original, qi_cfg)
-    groups: dict[str, list[int]] = {}
-    for j, value in enumerate(variant.columns[blocking]):
-        groups.setdefault(value, []).append(j)
-    orig_col = original.columns[blocking]
-    for i in ordered:
-        for j in groups.get(orig_col[i], ()):
-            yield i, j
 
 
 def score_pairs(
@@ -213,65 +189,82 @@ def filter_matches(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized scoring used by attack(). Produces results identical to the
-# candidate_pairs -> score_pairs -> filter_matches pipeline above.
+# The engine behind attack(). Inside it, targets and variant rows are
+# addressed by position in the attack's sorted target and row arrays.
+
+BLOCK_TARGETS = 256  # targets per densely scored block
 
 
-class _RuleScorer:
-    """Per-rule score matrices/vectors over (target ordinals, variant ordinals)."""
+def _codes(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """Distinct values in first-seen order, and each value's index among them."""
+    cats = list(dict.fromkeys(values))
+    code = {c: k for k, c in enumerate(cats)}
+    return cats, np.fromiter((code[v] for v in values), dtype=np.int64, count=len(values))
 
-    def __init__(self, rule: QIRule, original: Dataset, variant: Dataset):
+
+def _group(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """Positions holding each key, ascending within a key."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(uniq.tolist(), np.split(order, starts[1:])))
+
+
+def _partitions(
+    columns: list[tuple[np.ndarray, np.ndarray]], n_targets: int, n_rows: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(target positions, row positions) of each value combination both sides hold.
+
+    ``columns`` holds (target values, row values) per column. Every pair
+    outside the partitions disagrees on some column; with no column, one
+    partition spans every pair.
+    """
+    key = np.zeros(n_targets + n_rows, dtype=np.int64)
+    for o, v in columns:
+        cats, codes = _codes(np.concatenate([o, v]))
+        # re-densify, so the combined key stays below n_targets + n_rows
+        key = np.unique(key * len(cats) + codes, return_inverse=True)[1]
+    t_groups, r_groups = _group(key[:n_targets]), _group(key[n_targets:])
+    return [(t_pos, r_groups[k]) for k, t_pos in t_groups.items() if k in r_groups]
+
+
+class _DenseRule:
+    """One QI's scores over (target position, row position) pairs."""
+
+    def __init__(self, rule: QIRule, o_values: np.ndarray, v_values: np.ndarray):
         self.rule = rule
-        self.numeric = rule.comparator.kind is ComparatorKind.GAUSS
-        if self.numeric:
-            self._o = original.columns[rule.name]
-            self._v = variant.columns[rule.name]
+        self._table = None
+        if rule.comparator.kind is ComparatorKind.GAUSS:
+            self._o, self._v = o_values, v_values
         else:
-            o_col = original.columns[rule.name]
-            v_col = variant.columns[rule.name]
-            cats = sorted(set(o_col) | set(v_col))
-            code = {c: k for k, c in enumerate(cats)}
-            self._o = np.fromiter((code[c] for c in o_col), dtype=np.int64, count=len(o_col))
-            self._v = np.fromiter((code[c] for c in v_col), dtype=np.int64, count=len(v_col))
-            comp = rule.comparator
+            o_cats, self._o = _codes(o_values)
+            v_cats, self._v = _codes(v_values)
+            score = rule.comparator.score
             self._table = np.array(
-                [[comp.score(a, b) for b in cats] for a in cats], dtype=np.float64
+                [[score(a, b) for b in v_cats] for a in o_cats], dtype=np.float64
             )
 
-    def _gauss(self, diff: np.ndarray) -> np.ndarray:
+    def scores(self, t_pos: np.ndarray, r_pos: np.ndarray) -> np.ndarray:
+        """Scores of the pairs (t_pos, r_pos), broadcast as numpy indexing broadcasts."""
+        o, v = self._o[t_pos], self._v[r_pos]
+        if self._table is not None:
+            return self._table[o, v]
         comp = self.rule.comparator
-        surplus = np.maximum(0.0, diff - comp.offset)
+        surplus = np.maximum(0.0, np.abs(o - v) - comp.offset)
         return 2.0 ** (-((surplus / comp.scale) ** 2))
-
-    def matrix(self, t_ids: np.ndarray, r_ids: np.ndarray) -> np.ndarray:
-        if self.numeric:
-            diff = np.abs(self._o[t_ids][:, None] - self._v[r_ids][None, :])
-            return self._gauss(diff)
-        return self._table[self._o[t_ids][:, None], self._v[r_ids][None, :]]
-
-    def pairwise(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
-        if self.numeric:
-            return self._gauss(np.abs(self._o[t_sel] - self._v[r_sel]))
-        return self._table[self._o[t_sel], self._v[r_sel]]
 
 
 def _score_block(
-    scorers: list[_RuleScorer], t_ids: np.ndarray, r_ids: np.ndarray
+    dense: list[_DenseRule], t_pos: np.ndarray, r_pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Return matched (original, variant) ordinals and per-rule scores for one block."""
-    mask = None
-    for scorer in scorers:
-        hit = scorer.matrix(t_ids, r_ids) >= scorer.rule.threshold
-        mask = hit if mask is None else mask & hit
+    """Matched (target, row) positions of one block and each dense rule's scores."""
+    mask = np.ones((len(t_pos), len(r_pos)), dtype=bool)
+    for rule in dense:
+        mask &= rule.scores(t_pos[:, None], r_pos[None, :]) >= rule.rule.threshold
         if not mask.any():
             break
-    if mask is None or not mask.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, [np.empty(0) for _ in scorers]
     ti, rj = np.nonzero(mask)
-    t_sel = t_ids[ti]
-    r_sel = r_ids[rj]
-    return t_sel, r_sel, [s.pairwise(t_sel, r_sel) for s in scorers]
+    t_sel, r_sel = t_pos[ti], r_pos[rj]
+    return t_sel, r_sel, [rule.scores(t_sel, r_sel) for rule in dense]
 
 
 def attack(
@@ -284,18 +277,23 @@ def attack(
     blocking: str | None = None,
     restrict_variant_outliers: bool = False,
     workers: int = 1,
-    chunk_size: int = 256,
 ) -> LinkageResult:
     """Run the full attack: outlier targets scored against a variant.
 
     ``qi_subset`` restricts the attacker's background knowledge to a subset
     of the configured QIs. ``restrict_variant_outliers`` additionally limits
-    the synthetic side to its own outlier rows. Results are independent of
-    ``workers`` and ``chunk_size``.
+    the synthetic side to its own outlier rows. The pair space is always
+    partitioned on every QI of the subset that demands exact agreement (a
+    categorical comparator at threshold 1), and the other QIs are scored in
+    blocks of ``BLOCK_TARGETS`` targets on ``workers`` threads. ``blocking``
+    is only validated to name such a QI; it changes nothing. Results are
+    independent of ``workers``.
     """
     _check_same_schema(original, variant)
     cfg = qi_cfg if qi_subset is None else qi_cfg.subset(qi_subset)
     cfg.validate_against(original)
+    if blocking is not None:
+        _validate_blocking(blocking, original, cfg)
 
     targets = np.array(sorted(detect_outliers(original, outlier_cfg).flagged), dtype=np.int64)
     if restrict_variant_outliers:
@@ -308,50 +306,33 @@ def attack(
     if len(targets) == 0 or len(rows) == 0:
         return LinkageResult.from_pairs((), surface)
 
-    scorers = [_RuleScorer(r, original, variant) for r in cfg.rules]
+    def sides(rule: QIRule) -> tuple[np.ndarray, np.ndarray]:
+        return original.columns[rule.name][targets], variant.columns[rule.name][rows]
 
-    # Partition the pair space: one partition per blocking category, or a
-    # single partition spanning everything. Each partition is chunked over
-    # targets; blocks are independent, so execution order cannot matter.
-    if blocking is not None:
-        _validate_blocking(blocking, original, cfg)
-        v_col = variant.columns[blocking]
-        groups: dict[str, list[int]] = {}
-        for j in rows:
-            groups.setdefault(v_col[j], []).append(int(j))
-        o_col = original.columns[blocking]
-        partitions = []
-        for value in sorted({o_col[i] for i in targets}):
-            t_ids = np.array([i for i in targets if o_col[i] == value], dtype=np.int64)
-            r_ids = np.array(groups.get(value, []), dtype=np.int64)
-            if len(r_ids):
-                partitions.append((t_ids, r_ids))
-    else:
-        partitions = [(targets, rows)]
-
+    equal = [_demands_exact_agreement(r) for r in cfg.rules]
+    dense = [_DenseRule(r, *sides(r)) for r, eq in zip(cfg.rules, equal) if not eq]
+    partitions = _partitions(
+        [sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows)
+    )
     blocks = [
-        (t_ids[k : k + chunk_size], r_ids)
-        for t_ids, r_ids in partitions
-        for k in range(0, len(t_ids), chunk_size)
+        (t_pos[k : k + BLOCK_TARGETS], r_pos)
+        for t_pos, r_pos in partitions
+        for k in range(0, len(t_pos), BLOCK_TARGETS)
     ]
-
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _score_block(scorers, *b), blocks))
+            results = list(pool.map(lambda b: _score_block(dense, *b), blocks))
     else:
-        results = [_score_block(scorers, *b) for b in blocks]
+        results = [_score_block(dense, *b) for b in blocks]
 
     names = cfg.names()
     pairs = []
-    for t_sel, r_sel, rule_scores in results:
-        for k in range(len(t_sel)):
-            pairs.append(
-                ScoredPair(
-                    original=int(t_sel[k]),
-                    synthetic=int(r_sel[k]),
-                    scores={name: float(rule_scores[q][k]) for q, name in enumerate(names)},
-                )
-            )
+    for t_sel, r_sel, dense_scores in results:
+        # a pair inside a partition agrees exactly, scoring 1.0, on each equality QI
+        scores = iter(dense_scores)
+        columns = [repeat(1.0) if eq else next(scores).tolist() for eq in equal]
+        for i, j, *values in zip(targets[t_sel].tolist(), rows[r_sel].tolist(), *columns):
+            pairs.append(ScoredPair(original=i, synthetic=j, scores=dict(zip(names, values))))
     pairs.sort(key=lambda p: (p.original, p.synthetic))
     return LinkageResult.from_pairs(tuple(pairs), surface)
 

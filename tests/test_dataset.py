@@ -49,6 +49,29 @@ def test_drop_row_removes_exactly_incomplete_rows(write_csv):
     assert list(ds.column("a")) == [0, 1, 3, 4, 5, 6, 8, 9]
 
 
+def test_drop_row_warns_once_per_file(write_csv, caplog):
+    rows = rows10()
+    rows[2][0] = ""
+    rows[7][1] = "NA"
+    path = write_csv("missing.csv", ["a", "b", "c"], rows)
+    with caplog.at_level("WARNING", logger="synthaudit.dataset"):
+        load_dataset(path, SCHEMA3, MissingPolicy.DROP_ROW)
+        load_dataset(write_csv("ok.csv", ["a", "b", "c"], rows10()), SCHEMA3)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: dropped 2 of 10 data rows with missing cells"
+    ]
+
+
+def test_utf8_bom_is_skipped(write_csv, tmp_path):
+    plain = write_csv("plain.csv", ["a", "b", "c"], rows10())
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_dataset(bom, SCHEMA3) == load_dataset(plain, SCHEMA3)
+    # files are written back without one
+    save_dataset(load_dataset(bom, SCHEMA3), tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes()[:1] == b"a"
+
+
 def test_error_policy_rejects_missing(write_csv):
     rows = rows10()
     rows[0][2] = ""

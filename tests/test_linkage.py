@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,11 @@ from synthaudit import (
     QIRule,
     Role,
     attack,
-    candidate_pairs,
     filter_matches,
     score_pairs,
 )
 from synthaudit.linkage import save_matches
-from synthaudit.outliers import OutlierSet, detect_outliers
+from synthaudit.outliers import detect_outliers
 
 from linkage_oracle import oracle_matches, outlier_targets
 
@@ -52,10 +53,6 @@ def make_ds(age, income, home, intent):
     )
 
 
-def targets_of(*indices) -> OutlierSet:
-    return OutlierSet(dataset_id="t", flagged=frozenset(indices), per_attribute_z={})
-
-
 HOMES = ["MORTGAGE", "RENT", "OWN", "OTHER"]
 INTENTS = ["PERSONAL", "MEDICAL", "VENTURE"]
 
@@ -78,42 +75,12 @@ OUTLIER_CFG = OutlierConfig(k=1.5, attributes=("age", "income"))
 
 
 class TestCandidatePairs:
-    def test_full_cross_product(self):
-        original, variant = random_instance(np.random.default_rng(0), 5, 4)
-        pairs = list(candidate_pairs(targets_of(0, 2, 4), original, variant))
-        assert len(pairs) == 12
-        assert pairs == sorted(pairs)
-
-    def test_no_targets_yields_nothing(self):
-        original, variant = random_instance(np.random.default_rng(0), 5, 4)
-        assert list(candidate_pairs(targets_of(), original, variant)) == []
-
-    def test_blocking_counts_agreeing_pairs(self):
-        # variant homes split 2/2 between MORTGAGE and RENT; targets split 2/1
-        original = make_ds(
-            [30, 40, 50],
-            [1000, 2000, 3000],
-            ["MORTGAGE", "MORTGAGE", "RENT"],
-            ["PERSONAL"] * 3,
-        )
-        variant = make_ds(
-            [31, 41, 51, 61],
-            [1000, 2000, 3000, 4000],
-            ["MORTGAGE", "RENT", "MORTGAGE", "RENT"],
-            ["PERSONAL"] * 4,
-        )
-        pairs = list(
-            candidate_pairs(targets_of(0, 1, 2), original, variant, blocking="home", qi_cfg=QI4)
-        )
-        assert len(pairs) == 2 * 2 + 1 * 2
-        assert all(original.column("home")[i] == variant.column("home")[j] for i, j in pairs)
+    """attack() checks what may narrow its candidate pairs before scoring any."""
 
     def test_blocking_validation(self):
         original, variant = random_instance(np.random.default_rng(1), 4, 4)
-        with pytest.raises(ConfigError, match="QI config"):
-            list(candidate_pairs(targets_of(0), original, variant, blocking="home"))
         with pytest.raises(ConfigError, match="not categorical"):
-            list(candidate_pairs(targets_of(0), original, variant, blocking="age", qi_cfg=QI4))
+            attack(original, variant, OUTLIER_CFG, QI4, blocking="age")
         lowered = QIConfig(
             rules=tuple(
                 QIRule(r.name, r.comparator, 0.9 if r.name == "home" else r.threshold)
@@ -121,9 +88,9 @@ class TestCandidatePairs:
             )
         )
         with pytest.raises(ConfigError, match="threshold 1"):
-            list(
-                candidate_pairs(targets_of(0), original, variant, blocking="home", qi_cfg=lowered)
-            )
+            attack(original, variant, OUTLIER_CFG, lowered, blocking="home")
+        with pytest.raises(ConfigError, match="no QI rule"):
+            attack(original, variant, OUTLIER_CFG, QI4, qi_subset=("age",), blocking="home")
 
     def test_schema_mismatch_rejected(self):
         original, _ = random_instance(np.random.default_rng(2), 4, 4)
@@ -131,7 +98,7 @@ class TestCandidatePairs:
             (AttributeSchema("age", Kind.NUMERICAL, Role.QI),), {"age": [1.0]}
         )
         with pytest.raises(DataError, match="schema"):
-            list(candidate_pairs(targets_of(0), original, other))
+            attack(original, other, OUTLIER_CFG, QI4)
 
 
 class TestScoreAndFilter:
@@ -169,7 +136,7 @@ class TestScoreAndFilter:
             [30, 31, 70], [50000, 50000, 99000], ["RENT", "RENT", "OWN"], ["PERSONAL"] * 3
         )
         variant = make_ds([30], [50400], ["RENT"], ["PERSONAL"])
-        scored = score_pairs(candidate_pairs(targets_of(0, 1, 2), original, variant), original, variant, QI4)
+        scored = score_pairs(product([0, 1, 2], range(variant.row_count)), original, variant, QI4)
         result = filter_matches(scored, QI4, attack_surface=(3, 1))
         assert len(result.pairs) == 2
         assert result.per_original_match_count == {0: 1, 1: 1}
@@ -201,10 +168,9 @@ class TestAttack:
         for _ in range(10):
             original, variant = random_instance(rng, 30, 45)
             via_attack = attack(original, variant, OUTLIER_CFG, QI4)
-            targets = detect_outliers(original, OUTLIER_CFG)
-            scored = score_pairs(
-                candidate_pairs(targets, original, variant), original, variant, QI4
-            )
+            targets = sorted(detect_outliers(original, OUTLIER_CFG).flagged)
+            pairs = product(targets, range(variant.row_count))
+            scored = score_pairs(pairs, original, variant, QI4)
             via_stream = filter_matches(scored, QI4, attack_surface=via_attack.attack_surface)
             assert via_attack == via_stream
 
@@ -274,8 +240,7 @@ class TestAttack:
         original, variant = random_instance(rng, 60, 80)
         base = attack(original, variant, OUTLIER_CFG, QI4)
         assert attack(original, variant, OUTLIER_CFG, QI4, workers=4) == base
-        assert attack(original, variant, OUTLIER_CFG, QI4, chunk_size=7) == base
-        assert attack(original, variant, OUTLIER_CFG, QI4, workers=3, chunk_size=5) == base
+        assert attack(original, variant, OUTLIER_CFG, QI4, workers=3) == base
 
     def test_result_invariants(self):
         rng = np.random.default_rng(10)
