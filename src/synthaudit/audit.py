@@ -4,10 +4,9 @@ An audit plan names one original dataset and any number of synthetic
 variants (external files or parameters for the built-in generator). For
 every variant the runner computes utility metrics once and runs the linkage
 attack once per QI subset in the ladder; a failure on one variant is
-recorded in its report entry and does not abort the others. Results are
-merged in plan order whatever the execution order, so reports are
-reproducible byte for byte (timestamps live in one metadata field that
-golden comparisons exclude).
+recorded in its report entry and does not abort the others. Variants run
+one after another in plan order, so reports are reproducible byte for byte
+(only the run_meta keys in ``report.VOLATILE_RUN_META_KEYS`` vary).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class AuditPlan:
     ladder: tuple[tuple[str, ...], ...]
     output_dir: Path
     synth_defaults: SynthSettings | None = None
-    blocking: str | None = None
     restrict_variant_outliers: bool = False
     base_dir: Path = Path(".")  # anchor for relative variant file paths
 
@@ -115,7 +113,6 @@ def _audit_one_variant(
     plan: AuditPlan,
     spec: VariantSpec,
     original: Dataset,
-    workers: int,
     write_outputs: bool,
 ) -> dict:
     try:
@@ -134,17 +131,13 @@ def _audit_one_variant(
             "linkage": {},
         }
         for subset in plan.ladder:
-            # blocking is only validated, against the subsets that score it
-            blocking = plan.blocking if plan.blocking in subset else None
             result = attack(
                 original,
                 variant,
                 plan.outlier_cfg,
                 plan.qi_cfg,
                 qi_subset=subset,
-                blocking=blocking,
                 restrict_variant_outliers=plan.restrict_variant_outliers,
-                workers=workers,
             )
             key = ",".join(subset)
             entry["linkage"][key] = _linkage_summary(result)
@@ -161,7 +154,6 @@ def _audit_one_variant(
 def run_audit(
     plan: AuditPlan,
     *,
-    workers: int = 1,
     write_outputs: bool = False,
     run_meta_extra: dict | None = None,
 ) -> AuditReport:
@@ -173,8 +165,6 @@ def run_audit(
     started = time.time()
     try:
         original = load_dataset(plan.original_path, plan.schema)
-    except DataError:
-        raise
     except OSError as exc:
         raise DataError(f"cannot read original dataset: {exc}") from exc
 
@@ -182,10 +172,7 @@ def run_audit(
     if write_outputs:
         save_outlier_set(targets, plan.outlier_cfg, plan.output_dir / "outliers.csv")
 
-    entries = [
-        _audit_one_variant(plan, spec, original, workers, write_outputs)
-        for spec in plan.variants
-    ]
+    entries = [_audit_one_variant(plan, spec, original, write_outputs) for spec in plan.variants]
 
     run_meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
@@ -202,7 +189,6 @@ def run_audit(
             "attributes": list(plan.outlier_cfg.attributes),
         },
         "ladder": [",".join(subset) for subset in plan.ladder],
-        "workers": workers,
     }
     if run_meta_extra:
         run_meta.update(run_meta_extra)
@@ -219,7 +205,6 @@ def sweep_epsilon(
     *,
     n: int | None = None,
     num_bins: int = 32,
-    workers: int = 1,
 ) -> AuditReport:
     """Generate and audit repeats x |grid| variants; emit tradeoff-curve rows.
 
@@ -239,7 +224,7 @@ def sweep_epsilon(
         for _ in range(repeats):
             seed = base_seed + index
             variant = synthesize(original, epsilon, rows, num_bins, seed)
-            result = attack(original, variant, outlier_cfg, qi_cfg, workers=workers)
+            result = attack(original, variant, outlier_cfg, qi_cfg)
             utility = compute_utility(original, variant)
             entries.append(
                 {
@@ -282,6 +267,5 @@ def sweep_epsilon(
         "grid": sorted(grid),
         "repeats": repeats,
         "base_seed": base_seed,
-        "workers": workers,
     }
     return AuditReport(run_meta=run_meta, variants=entries, sweep_curve=curve)

@@ -36,6 +36,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
+WORKERS_HELP = "accepted for compatibility and ignored; attacks run serially"
+
 
 def _require(cfg: RunConfig, command: str, **parts) -> None:
     for label, value in parts.items():
@@ -66,18 +68,13 @@ def cmd_link(args: argparse.Namespace) -> int:
     original = load_dataset(args.original, cfg.schema)
     variant = load_dataset(args.variant, cfg.schema)
     subset = tuple(args.qis.split(",")) if args.qis else None
-    blocking = cfg.blocking
-    if blocking is not None and subset is not None and blocking not in subset:
-        blocking = None  # only validated against subsets that score it
     result = attack(
         original,
         variant,
         cfg.outliers,
         cfg.qi,
         qi_subset=subset,
-        blocking=blocking,
         restrict_variant_outliers=cfg.restrict_variant_outliers,
-        workers=args.workers,
     )
     rules = cfg.qi.subset(subset) if subset else cfg.qi
     out = _out_dir(args.out, cfg) / "pairs.csv"
@@ -140,7 +137,6 @@ def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditP
         ladder=cfg.ladder,
         output_dir=_out_dir(out_flag, cfg),
         synth_defaults=cfg.synth,
-        blocking=cfg.blocking,
         restrict_variant_outliers=cfg.restrict_variant_outliers,
         base_dir=base_dir,
     )
@@ -152,7 +148,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     plan = _build_plan(cfg, plan_path, args.out)
     report = run_audit(
         plan,
-        workers=args.workers,
         write_outputs=True,
         run_meta_extra={
             "config_hash": config_hash(cfg),
@@ -192,7 +187,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg.qi,
         n=cfg.synth.n if cfg.synth else None,
         num_bins=cfg.synth.num_bins if cfg.synth else 32,
-        workers=args.workers,
     )
     report.run_meta["config_hash"] = config_hash(cfg)
     report.run_meta["effective_config"] = render_config(cfg)
@@ -251,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variant")
     p.add_argument("--qis", help="comma-separated QI subset (default: all configured)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("utility", help="utility metrics of a variant vs the original")
@@ -274,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run a full multi-variant audit plan")
     p.add_argument("--plan", required=True, help="plan config file")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("sweep", help="epsilon sweep with generated variants")
     p.add_argument("--plan", required=True, help="plan config file")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -28,7 +28,7 @@ from pathlib import Path
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import AttributeSchema, Kind, Role, validate_schema
 from .errors import ConfigError
-from .linkage import QIConfig, QIRule
+from .linkage import QIConfig, QIRule, validate_blocking
 from .outliers import Combine, OutlierConfig
 
 _OUTLIER_KEYS = {"k", "attributes", "combine", "stddev"}
@@ -334,7 +334,7 @@ def parse_config(text: str) -> RunConfig:
             ladder = _parse_ladder(section["ladder"], qi)
         if "blocking" in section:
             blocking = section["blocking"].strip()
-            qi.rule(blocking)
+            validate_blocking(blocking, qi)
         if "restrict_variant_outliers" in section:
             restrict = _as_bool("attack", "restrict_variant_outliers", section["restrict_variant_outliers"])
     if not ladder and qi is not None:

@@ -111,9 +111,6 @@ class Dataset:
         self.attribute(name)
         return self.columns[name]
 
-    def qi_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.schema if a.role is Role.QI)
-
     @classmethod
     def from_columns(
         cls, schema: tuple[AttributeSchema, ...], columns: dict[str, list | np.ndarray]

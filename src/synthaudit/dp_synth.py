@@ -24,6 +24,7 @@ the output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,12 +120,8 @@ def build_noisy_histogram(
             counts = counts.astype(np.float64)
         bins: tuple = tuple(edges)
     else:
-        cats = sorted(set(col))
-        index = {c: k for k, c in enumerate(cats)}
-        counts = np.zeros(len(cats))
-        for value in col:
-            counts[index[value]] += 1
-        bins = tuple(cats)
+        bins, counts = zip(*sorted(Counter(col.tolist()).items()))
+        counts = np.array(counts, dtype=np.float64)
 
     noisy = counts + _laplace_noise(rng, 1.0 / eps_a, len(counts))
     return NoisyHistogram(

@@ -11,15 +11,17 @@ A categorical QI at threshold 1 demands exact agreement, so :func:`attack`
 partitions targets and variant rows on the values of every such QI and
 compares only pairs within one partition; each of those QIs scores 1.0 on
 every pair it lets through. The remaining QIs are scored in dense blocks of
-targets against the partition's rows, optionally on a thread pool. Any
-schedule gives the same result, and the match set equals naive pair-by-pair
-enumeration (:func:`score_pairs` then :func:`filter_matches`).
+targets against the partition's rows. numpy's vectorized Gauss kernel may
+differ from the scalar comparator in the last ulp, so it only nominates
+candidates, at a threshold lowered by ``GAUSS_SLACK``; each candidate is
+then scored by :meth:`ComparatorSpec.score` and decided on those scores.
+The match set and its scores therefore equal naive pair-by-pair enumeration
+(:func:`score_pairs` then :func:`filter_matches`) at any threshold.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -144,12 +146,15 @@ def _demands_exact_agreement(rule: QIRule) -> bool:
     return rule.comparator.kind is not ComparatorKind.GAUSS and rule.threshold == 1
 
 
-def _validate_blocking(blocking: str, ds: Dataset, cfg: QIConfig) -> None:
-    # The engine already partitions on every QI that demands exact agreement,
-    # so blocking selects nothing; it is only checked to be such a QI.
-    if ds.attribute(blocking).kind is not Kind.CATEGORICAL:
-        raise ConfigError(f"blocking attribute {blocking!r} is not categorical")
+def validate_blocking(blocking: str, cfg: QIConfig) -> None:
+    """Check that ``blocking`` names a QI rule demanding exact agreement.
+
+    The engine already partitions on every such QI, so blocking selects
+    nothing; a configured value is only checked.
+    """
     rule = cfg.rule(blocking)
+    if rule.comparator.kind is ComparatorKind.GAUSS:
+        raise ConfigError(f"blocking attribute {blocking!r} is not categorical")
     if rule.threshold != 1:
         raise ConfigError(
             f"blocking on {blocking!r} requires threshold 1, configured {rule.threshold}"
@@ -193,6 +198,9 @@ def filter_matches(
 # addressed by position in the attack's sorted target and row arrays.
 
 BLOCK_TARGETS = 256  # targets per densely scored block
+# Relative slack of the vectorized Gauss prefilter: numpy's array power may
+# differ from the scalar comparator's in the last ulp (about 1e-16).
+GAUSS_SLACK = 1e-9
 
 
 def _codes(values: np.ndarray) -> tuple[list, np.ndarray]:
@@ -235,7 +243,9 @@ class _DenseRule:
         self._table = None
         if rule.comparator.kind is ComparatorKind.GAUSS:
             self._o, self._v = o_values, v_values
+            self.floor = rule.threshold * (1 - GAUSS_SLACK)
         else:
+            self.floor = rule.threshold
             o_cats, self._o = _codes(o_values)
             v_cats, self._v = _codes(v_values)
             score = rule.comparator.score
@@ -243,14 +253,23 @@ class _DenseRule:
                 [[score(a, b) for b in v_cats] for a in o_cats], dtype=np.float64
             )
 
-    def scores(self, t_pos: np.ndarray, r_pos: np.ndarray) -> np.ndarray:
-        """Scores of the pairs (t_pos, r_pos), broadcast as numpy indexing broadcasts."""
+    def candidates(self, t_pos: np.ndarray, r_pos: np.ndarray) -> np.ndarray:
+        """Mask of the pairs (t_pos, r_pos) that may meet the threshold, broadcast
+        as numpy indexing broadcasts; a superset of the matches."""
         o, v = self._o[t_pos], self._v[r_pos]
         if self._table is not None:
-            return self._table[o, v]
+            return self._table[o, v] >= self.floor
         comp = self.rule.comparator
         surplus = np.maximum(0.0, np.abs(o - v) - comp.offset)
-        return 2.0 ** (-((surplus / comp.scale) ** 2))
+        return 2.0 ** (-((surplus / comp.scale) ** 2)) >= self.floor
+
+    def scores(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
+        """Exact scores of the pairs (t_sel[k], r_sel[k])."""
+        o, v = self._o[t_sel], self._v[r_sel]
+        if self._table is not None:
+            return self._table[o, v]
+        score = self.rule.comparator.score
+        return np.array([score(a, b) for a, b in zip(o.tolist(), v.tolist())], dtype=np.float64)
 
 
 def _score_block(
@@ -259,12 +278,16 @@ def _score_block(
     """Matched (target, row) positions of one block and each dense rule's scores."""
     mask = np.ones((len(t_pos), len(r_pos)), dtype=bool)
     for rule in dense:
-        mask &= rule.scores(t_pos[:, None], r_pos[None, :]) >= rule.rule.threshold
+        mask &= rule.candidates(t_pos[:, None], r_pos[None, :])
         if not mask.any():
             break
     ti, rj = np.nonzero(mask)
     t_sel, r_sel = t_pos[ti], r_pos[rj]
-    return t_sel, r_sel, [rule.scores(t_sel, r_sel) for rule in dense]
+    scores = [rule.scores(t_sel, r_sel) for rule in dense]
+    keep = np.ones(len(t_sel), dtype=bool)
+    for rule, s in zip(dense, scores):
+        keep &= s >= rule.rule.threshold
+    return t_sel[keep], r_sel[keep], [s[keep] for s in scores]
 
 
 def attack(
@@ -276,7 +299,6 @@ def attack(
     *,
     blocking: str | None = None,
     restrict_variant_outliers: bool = False,
-    workers: int = 1,
 ) -> LinkageResult:
     """Run the full attack: outlier targets scored against a variant.
 
@@ -285,15 +307,15 @@ def attack(
     the synthetic side to its own outlier rows. The pair space is always
     partitioned on every QI of the subset that demands exact agreement (a
     categorical comparator at threshold 1), and the other QIs are scored in
-    blocks of ``BLOCK_TARGETS`` targets on ``workers`` threads. ``blocking``
-    is only validated to name such a QI; it changes nothing. Results are
-    independent of ``workers``.
+    blocks of ``BLOCK_TARGETS`` targets, each match decided on the scalar
+    comparator's scores. ``blocking`` is only checked to name such a QI of
+    the subset (:func:`validate_blocking`); it changes nothing.
     """
     _check_same_schema(original, variant)
     cfg = qi_cfg if qi_subset is None else qi_cfg.subset(qi_subset)
     cfg.validate_against(original)
     if blocking is not None:
-        _validate_blocking(blocking, original, cfg)
+        validate_blocking(blocking, cfg)
 
     targets = np.array(sorted(detect_outliers(original, outlier_cfg).flagged), dtype=np.int64)
     if restrict_variant_outliers:
@@ -314,20 +336,16 @@ def attack(
     partitions = _partitions(
         [sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows)
     )
-    blocks = [
+    blocks = (
         (t_pos[k : k + BLOCK_TARGETS], r_pos)
         for t_pos, r_pos in partitions
         for k in range(0, len(t_pos), BLOCK_TARGETS)
-    ]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _score_block(dense, *b), blocks))
-    else:
-        results = [_score_block(dense, *b) for b in blocks]
+    )
 
     names = cfg.names()
     pairs = []
-    for t_sel, r_sel, dense_scores in results:
+    for block in blocks:
+        t_sel, r_sel, dense_scores = _score_block(dense, *block)
         # a pair inside a partition agrees exactly, scoring 1.0, on each equality QI
         scores = iter(dense_scores)
         columns = [repeat(1.0) if eq else next(scores).tolist() for eq in equal]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-VOLATILE_RUN_META_KEYS = ("timestamp", "wall_time_s", "workers")
+VOLATILE_RUN_META_KEYS = ("timestamp", "wall_time_s")
 
 
 def to_jsonable(obj):

@@ -338,6 +338,15 @@ class TestAuditCommand:
         echoed = parse_config(report["run_meta"]["effective_config"])
         assert echoed == load_config(plan)
 
+    def test_invalid_blocking_is_2_before_any_work(self, workdir):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("[attack]\n", "[attack]\nblocking = age\n")
+        plan = write(tmp / "plan.ini", text)
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert not (tmp / "out" / "report.json").exists()
+        assert not (tmp / "out" / "outliers.csv").exists()
+
     def test_missing_original_is_3(self, tmp_path):
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
         assert main(["audit", "--plan", str(plan)]) == 3

@@ -166,6 +166,30 @@ def test_gauss_on_categorical_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "blocking, extra, message",
+    [
+        ("age", "", "not categorical"),
+        ("home", "\nthreshold = 0.8", "threshold 1"),
+        ("amount", "", "no QI rule"),
+    ],
+    ids=["gauss", "threshold-0.8", "not-a-qi"],
+)
+def test_blocking_checked_at_load(blocking, extra, message):
+    text = FULL_CONFIG.replace(
+        "[qi home]\ncomparator = levenshtein", "[qi home]\ncomparator = levenshtein" + extra
+    ).replace("[attack]\n", f"[attack]\nblocking = {blocking}\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+def test_valid_blocking_is_kept_and_rendered():
+    cfg = parse_config(FULL_CONFIG.replace("[attack]\n", "[attack]\nblocking = home\n"))
+    assert cfg.blocking == "home"
+    assert "blocking = home" in render_config(cfg)
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_qi_rule_on_non_qi_attribute_rejected():
     text = FULL_CONFIG + "\n[qi amount]\ncomparator = gauss\noffset = 1\nscale = 1\n"
     with pytest.raises(ConfigError, match="not marked 'qi'"):

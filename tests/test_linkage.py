@@ -19,6 +19,7 @@ from synthaudit import (
     Role,
     attack,
     filter_matches,
+    gauss_similarity,
     score_pairs,
 )
 from synthaudit.linkage import save_matches
@@ -163,6 +164,31 @@ class TestAttack:
             assert result.per_original_match_count.get(i, 0) >= 1
             assert (i, i) in {(p.original, p.synthetic) for p in result.pairs}
 
+    def test_gauss_decisions_equal_scalar_at_exact_thresholds(self):
+        # One target at income 0 against rows at gaps 1000..2000. Where
+        # numpy's vectorized 2.0 ** x differs from the scalar comparator in
+        # the last ulp, a threshold set to the scalar score of a gap must
+        # still match that gap, and the next float above it must not.
+        gaps = np.arange(1000.0, 2001.0)
+        scalar = [gauss_similarity(0.0, g, 1000.0, 1000.0) for g in gaps.tolist()]
+        vector = 2.0 ** (-(((gaps - 1000.0) / 1000.0) ** 2))
+        picked = [
+            j for j, (a, b) in enumerate(zip(vector.tolist(), scalar)) if a != b or j % 100 == 0
+        ]
+        n = len(gaps)
+        original = make_ds([30.0] * 10, [0.0] + [5000.0] * 9, ["RENT"] * 10, ["MEDICAL"] * 10)
+        variant = make_ds([30.0] * n, gaps, ["RENT"] * n, ["MEDICAL"] * n)
+        outliers = OutlierConfig(k=2.0, attributes=("income",))
+        for j in picked:
+            t = scalar[j]
+            for threshold in (t, float(np.nextafter(t, 1.0))):
+                cfg = QIConfig(rules=(QIRule("income", GAUSS(1000.0, 1000.0), threshold),))
+                result = attack(original, variant, outliers, cfg)
+                assert result.attack_surface == (1, n)
+                matched = {p.synthetic: p.scores["income"] for p in result.pairs}
+                assert matched == {k: s for k, s in enumerate(scalar) if s >= threshold}
+                assert (j in matched) == (threshold == t)
+
     def test_matches_scalar_pipeline(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -234,13 +260,6 @@ class TestAttack:
         loose_set = {(p.original, p.synthetic) for p in attack(original, variant, OUTLIER_CFG, loose).pairs}
         tight_set = {(p.original, p.synthetic) for p in attack(original, variant, OUTLIER_CFG, tight).pairs}
         assert tight_set <= loose_set
-
-    def test_deterministic_across_workers_and_chunks(self):
-        rng = np.random.default_rng(9)
-        original, variant = random_instance(rng, 60, 80)
-        base = attack(original, variant, OUTLIER_CFG, QI4)
-        assert attack(original, variant, OUTLIER_CFG, QI4, workers=4) == base
-        assert attack(original, variant, OUTLIER_CFG, QI4, workers=3) == base
 
     def test_result_invariants(self):
         rng = np.random.default_rng(10)

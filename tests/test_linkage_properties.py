@@ -2,7 +2,8 @@
 
 Each rule set steers the engine down one path of its pair-space partition:
 equality QIs only, several equality QIs at once, ``exact`` at threshold 1
-and below it, Levenshtein at 0.8 beside equality QIs, and dense QIs only.
+and below it, Levenshtein at 0.8 beside equality QIs, dense QIs only, and
+Gauss at a threshold other than 0.5 that an integer age gap meets exactly.
 The category pools include values present on one side only and the empty
 string, and the generated tables include empty target sets, one-row
 variants and runs restricted to the variant's own outliers.
@@ -29,6 +30,7 @@ from synthaudit import (  # noqa: E402
     Role,
     attack,
     filter_matches,
+    gauss_similarity,
     score_pairs,
 )
 
@@ -53,7 +55,9 @@ VARIANT_POOLS = {
     "zip": ["12345", "12355", "1234", ""],
 }
 
-# Gauss at offset 2, scale 3 scores exactly 0.5 at an age gap of 5.
+# Gauss at offset 2, scale 3 scores exactly 0.5 at an age gap of 5, and
+# exactly AT_GAP_4 at a gap of 4.
+AT_GAP_4 = gauss_similarity(0.0, 4.0, 2.0, 3.0)
 RULE_SETS = {
     "equality-only": [("home", "exact", 1.0), ("intent", "levenshtein", 1.0)],
     "two-equality-with-gauss": [
@@ -69,6 +73,7 @@ RULE_SETS = {
         ("intent", "levenshtein", 1.0),
     ],
     "dense-only": [("age", "gauss", 0.5), ("zip", "levenshtein", 0.8)],
+    "gauss-at-gap-4-beside-equality": [("age", "gauss", AT_GAP_4), ("home", "exact", 1.0)],
 }
 
 OUTLIER_K = [0.7, 1.1, 10.0]  # |z| never exceeds 3 on ten rows, so 10 flags nothing
