@@ -3,10 +3,14 @@
 An audit plan names one original dataset and any number of synthetic
 variants (external files or parameters for the built-in generator). For
 every variant the runner computes utility metrics once and runs the linkage
-attack once per QI subset in the ladder; a failure on one variant is
-recorded in its report entry and does not abort the others. Variants run
-one after another in plan order, so reports are reproducible byte for byte
-(only the run_meta keys in ``report.VOLATILE_RUN_META_KEYS`` vary).
+attack once per QI subset in the ladder. Every audit leaves its trail
+under the plan's output directory: the original's outlier listing, each
+generated variant and one pair file per variant and subset. A data or
+configuration error on one variant is recorded in its report entry and
+does not abort the others; any other exception is a bug and ends the run.
+Variants run one after another in plan order, so reports are reproducible
+byte for byte (only the run_meta keys in ``report.VOLATILE_RUN_META_KEYS``
+vary).
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from pathlib import Path
 
 from .config import SynthSettings, VariantSpec
 from .dataset import AttributeSchema, Dataset, load_dataset, save_dataset
-from .dp_synth import generator_metadata, synthesize
-from .errors import ConfigError, DataError
+from .dp_synth import DEFAULT_NUM_BINS, generator_metadata, synthesize
+from .errors import ConfigError, SynthAuditError
 from .linkage import LinkageResult, QIConfig, attack, save_matches
 from .outliers import OutlierConfig, detect_outliers, save_outlier_set
 from .utility import compute_utility
@@ -97,11 +101,11 @@ def _resolve_variant(
         if spec.tags:
             generator["tags"] = dict(spec.tags)
         return ds, generator
-    defaults = plan.synth_defaults
+    defaults = plan.synth_defaults or SynthSettings(epsilon=spec.epsilon, n=original.row_count)
     epsilon = spec.epsilon
-    n = spec.n if spec.n is not None else (defaults.n if defaults else original.row_count)
-    num_bins = spec.num_bins if spec.num_bins is not None else (defaults.num_bins if defaults else 32)
-    seed = spec.seed if spec.seed is not None else (defaults.seed if defaults else 0)
+    n = spec.n if spec.n is not None else defaults.n
+    num_bins = spec.num_bins if spec.num_bins is not None else defaults.num_bins
+    seed = spec.seed if spec.seed is not None else defaults.seed
     ds = synthesize(original, epsilon, n, num_bins, seed)
     generator = generator_metadata(plan.schema, epsilon, n, num_bins, seed)
     if spec.tags:
@@ -109,15 +113,10 @@ def _resolve_variant(
     return ds, generator
 
 
-def _audit_one_variant(
-    plan: AuditPlan,
-    spec: VariantSpec,
-    original: Dataset,
-    write_outputs: bool,
-) -> dict:
+def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> dict:
     try:
         variant, generator = _resolve_variant(plan, spec, original)
-        if write_outputs and spec.generated:
+        if spec.generated:
             out_path = plan.output_dir / "variants" / f"{spec.name}.csv"
             save_dataset(variant, out_path)
             # outputs are recorded relative to output_dir so reports stay
@@ -141,38 +140,29 @@ def _audit_one_variant(
             )
             key = ",".join(subset)
             entry["linkage"][key] = _linkage_summary(result)
-            if write_outputs:
-                pair_path = plan.output_dir / "pairs" / f"{spec.name}__{'-'.join(subset)}.csv"
-                save_matches(result, plan.qi_cfg.subset(subset), pair_path)
-                entry["linkage"][key]["pairs_file"] = str(pair_path.relative_to(plan.output_dir))
+            pair_path = plan.output_dir / "pairs" / f"{spec.name}__{'-'.join(subset)}.csv"
+            save_matches(result, plan.qi_cfg.subset(subset), pair_path)
+            entry["linkage"][key]["pairs_file"] = str(pair_path.relative_to(plan.output_dir))
         return entry
-    except Exception as exc:  # isolate variant failures
+    except SynthAuditError as exc:  # isolate bad variant inputs; a bug propagates
         logger.warning("variant %s failed: %s", spec.name, exc)
         return {"name": spec.name, "status": "failed", "error": str(exc)}
 
 
-def run_audit(
-    plan: AuditPlan,
-    *,
-    write_outputs: bool = False,
-    run_meta_extra: dict | None = None,
-) -> AuditReport:
+def run_audit(plan: AuditPlan) -> AuditReport:
     """Audit every variant in the plan against the original.
 
-    ``write_outputs`` additionally materializes generated variants, match
-    pair files, and the original's outlier listing under plan.output_dir.
+    Writes the audit trail under ``plan.output_dir``: ``outliers.csv`` (the
+    original's outlier listing), ``variants/<name>.csv`` for each generated
+    variant and ``pairs/<name>__<subset>.csv`` for each variant and ladder
+    subset. A variant that fails with a data or configuration error gets a
+    ``failed`` entry; an unreadable original raises ``DataError``.
     """
     started = time.time()
-    try:
-        original = load_dataset(plan.original_path, plan.schema)
-    except OSError as exc:
-        raise DataError(f"cannot read original dataset: {exc}") from exc
-
-    targets = detect_outliers(original, plan.outlier_cfg, dataset_id=str(plan.original_path))
-    if write_outputs:
-        save_outlier_set(targets, plan.outlier_cfg, plan.output_dir / "outliers.csv")
-
-    entries = [_audit_one_variant(plan, spec, original, write_outputs) for spec in plan.variants]
+    original = load_dataset(plan.original_path, plan.schema)
+    targets = detect_outliers(original, plan.outlier_cfg)
+    save_outlier_set(targets, plan.outlier_cfg, plan.output_dir / "outliers.csv")
+    entries = [_audit_one_variant(plan, spec, original) for spec in plan.variants]
 
     run_meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
@@ -190,8 +180,6 @@ def run_audit(
         },
         "ladder": [",".join(subset) for subset in plan.ladder],
     }
-    if run_meta_extra:
-        run_meta.update(run_meta_extra)
     return AuditReport(run_meta=run_meta, variants=entries)
 
 
@@ -204,7 +192,7 @@ def sweep_epsilon(
     qi_cfg: QIConfig,
     *,
     n: int | None = None,
-    num_bins: int = 32,
+    num_bins: int = DEFAULT_NUM_BINS,
 ) -> AuditReport:
     """Generate and audit repeats x |grid| variants; emit tradeoff-curve rows.
 

@@ -4,8 +4,8 @@ Subcommands wrap the library one-to-one: ``outliers``, ``link``,
 ``utility``, ``synthesize``, ``audit``, ``sweep``. Logs go to stderr and
 results to files or stdout, so the tool composes in pipelines.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 data error,
-4 internal error.
+Exit codes: 0 success, 2 configuration or usage error, 3 data error
+(including an ``audit`` variant that failed), 4 internal error.
 
 The only environment variable honored is SYNTHAUDIT_OUT, which overrides
 the output directory (command-line --out still wins).
@@ -19,11 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-from .audit import AuditPlan, run_audit, sweep_epsilon
+from .audit import AuditPlan, AuditReport, run_audit, sweep_epsilon
 from .config import RunConfig, SynthSettings, config_hash, load_config, render_config
 from .dataset import load_dataset, save_dataset
-from .dp_synth import synthesize
-from .errors import ConfigError, DataError, SynthAuditError
+from .dp_synth import DEFAULT_NUM_BINS, synthesize
+from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
 from .report import dumps_report, write_report
@@ -54,7 +54,7 @@ def cmd_outliers(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _require(cfg, "outliers", schema=cfg.schema, outliers=cfg.outliers)
     ds = load_dataset(args.data, cfg.schema)
-    found = detect_outliers(ds, cfg.outliers, dataset_id=str(args.data))
+    found = detect_outliers(ds, cfg.outliers)
     out = _out_dir(args.out, cfg) / "outliers.csv"
     save_outlier_set(found, cfg.outliers, out)
     logger.info("outlier listing written to %s", out)
@@ -120,16 +120,22 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _original_path(cfg: RunConfig, plan_path: Path, what: str) -> Path:
+    """``[paths] original``, relative to the plan file unless absolute."""
+    if cfg.original is None:
+        raise ConfigError(f"{what} requires [paths] original")
+    return plan_path.parent / cfg.original
+
+
+def _echo_config(report: AuditReport, cfg: RunConfig) -> None:
+    report.run_meta["config_hash"] = config_hash(cfg)
+    report.run_meta["effective_config"] = render_config(cfg)
+
+
 def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditPlan:
     _require(cfg, "audit", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
-    if cfg.original is None:
-        raise ConfigError("audit plan requires [paths] original")
-    base_dir = plan_path.parent
-    original = Path(cfg.original)
-    if not original.is_absolute():
-        original = base_dir / original
     return AuditPlan(
-        original_path=original,
+        original_path=_original_path(cfg, plan_path, "audit plan"),
         schema=cfg.schema,
         outlier_cfg=cfg.outliers,
         qi_cfg=cfg.qi,
@@ -138,7 +144,7 @@ def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditP
         output_dir=_out_dir(out_flag, cfg),
         synth_defaults=cfg.synth,
         restrict_variant_outliers=cfg.restrict_variant_outliers,
-        base_dir=base_dir,
+        base_dir=plan_path.parent,
     )
 
 
@@ -146,17 +152,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
     plan = _build_plan(cfg, plan_path, args.out)
-    report = run_audit(
-        plan,
-        write_outputs=True,
-        run_meta_extra={
-            "config_hash": config_hash(cfg),
-            "effective_config": render_config(cfg),
-        },
-    )
+    report = run_audit(plan)
+    _echo_config(report, cfg)
     path = write_report(report.to_dict(), plan.output_dir / "report.json")
+    failed = 0
     for entry in report.variants:
         if entry["status"] != "ok":
+            failed += 1
             print(f"{entry['name']}: FAILED ({entry['error']})")
             continue
         for subset, summary in entry["linkage"].items():
@@ -165,6 +167,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 f"{summary['unique_matches']} unique"
             )
     print(f"report: {path}")
+    if failed:
+        logger.error("data error: %d of %d variants failed", failed, len(report.variants))
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -172,12 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
     _require(cfg, "sweep", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi, sweep=cfg.sweep)
-    if cfg.original is None:
-        raise ConfigError("sweep requires [paths] original")
-    original_path = Path(cfg.original)
-    if not original_path.is_absolute():
-        original_path = plan_path.parent / original_path
-    original = load_dataset(original_path, cfg.schema)
+    original = load_dataset(_original_path(cfg, plan_path, "sweep"), cfg.schema)
     report = sweep_epsilon(
         original,
         cfg.sweep.grid,
@@ -186,10 +186,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg.outliers,
         cfg.qi,
         n=cfg.synth.n if cfg.synth else None,
-        num_bins=cfg.synth.num_bins if cfg.synth else 32,
+        num_bins=cfg.synth.num_bins if cfg.synth else DEFAULT_NUM_BINS,
     )
-    report.run_meta["config_hash"] = config_hash(cfg)
-    report.run_meta["effective_config"] = render_config(cfg)
+    _echo_config(report, cfg)
     out_dir = _out_dir(args.out, cfg)
     path = write_report(report.to_dict(), out_dir / "sweep_report.json")
     curve_path = out_dir / "sweep_curve.csv"
@@ -295,11 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         logger.error("data error: %s", exc)
         return EXIT_DATA
-    except SynthAuditError as exc:
-        logger.error("internal error: %s", exc)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        logger.error("internal error: %s", exc)
+        logger.exception("internal error: %s", exc)
         return EXIT_INTERNAL
 
 

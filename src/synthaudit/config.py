@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import AttributeSchema, Kind, Role, validate_schema
+from .dp_synth import DEFAULT_NUM_BINS
 from .errors import ConfigError
 from .linkage import QIConfig, QIRule, validate_blocking
 from .outliers import Combine, OutlierConfig
@@ -44,7 +45,7 @@ _SWEEP_KEYS = {"grid", "repeats", "base_seed"}
 class SynthSettings:
     epsilon: float
     n: int
-    num_bins: int = 32
+    num_bins: int = DEFAULT_NUM_BINS
     seed: int = 0
 
 
@@ -224,7 +225,7 @@ def _parse_synth(section) -> SynthSettings:
     return SynthSettings(
         epsilon=_as_float("synth", "epsilon", section["epsilon"]),
         n=_as_int("synth", "n", section["n"]),
-        num_bins=_as_int("synth", "num_bins", section["num_bins"]) if "num_bins" in section else 32,
+        num_bins=_as_int("synth", "num_bins", section["num_bins"]) if "num_bins" in section else DEFAULT_NUM_BINS,
         seed=_as_int("synth", "seed", section["seed"]) if "seed" in section else 0,
     )
 

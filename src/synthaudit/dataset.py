@@ -144,6 +144,14 @@ def _parse_numeric(token: str, attr: str, line: int) -> float:
     return value
 
 
+def _csv_rows(fh, path: Path):
+    """Rows of an open CSV file; undecodable or malformed text is a DataError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from exc
+
+
 def load_dataset(
     path: str | Path,
     schema: tuple[AttributeSchema, ...],
@@ -155,7 +163,8 @@ def load_dataset(
     columns are reordered to schema order. A UTF-8 byte order mark is
     skipped. Rows containing a missing cell are dropped under ``DROP_ROW``
     (with one warning per file) or rejected under ``ERROR``; surviving rows
-    keep their relative order.
+    keep their relative order. A file that cannot be opened, is not UTF-8
+    or is not well-formed CSV raises ``DataError`` naming the path.
     """
     validate_schema(schema)
     path = Path(path)
@@ -165,7 +174,7 @@ def load_dataset(
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -47,7 +47,6 @@ class OutlierConfig:
 class OutlierSet:
     """Flagged record ordinals plus the z-scores that drove the decision."""
 
-    dataset_id: str
     flagged: frozenset[int]
     per_attribute_z: dict[int, dict[str, float]] = field(repr=False)
 
@@ -64,7 +63,7 @@ def z_score(x: float, mean: float, stddev: float) -> float:
     return (x - mean) / stddev
 
 
-def detect_outliers(ds: Dataset, cfg: OutlierConfig, dataset_id: str = "") -> OutlierSet:
+def detect_outliers(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     """Flag records whose z-score magnitude strictly exceeds cfg.k.
 
     Deterministic and order-independent: permuting rows permutes the flagged
@@ -89,9 +88,7 @@ def detect_outliers(ds: Dataset, cfg: OutlierConfig, dataset_id: str = "") -> Ou
         int(i): {attr: float(z_cols[attr][i]) for attr in cfg.attributes} for i in flagged_idx
     }
     return OutlierSet(
-        dataset_id=dataset_id,
-        flagged=frozenset(int(i) for i in flagged_idx),
-        per_attribute_z=per_attribute_z,
+        flagged=frozenset(int(i) for i in flagged_idx), per_attribute_z=per_attribute_z
     )
 
 

@@ -9,30 +9,18 @@ vary between identical runs; golden comparisons drop them.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 VOLATILE_RUN_META_KEYS = ("timestamp", "wall_time_s")
 
 
 def to_jsonable(obj):
-    if isinstance(obj, float):
+    if isinstance(obj, float):  # numpy.float64 is a float subclass
         return round(obj, 6)
-    if isinstance(obj, (np.floating,)):
-        return round(float(obj), 6)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, Path):
-        return str(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset, np.ndarray)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in items]
+    if isinstance(obj, list):
+        return [to_jsonable(v) for v in obj]
     return obj
 
 

@@ -153,7 +153,7 @@ def test_reports_reproducible_modulo_volatile_meta(tmp_path, original_csv):
 def test_write_outputs_materializes_files(tmp_path, original_csv):
     path, _ = original_csv
     plan = make_plan(tmp_path, path, [VariantSpec(name="gen", epsilon=1.0, seed=2)], ladder=(("age", "income"),))
-    report = run_audit(plan, write_outputs=True)
+    report = run_audit(plan)
     out = plan.output_dir
     assert (out / "outliers.csv").is_file()
     assert (out / "variants" / "gen.csv").is_file()

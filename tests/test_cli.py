@@ -286,6 +286,15 @@ class TestExitCodes:
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
         assert main(["outliers", "-c", str(cfg), str(bad), "--out", str(tmp)]) == 3
 
+    def test_undecodable_or_malformed_data_is_3(self, workdir):
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
+        latin1 = tmp / "latin1.csv"
+        latin1.write_bytes("age,income,home\n30,1,café\n".encode("latin-1"))
+        huge = write(tmp / "huge.csv", f"age,income,home\n30,1,{'x' * 200_000}\n")
+        for bad in (latin1, huge):
+            assert main(["outliers", "-c", str(cfg), str(bad), "--out", str(tmp)]) == 3
+
     def test_unexpected_failure_is_4(self, workdir, monkeypatch):
         tmp, _ = workdir
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
@@ -351,6 +360,45 @@ class TestAuditCommand:
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
         assert main(["audit", "--plan", str(plan)]) == 3
 
+    def test_failed_variant_is_3_and_report_still_written(self, workdir, capsys):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace(
+            "[variant dp]\nepsilon = 0.5\nseed = 11\n", "[variant missing]\nfile = does_not_exist.csv\n"
+        )
+        plan = write(tmp / "plan.ini", text)
+        assert main(["audit", "--plan", str(plan)]) == 3
+        assert "missing: FAILED (cannot read" in capsys.readouterr().out
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert {v["name"]: v["status"] for v in report["variants"]} == {"copy": "ok", "missing": "failed"}
+
+    def test_bug_inside_variant_is_4_with_traceback(self, workdir, monkeypatch, caplog):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        monkeypatch.setattr(
+            "synthaudit.audit.attack",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        assert main(["audit", "--plan", str(plan)]) == 4
+        [record] = [r for r in caplog.records if r.getMessage() == "internal error: boom"]
+        assert record.exc_info is not None
+        assert not (tmp / "out" / "report.json").exists()
+
+    def test_absolute_original_path(self, workdir, tmp_path_factory):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace(
+            "original = original.csv", f"original = {tmp / 'original.csv'}"
+        )
+        # the plan lives elsewhere, so only the absolute path can find the original
+        plan_dir = tmp_path_factory.mktemp("plans")
+        save_dataset(original, plan_dir / "copy.csv")
+        plan = write(plan_dir / "plan.ini", text)
+        assert main(["audit", "--plan", str(plan)]) == 0
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert report["run_meta"]["original"]["path"] == str(tmp / "original.csv")
+
 
 class TestSweepCommand:
     def test_sweep_writes_curve(self, workdir, capsys):
@@ -366,6 +414,20 @@ class TestSweepCommand:
         report = json.loads((tmp / "out" / "sweep_report.json").read_text())
         assert [row["epsilon"] for row in report["sweep_curve"]] == [0.1, 1.0]
         assert len(report["variants"]) == 4
+
+    def test_absolute_original_and_config_echo(self, workdir, tmp_path_factory):
+        tmp, _ = workdir
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace(
+            "original = original.csv", f"original = {tmp / 'original.csv'}"
+        )
+        plan = write(
+            tmp_path_factory.mktemp("plans") / "plan.ini",
+            text + "\n[sweep]\ngrid = 1.0\nrepeats = 1\n",
+        )
+        assert main(["sweep", "--plan", str(plan)]) == 0
+        report = json.loads((tmp / "out" / "sweep_report.json").read_text())
+        # the echoed effective config re-parses to an equivalent RunConfig
+        assert parse_config(report["run_meta"]["effective_config"]) == load_config(plan)
 
 
 class TestOutputDirResolution:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ def test_duplicate_header_rejected(write_csv):
 def test_unreadable_file():
     with pytest.raises(DataError, match="cannot read"):
         load_dataset("/nonexistent/nope.csv", SCHEMA3)
+
+
+def test_non_utf8_file_is_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,b,c\n1,2,café\n".encode("latin-1"))
+    with pytest.raises(DataError, match=re.escape(f"{path}: not readable as UTF-8 CSV")):
+        load_dataset(path, SCHEMA3)
+
+
+def test_oversize_field_is_data_error(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"a,b,c\n1,2,{'x' * 200_000}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not readable as UTF-8 CSV: field larger")):
+        load_dataset(path, SCHEMA3)
 
 
 def test_ragged_row_rejected(write_csv, tmp_path):
