@@ -5,7 +5,8 @@ Subcommands wrap the library one-to-one: ``outliers``, ``link``,
 results to files or stdout, so the tool composes in pipelines.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
-(including an ``audit`` variant that failed), 4 internal error.
+(including an ``audit`` variant that failed and an output path that cannot
+be written), 4 internal error.
 
 The only environment variable honored is SYNTHAUDIT_OUT, which overrides
 the output directory (command-line --out still wins).
@@ -293,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except DataError as exc:
         logger.error("data error: %s", exc)
+        return EXIT_DATA
+    except OSError as exc:  # reads raise DataError, so this came from a writer
+        logger.error("data error: cannot write %s: %s", exc.filename, exc.strerror or exc)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         logger.exception("internal error: %s", exc)

@@ -10,17 +10,28 @@ match is a unique match, the maximum-risk case.
 A categorical QI at threshold 1 demands exact agreement, so :func:`attack`
 partitions targets and variant rows on the values of every such QI and
 compares only pairs within one partition; each of those QIs scores 1.0 on
-every pair it lets through. The remaining QIs are scored in dense blocks of
-targets against the partition's rows. numpy's vectorized Gauss kernel may
-differ from the scalar comparator in the last ulp, so it only nominates
-candidates, at a threshold lowered by ``GAUSS_SLACK``; each candidate is
-then scored by :meth:`ComparatorSpec.score` and decided on those scores.
-The match set and its scores therefore equal naive pair-by-pair enumeration
-(:func:`score_pairs` then :func:`filter_matches`) at any threshold.
+every pair it lets through. Inside a partition, a sorted-window join
+nominates the candidates. Each Gauss rule becomes a radius,
+``score >= t  <=>  |x - y| <= offset + scale * sqrt(-log2 t)``, and
+``searchsorted`` on the partition's rows, sorted on that QI, gives each
+target the window of rows within the radius, and so the number of pairs
+within it. The rule with the fewest pairs drives the join; with
+no Gauss rule every window is the full row range. Window pairs are
+generated ``PAIR_BUDGET`` at a time, so memory does not grow with targets x
+rows. numpy's vectorized Gauss kernel may differ from the scalar comparator
+in the last ulp, so the radius and the kernel only nominate candidates, at
+a threshold lowered by ``GAUSS_SLACK``. A categorical QI below threshold 1
+then scores each distinct category pair that reaches it once, and each
+Gauss QI scores the remaining pairs with :meth:`ComparatorSpec.score`;
+every match is decided on those scalar scores. The match set and its scores
+therefore equal naive pair-by-pair enumeration (:func:`score_pairs` then
+:func:`filter_matches`) at any threshold.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -33,6 +44,8 @@ from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import Dataset, Kind
 from .errors import ConfigError, DataError
 from .outliers import OutlierConfig, detect_outliers
+
+logger = logging.getLogger(__name__)
 
 # Default match thresholds: numeric QIs pass at half similarity, categorical
 # QIs only on exact agreement.
@@ -197,7 +210,7 @@ def filter_matches(
 # The engine behind attack(). Inside it, targets and variant rows are
 # addressed by position in the attack's sorted target and row arrays.
 
-BLOCK_TARGETS = 256  # targets per densely scored block
+PAIR_BUDGET = 1 << 16  # candidate pairs generated and scored at once
 # Relative slack of the vectorized Gauss prefilter: numpy's array power may
 # differ from the scalar comparator's in the last ulp (about 1e-16).
 GAUSS_SLACK = 1e-9
@@ -235,30 +248,35 @@ def _partitions(
     return [(t_pos, r_groups[k]) for k, t_pos in t_groups.items() if k in r_groups]
 
 
-class _DenseRule:
-    """One QI's scores over (target position, row position) pairs."""
+class _GaussRule:
+    """A Gauss QI: a radius for windows, a vectorized nominator and the scalar decision."""
 
     def __init__(self, rule: QIRule, o_values: np.ndarray, v_values: np.ndarray):
         self.rule = rule
-        self._table = None
-        if rule.comparator.kind is ComparatorKind.GAUSS:
-            self._o, self._v = o_values, v_values
-            self.floor = rule.threshold * (1 - GAUSS_SLACK)
-        else:
-            self.floor = rule.threshold
-            o_cats, self._o = _codes(o_values)
-            v_cats, self._v = _codes(v_values)
-            score = rule.comparator.score
-            self._table = np.array(
-                [[score(a, b) for b in v_cats] for a in o_cats], dtype=np.float64
-            )
+        self._o, self._v = o_values, v_values
+        comp = rule.comparator
+        self.floor = rule.threshold * (1 - GAUSS_SLACK)
+        # score >= floor  <=>  |x - y| <= offset + scale * sqrt(-log2 floor). A
+        # scalar match clears the floor by GAUSS_SLACK, far above rounding in
+        # the kernel; a few ulps of the values cover rounding in x - y and x ± R.
+        radius = comp.offset + comp.scale * math.sqrt(-math.log2(self.floor))
+        magnitude = max(np.abs(o_values).max(), np.abs(v_values).max(), radius)
+        self.radius = radius + 4 * float(np.spacing(magnitude))
 
-    def candidates(self, t_pos: np.ndarray, r_pos: np.ndarray) -> np.ndarray:
-        """Mask of the pairs (t_pos, r_pos) that may meet the threshold, broadcast
-        as numpy indexing broadcasts; a superset of the matches."""
-        o, v = self._o[t_pos], self._v[r_pos]
-        if self._table is not None:
-            return self._table[o, v] >= self.floor
+    def window(
+        self, t_pos: np.ndarray, r_pos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``r_pos`` sorted on this QI, and each target's [lo, hi) slice of it
+        holding every row within the radius."""
+        order = r_pos[np.argsort(self._v[r_pos], kind="stable")]
+        values, x = self._v[order], self._o[t_pos]
+        lo = np.searchsorted(values, x - self.radius, side="left")
+        return order, lo, np.searchsorted(values, x + self.radius, side="right")
+
+    def candidates(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
+        """Mask of the pairs (t_sel[k], r_sel[k]) that may meet the threshold;
+        a superset of the matches."""
+        o, v = self._o[t_sel], self._v[r_sel]
         comp = self.rule.comparator
         surplus = np.maximum(0.0, np.abs(o - v) - comp.offset)
         return 2.0 ** (-((surplus / comp.scale) ** 2)) >= self.floor
@@ -266,28 +284,88 @@ class _DenseRule:
     def scores(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
         """Exact scores of the pairs (t_sel[k], r_sel[k])."""
         o, v = self._o[t_sel], self._v[r_sel]
-        if self._table is not None:
-            return self._table[o, v]
         score = self.rule.comparator.score
         return np.array([score(a, b) for a, b in zip(o.tolist(), v.tolist())], dtype=np.float64)
 
 
-def _score_block(
-    dense: list[_DenseRule], t_pos: np.ndarray, r_pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Matched (target, row) positions of one block and each dense rule's scores."""
-    mask = np.ones((len(t_pos), len(r_pos)), dtype=bool)
-    for rule in dense:
-        mask &= rule.candidates(t_pos[:, None], r_pos[None, :])
-        if not mask.any():
-            break
-    ti, rj = np.nonzero(mask)
-    t_sel, r_sel = t_pos[ti], r_pos[rj]
-    scores = [rule.scores(t_sel, r_sel) for rule in dense]
+class _CategoryRule:
+    """A categorical QI below threshold 1, scored once per category pair it meets."""
+
+    def __init__(self, rule: QIRule, o_values: np.ndarray, v_values: np.ndarray):
+        self.rule = rule
+        self._o_cats, self._o = _codes(o_values)
+        self._v_cats, self._v = _codes(v_values)
+        self._memo: dict[int, float] = {}  # o code * len(v cats) + v code -> score
+
+    def scores(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
+        """Exact scores of the pairs (t_sel[k], r_sel[k])."""
+        width = len(self._v_cats)
+        keys, inverse = np.unique(self._o[t_sel] * width + self._v[r_sel], return_inverse=True)
+        score, memo = self.rule.comparator.score, self._memo
+        values = []
+        for key in keys.tolist():
+            if key not in memo:
+                a, b = divmod(key, width)
+                memo[key] = score(self._o_cats[a], self._v_cats[b])
+            values.append(memo[key])
+        return np.array(values, dtype=np.float64)[inverse]
+
+
+def _window(
+    gauss: list[_GaussRule], t_pos: np.ndarray, r_pos: np.ndarray
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """The join plan of one partition: the driving QI, the rows in its order,
+    and each target's [lo, hi) window into them.
+
+    Every Gauss rule's windows hold all of its matches; the rule whose
+    windows hold the fewest pairs drives. With no Gauss rule, or none
+    narrower, every target's window is the full row range.
+    """
+    plan = ("full range", r_pos, np.zeros(len(t_pos), np.int64), np.full(len(t_pos), len(r_pos)))
+    size = len(t_pos) * len(r_pos)
+    for rule in gauss:
+        order, lo, hi = rule.window(t_pos, r_pos)
+        pairs = int((hi - lo).sum())
+        if pairs < size:
+            plan, size = (rule.rule.name, order, lo, hi), pairs
+    return plan
+
+
+def _pair_chunks(
+    t_pos: np.ndarray, order: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(target, row) positions of every pair in the windows, ``PAIR_BUDGET``
+    pairs at a time; a window longer than the budget spans chunks."""
+    ends = np.cumsum(hi - lo)
+    starts = ends - (hi - lo)
+    total = int(ends[-1])
+    for first in range(0, total, PAIR_BUDGET):
+        k = np.arange(first, min(first + PAIR_BUDGET, total))
+        owner = np.searchsorted(ends, k, side="right")
+        yield t_pos[owner], order[lo[owner] + k - starts[owner]]
+
+
+def _decide(
+    gauss: list[_GaussRule], categorical: list[_CategoryRule], t_sel: np.ndarray, r_sel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The matches among the candidates (t_sel[k], r_sel[k]) and their scores per scored QI.
+
+    The Gauss nominators drop pairs that cannot match; each categorical rule
+    then scores the survivors' category pairs, and each Gauss rule their
+    scalar scores, every match decided on those scores.
+    """
     keep = np.ones(len(t_sel), dtype=bool)
-    for rule, s in zip(dense, scores):
-        keep &= s >= rule.rule.threshold
-    return t_sel[keep], r_sel[keep], [s[keep] for s in scores]
+    for rule in gauss:
+        keep &= rule.candidates(t_sel, r_sel)
+    t_sel, r_sel = t_sel[keep], r_sel[keep]
+    scores: dict[str, np.ndarray] = {}
+    for rule in [*categorical, *gauss]:
+        s = rule.scores(t_sel, r_sel)
+        keep = s >= rule.rule.threshold
+        t_sel, r_sel = t_sel[keep], r_sel[keep]
+        scores = {name: earlier[keep] for name, earlier in scores.items()}
+        scores[rule.rule.name] = s[keep]
+    return t_sel, r_sel, scores
 
 
 def attack(
@@ -306,10 +384,13 @@ def attack(
     of the configured QIs. ``restrict_variant_outliers`` additionally limits
     the synthetic side to its own outlier rows. The pair space is always
     partitioned on every QI of the subset that demands exact agreement (a
-    categorical comparator at threshold 1), and the other QIs are scored in
-    blocks of ``BLOCK_TARGETS`` targets, each match decided on the scalar
-    comparator's scores. ``blocking`` is only checked to name such a QI of
-    the subset (:func:`validate_blocking`); it changes nothing.
+    categorical comparator at threshold 1). Inside a partition the Gauss QI
+    whose radius windows hold the fewest pairs drives a sorted-window join,
+    and its candidates are generated and decided ``PAIR_BUDGET`` pairs at a
+    time, each match decided on the scalar comparator's scores. The plan of
+    each attack is logged at DEBUG level. ``blocking`` is only checked to
+    name such a QI of the subset (:func:`validate_blocking`); it changes
+    nothing.
     """
     _check_same_schema(original, variant)
     cfg = qi_cfg if qi_subset is None else qi_cfg.subset(qi_subset)
@@ -332,26 +413,39 @@ def attack(
         return original.columns[rule.name][targets], variant.columns[rule.name][rows]
 
     equal = [_demands_exact_agreement(r) for r in cfg.rules]
-    dense = [_DenseRule(r, *sides(r)) for r, eq in zip(cfg.rules, equal) if not eq]
+    gauss, categorical = [], []
+    for r, eq in zip(cfg.rules, equal):
+        if r.comparator.kind is ComparatorKind.GAUSS:
+            gauss.append(_GaussRule(r, *sides(r)))
+        elif not eq:
+            categorical.append(_CategoryRule(r, *sides(r)))
     partitions = _partitions(
         [sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows)
-    )
-    blocks = (
-        (t_pos[k : k + BLOCK_TARGETS], r_pos)
-        for t_pos, r_pos in partitions
-        for k in range(0, len(t_pos), BLOCK_TARGETS)
     )
 
     names = cfg.names()
     pairs = []
-    for block in blocks:
-        t_sel, r_sel, dense_scores = _score_block(dense, *block)
-        # a pair inside a partition agrees exactly, scoring 1.0, on each equality QI
-        scores = iter(dense_scores)
-        columns = [repeat(1.0) if eq else next(scores).tolist() for eq in equal]
-        for i, j, *values in zip(targets[t_sel].tolist(), rows[r_sel].tolist(), *columns):
-            pairs.append(ScoredPair(original=i, synthetic=j, scores=dict(zip(names, values))))
+    drivers: Counter[str] = Counter()
+    candidates = 0
+    for t_pos, r_pos in partitions:
+        driver, order, lo, hi = _window(gauss, t_pos, r_pos)
+        drivers[driver] += 1
+        candidates += int((hi - lo).sum())
+        for chunk in _pair_chunks(t_pos, order, lo, hi):
+            t_sel, r_sel, scores = _decide(gauss, categorical, *chunk)
+            # a pair inside a partition agrees exactly, scoring 1.0, on each equality QI
+            columns = [repeat(1.0) if eq else scores[n].tolist() for n, eq in zip(names, equal)]
+            for i, j, *values in zip(targets[t_sel].tolist(), rows[r_sel].tolist(), *columns):
+                pairs.append(ScoredPair(original=i, synthetic=j, scores=dict(zip(names, values))))
     pairs.sort(key=lambda p: (p.original, p.synthetic))
+    logger.debug(
+        "attack on %s: %d partition(s), driver %s; %d candidates scored, %d matches",
+        ",".join(names),
+        len(partitions),
+        ", ".join(f"{d} ({n})" for d, n in drivers.items()) or "none",
+        candidates,
+        len(pairs),
+    )
     return LinkageResult.from_pairs(tuple(pairs), surface)
 
 

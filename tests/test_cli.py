@@ -295,6 +295,22 @@ class TestExitCodes:
         for bad in (latin1, huge):
             assert main(["outliers", "-c", str(cfg), str(bad), "--out", str(tmp)]) == 3
 
+    def test_unwritable_output_is_3_without_traceback(self, workdir, caplog):
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=1.5))
+        write(tmp / "afile", "not a directory\n")
+        original = str(tmp / "original.csv")
+        for argv in (
+            ["outliers", "-c", str(cfg), original],
+            ["link", "-c", str(cfg), original, original],
+            ["utility", "-c", str(cfg), original, original],
+        ):
+            caplog.clear()
+            assert main([*argv, "--out", str(tmp / "afile" / "sub")]) == 3
+            [record] = [r for r in caplog.records if "cannot write" in r.getMessage()]
+            assert record.getMessage().startswith(f"data error: cannot write {tmp / 'afile'}")
+            assert record.exc_info is None
+
     def test_unexpected_failure_is_4(self, workdir, monkeypatch):
         tmp, _ = workdir
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))

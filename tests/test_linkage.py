@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import logging
+import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -22,6 +25,7 @@ from synthaudit import (
     gauss_similarity,
     score_pairs,
 )
+from synthaudit import comparators, linkage
 from synthaudit.linkage import save_matches
 from synthaudit.outliers import detect_outliers
 
@@ -200,6 +204,20 @@ class TestAttack:
             via_stream = filter_matches(scored, QI4, attack_surface=via_attack.attack_surface)
             assert via_attack == via_stream
 
+    def test_windows_split_across_small_pair_budgets(self, monkeypatch):
+        # Budgets of 1 and 7 pairs split windows across chunks, and a subset
+        # without Gauss QIs takes every row as a window.
+        rng = np.random.default_rng(24)
+        for budget in (1, 7):
+            monkeypatch.setattr(linkage, "PAIR_BUDGET", budget)
+            for subset in (None, ("home", "intent")):
+                original, variant = random_instance(rng, 30, 45)
+                via_attack = attack(original, variant, OUTLIER_CFG, QI4, qi_subset=subset)
+                cfg = QI4 if subset is None else QI4.subset(subset)
+                targets = sorted(detect_outliers(original, OUTLIER_CFG).flagged)
+                scored = score_pairs(product(targets, range(45)), original, variant, cfg)
+                assert via_attack == filter_matches(scored, cfg, via_attack.attack_surface)
+
     def test_blocking_equivalence(self):
         rng = np.random.default_rng(5)
         for _ in range(8):
@@ -294,6 +312,94 @@ class TestAttack:
         assert result.pairs == ()
         assert result.unique_match_count == 0
         assert result.attack_surface == (0, 2)
+
+
+ZIP_SCHEMA = (
+    AttributeSchema("age", Kind.NUMERICAL, Role.QI),
+    AttributeSchema("income", Kind.NUMERICAL, Role.QI),
+    AttributeSchema("zip", Kind.CATEGORICAL, Role.QI),
+)
+
+
+class TestJoinCost:
+    """The window join scores what it nominates, and no more."""
+
+    def test_levenshtein_scored_only_on_gauss_survivors(self, monkeypatch):
+        # A link-like table: 400 ZIP codes, a selective income rule and
+        # Levenshtein at 0.8. The variant copies the original with income
+        # noise and one ZIP digit changed in a fifth of the rows.
+        rng = np.random.default_rng(21)
+        n = 3000
+        zips = [f"{z:05d}" for z in rng.choice(100_000, 400, replace=False)]
+        age = rng.normal(40, 10, n)
+        income = rng.uniform(2e4, 2e5, n)
+        zip_o = [zips[k] for k in rng.integers(0, len(zips), n)]
+        zip_v = [z[:4] + str((int(z[4]) + 1) % 10) if rng.random() < 0.2 else z for z in zip_o]
+        original = Dataset.from_columns(ZIP_SCHEMA, {"age": age, "income": income, "zip": zip_o})
+        variant = Dataset.from_columns(
+            ZIP_SCHEMA, {"age": age, "income": income + rng.uniform(-50, 50, n), "zip": zip_v}
+        )
+        cfg = QIConfig(rules=(QIRule("income", GAUSS(100.0, 100.0)), QIRule("zip", LEV, 0.8)))
+        outliers = OutlierConfig(k=2.0, attributes=("age",))
+
+        calls = []
+        real = comparators.levenshtein_similarity
+        monkeypatch.setattr(
+            comparators, "levenshtein_similarity", lambda a, b: calls.append((a, b)) or real(a, b)
+        )
+        result = attack(original, variant, outliers, cfg)
+
+        targets = np.array(sorted(detect_outliers(original, outliers).flagged))
+        gap = np.abs(income[targets, None] - variant.columns["income"][None, :])
+        gauss = 2.0 ** -((np.maximum(0.0, gap - 100.0) / 100.0) ** 2)
+        ti, rj = np.nonzero(gauss >= 0.5 * (1 - 1e-6))  # looser than the engine's floor
+        survivor_zips = {(zip_o[targets[i]], zip_v[j]) for i, j in zip(ti, rj)}
+        assert len(result.pairs) > 0
+        assert len(calls) <= len(survivor_zips)
+        # at most once per distinct category pair
+        assert len(calls) == len(set(calls))
+
+    def test_memory_does_not_grow_with_targets_times_rows(self):
+        # 300 targets against 60,000 rows with a selective income rule. A
+        # dense block of 256 targets by V rows is 123 MB of float64 alone.
+        rng = np.random.default_rng(22)
+        n_orig, n_var = 1000, 60_000
+        original = make_ds(
+            [90.0] * 300 + [30.0] * 700,
+            rng.uniform(0, 1e7, n_orig),
+            ["RENT"] * n_orig,
+            ["MEDICAL"] * n_orig,
+        )
+        variant = make_ds(
+            rng.uniform(18, 90, n_var), rng.uniform(0, 1e7, n_var), ["RENT"] * n_var, ["MEDICAL"] * n_var
+        )
+        cfg = QIConfig(rules=(QIRule("income", GAUSS(100.0, 100.0)),))
+        outliers = OutlierConfig(k=1.0, attributes=("age",))
+        tracemalloc.start()
+        try:
+            result = attack(original, variant, outliers, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.attack_surface == (300, n_var)
+        dense_block = 256 * n_var * 8
+        assert peak < dense_block / 8, peak
+
+    def test_join_plan_logged_at_debug(self, caplog):
+        original, variant = random_instance(np.random.default_rng(23), 40, 60)
+        with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
+            full = attack(original, variant, OUTLIER_CFG, QI4)
+            equality = attack(original, variant, OUTLIER_CFG, QI4, qi_subset=("home", "intent"))
+        first, second = [r.getMessage() for r in caplog.records]
+        pattern = r"attack on (\S+): (\d+) partition\(s\), driver (.+); (\d+) candidates scored, (\d+) matches"
+        names, parts, drivers, scored, matches = re.fullmatch(pattern, first).groups()
+        assert names == "age,income,home,intent"
+        assert 1 <= int(parts) <= len(HOMES) * len(INTENTS)
+        assert re.fullmatch(r"((age|income|full range) \(\d+\)(, )?)+", drivers)
+        assert int(matches) == len(full.pairs) <= int(scored)
+        names, parts, drivers, scored, matches = re.fullmatch(pattern, second).groups()
+        assert (names, drivers) == ("home,intent", f"full range ({parts})")
+        assert int(matches) == len(equality.pairs) == int(scored)
 
 
 def test_save_matches_format(tmp_path):

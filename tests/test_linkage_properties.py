@@ -1,9 +1,13 @@
 """Property test: attack() against the brute-force oracle on small random tables.
 
-Each rule set steers the engine down one path of its pair-space partition:
-equality QIs only, several equality QIs at once, ``exact`` at threshold 1
-and below it, Levenshtein at 0.8 beside equality QIs, dense QIs only, and
-Gauss at a threshold other than 0.5 that an integer age gap meets exactly.
+Each rule set steers the engine down one path of its pair-space partition
+and its window join: equality QIs only, several equality QIs at once,
+``exact`` at threshold 1 and below it, Levenshtein at 0.8 beside equality
+QIs, Gauss and Levenshtein only, Gauss at a threshold other than 0.5 that
+an integer age gap meets exactly, two Gauss QIs that can each drive the
+join, Gauss at threshold 1 (a window radius of just the offset), and Gauss
+on ``income`` beside Levenshtein at 0.8. ``income`` holds values near 1e6
+in steps of a third, so its gaps are rounded differences of large floats.
 The category pools include values present on one side only and the empty
 string, and the generated tables include empty target sets, one-row
 variants and runs restricted to the variant's own outliers.
@@ -38,6 +42,7 @@ from linkage_oracle import oracle_matches, outlier_targets  # noqa: E402
 
 SCHEMA = (
     AttributeSchema("age", Kind.NUMERICAL, Role.QI),
+    AttributeSchema("income", Kind.NUMERICAL, Role.QI),
     AttributeSchema("home", Kind.CATEGORICAL, Role.QI),
     AttributeSchema("intent", Kind.CATEGORICAL, Role.QI),
     AttributeSchema("zip", Kind.CATEGORICAL, Role.QI),
@@ -74,6 +79,9 @@ RULE_SETS = {
     ],
     "dense-only": [("age", "gauss", 0.5), ("zip", "levenshtein", 0.8)],
     "gauss-at-gap-4-beside-equality": [("age", "gauss", AT_GAP_4), ("home", "exact", 1.0)],
+    "two-gauss": [("age", "gauss", 0.5), ("income", "gauss", 0.5)],
+    "gauss-at-1": [("income", "gauss", 1.0), ("intent", "exact", 1.0)],
+    "income-beside-levenshtein-0.8": [("income", "gauss", 0.5), ("zip", "levenshtein", 0.8)],
 }
 
 OUTLIER_K = [0.7, 1.1, 10.0]  # |z| never exceeds 3 on ten rows, so 10 flags nothing
@@ -98,6 +106,8 @@ def tables(draw):
     def columns(pools: dict[str, list[str]]) -> dict[str, list]:
         n = draw(st.integers(1, 10))
         cols = {"age": draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))}
+        thirds = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+        cols["income"] = [1e6 + k / 3 for k in thirds]
         for name, pool in pools.items():
             cols[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
         return cols
@@ -108,9 +118,9 @@ def tables(draw):
 
 
 ONE_ROW_VARIANT = (
-    {"age": [0, 10, 20], "home": ["RENT", "OWN", ""], "intent": ["A", "B", "A"],
-     "zip": ["12345", "1234", "99999"]},
-    {"age": [18], "home": [""], "intent": ["A"], "zip": ["12345"]},
+    {"age": [0, 10, 20], "income": [1e6, 1e6 + 2 / 3, 1e6 + 5], "home": ["RENT", "OWN", ""],
+     "intent": ["A", "B", "A"], "zip": ["12345", "1234", "99999"]},
+    {"age": [18], "income": [1e6 + 3], "home": [""], "intent": ["A"], "zip": ["12345"]},
     0.7,
     False,
 )
