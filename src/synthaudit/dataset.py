@@ -15,7 +15,9 @@ import enum
 import logging
 import sys
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -26,6 +28,8 @@ logger = logging.getLogger(__name__)
 # Cell values treated as missing in every column kind. Anything else that
 # fails to parse in a numeric column is corruption, not missingness.
 MISSING_MARKERS = frozenset({"", "NA"})
+
+BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
 
 
 class Kind(enum.Enum):
@@ -152,6 +156,84 @@ def _csv_rows(fh, path: Path):
         raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from exc
 
 
+def _row_blocks(reader):
+    """Lists of up to ``BLOCK_ROWS`` rows. A reader error is raised only after
+    the rows read before it, so an earlier bad data row is still reported first."""
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, BLOCK_ROWS))
+        except DataError:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _parse_block(
+    block: list[list[str]],
+    schema: tuple[AttributeSchema, ...],
+    pos: dict[str, int],
+    missing_policy: MissingPolicy,
+) -> tuple[list[np.ndarray], int] | None:
+    """One block's schema-order columns and its dropped-row count, or None
+    when any row in it is ragged, missing a cell under ``ERROR`` or holds a
+    bad numeric token in a kept row."""
+    if set(map(len, block)) != {len(pos)}:
+        return None
+    cells = list(zip(*block))
+    keep = None
+    for col in cells:
+        if not MISSING_MARKERS.isdisjoint(col):
+            if missing_policy is MissingPolicy.ERROR:
+                return None
+            present = ~np.fromiter(map(MISSING_MARKERS.__contains__, col), bool, len(col))
+            keep = present if keep is None else keep & present
+    if keep is not None:
+        keep = keep.tolist()
+    out = []
+    for attr in schema:
+        col = cells[pos[attr.name]]
+        if keep is not None:
+            col = list(compress(col, keep))
+        if attr.kind is Kind.NUMERICAL:
+            try:
+                values = np.fromiter(map(float, col), np.float64, len(col))
+            except ValueError:
+                return None
+            if not np.isfinite(values).all():
+                return None
+        else:
+            values = np.fromiter(map(sys.intern, col), object, len(col))
+        out.append(values)
+    return out, len(block) - len(out[0])
+
+
+def _raise_first_error(
+    path: Path,
+    block: list[list[str]],
+    first_line: int,
+    schema: tuple[AttributeSchema, ...],
+    pos: dict[str, int],
+    missing_policy: MissingPolicy,
+) -> NoReturn:
+    """Rescan a block that failed :func:`_parse_block` row by row and raise
+    its first error in file order."""
+    for line, row in enumerate(block, start=first_line):
+        if len(row) != len(pos):
+            raise DataError(f"{path}: data row {line} has {len(row)} cells, expected {len(pos)}")
+        if any(row[pos[a.name]] in MISSING_MARKERS for a in schema):
+            if missing_policy is MissingPolicy.ERROR:
+                raise DataError(f"{path}: missing value in data row {line}")
+            continue
+        for attr in schema:
+            if attr.kind is Kind.NUMERICAL:
+                _parse_numeric(row[pos[attr.name]], attr.name, line)
+    raise AssertionError(f"{path}: data rows from {first_line} failed to parse but hold no error")
+
+
 def load_dataset(
     path: str | Path,
     schema: tuple[AttributeSchema, ...],
@@ -163,8 +245,14 @@ def load_dataset(
     columns are reordered to schema order. A UTF-8 byte order mark is
     skipped. Rows containing a missing cell are dropped under ``DROP_ROW``
     (with one warning per file) or rejected under ``ERROR``; surviving rows
-    keep their relative order. A file that cannot be opened, is not UTF-8
-    or is not well-formed CSV raises ``DataError`` naming the path.
+    keep their relative order. A dropped row's other cells are never parsed,
+    so a bad token in it is not an error. A file that cannot be opened, is
+    not UTF-8 or is not well-formed CSV raises ``DataError`` naming the path.
+
+    Rows are read and parsed one column at a time in blocks of
+    ``BLOCK_ROWS``; numeric cells go through Python's ``float()`` and
+    categorical cells are interned. A block that fails is rescanned row by
+    row, so the ``DataError`` names the first bad data row in file order.
     """
     validate_schema(schema)
     path = Path(path)
@@ -190,43 +278,45 @@ def load_dataset(
             )
         pos = {name: header.index(name) for name in header}
 
-        raw: dict[str, list] = {a.name: [] for a in schema}
+        parts = [[np.empty(0, np.float64 if a.kind is Kind.NUMERICAL else object)] for a in schema]
         line = dropped = 0
-        for line, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"{path}: data row {line} has {len(row)} cells, expected {len(header)}")
-            if any(row[pos[a.name]] in MISSING_MARKERS for a in schema):
-                if missing_policy is MissingPolicy.ERROR:
-                    raise DataError(f"{path}: missing value in data row {line}")
-                dropped += 1
-                continue
-            for attr in schema:
-                token = row[pos[attr.name]]
-                if attr.kind is Kind.NUMERICAL:
-                    raw[attr.name].append(_parse_numeric(token, attr.name, line))
-                else:
-                    raw[attr.name].append(sys.intern(token))
+        for block in _row_blocks(reader):
+            parsed = _parse_block(block, schema, pos, missing_policy)
+            if parsed is None:
+                _raise_first_error(path, block, line + 1, schema, pos, missing_policy)
+            columns, block_dropped = parsed
+            for part, values in zip(parts, columns):
+                part.append(values)
+            line += len(block)
+            dropped += block_dropped
 
     if dropped:
         logger.warning("%s: dropped %d of %d data rows with missing cells", path, dropped, line)
-    return Dataset.from_columns(schema, raw)
+    return Dataset(
+        schema=schema,
+        columns={a.name: np.concatenate(part) for a, part in zip(schema, parts)},
+        row_count=line - dropped,
+    )
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write a Dataset in the same format :func:`load_dataset` reads (round-trips)."""
+    """Write a Dataset in the same format :func:`load_dataset` reads (round-trips).
+
+    Numeric cells are written as ``repr`` of their float, so they read back
+    exactly. Rows are formatted one column at a time in blocks of
+    ``BLOCK_ROWS``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    kinds = [a.kind for a in ds.schema]
+    numeric = [a.kind is Kind.NUMERICAL for a in ds.schema]
     cols = [ds.columns[a.name] for a in ds.schema]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in ds.schema])
-        for i in range(ds.row_count):
-            writer.writerow(
-                [
-                    repr(float(col[i])) if kind is Kind.NUMERICAL else col[i]
-                    for kind, col in zip(kinds, cols)
-                ]
+        for start in range(0, ds.row_count, BLOCK_ROWS):
+            block = [col[start : start + BLOCK_ROWS].tolist() for col in cols]
+            writer.writerows(
+                zip(*(map(repr, values) if num else values for num, values in zip(numeric, block)))
             )
 
 

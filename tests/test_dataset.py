@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from synthaudit import (
     column_stats,
     load_dataset,
     save_dataset,
+    synthesize,
 )
+from synthaudit import dataset
 
 SCHEMA3 = (
     AttributeSchema("a", Kind.NUMERICAL, Role.QI),
@@ -253,3 +258,153 @@ def test_dataset_equality_semantics(toy_dataset, toy_schema):
     changed = {name: list(toy_dataset.column(name)) for name in toy_dataset.columns}
     changed["age"][0] = 26
     assert Dataset.from_columns(toy_schema, changed) != toy_dataset
+
+
+# A data row a few blocks in, so its error is found by rescanning a later block.
+LATE = dataset.BLOCK_ROWS + 476
+
+
+def long_rows(n=dataset.BLOCK_ROWS + 600):
+    return [[str(i), str(i * 2), f"cat{i % 3}"] for i in range(n)]
+
+
+def load_error(path, policy=MissingPolicy.DROP_ROW) -> str:
+    with pytest.raises(DataError) as excinfo:
+        load_dataset(path, SCHEMA3, policy)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["1", "2"], "{path}: data row {line} has 2 cells, expected 3"),
+        (["1", "2", "x", "4"], "{path}: data row {line} has 4 cells, expected 3"),
+        (["twelve", "2", "x"], "non-numeric token 'twelve' in numeric column 'a' (data row {line})"),
+        (["1", " 1e3x", "x"], "non-numeric token ' 1e3x' in numeric column 'b' (data row {line})"),
+        (["1", "-inf", "x"], "non-finite value '-inf' in numeric column 'b' (data row {line})"),
+        (["nan", "2", "x"], "non-finite value 'nan' in numeric column 'a' (data row {line})"),
+    ],
+)
+def test_error_past_first_block_names_its_data_row(write_csv, cells, message):
+    rows = long_rows()
+    rows[LATE - 1] = cells
+    path = write_csv("late.csv", ["a", "b", "c"], rows)
+    assert load_error(path) == message.format(path=path, line=LATE)
+
+
+def test_missing_past_first_block_under_error_policy(write_csv):
+    rows = long_rows()
+    rows[LATE - 1][2] = "NA"
+    path = write_csv("late.csv", ["a", "b", "c"], rows)
+    assert load_error(path, MissingPolicy.ERROR) == f"{path}: missing value in data row {LATE}"
+
+
+def test_earlier_row_wins_over_later_error_of_another_kind(write_csv):
+    rows = long_rows()
+    rows[LATE - 1][0] = "x"  # non-numeric in column a
+    rows[LATE - 2][1] = "inf"  # one row earlier, in column b
+    rows[LATE + 5] = ["1"]  # ragged, later
+    path = write_csv("two.csv", ["a", "b", "c"], rows)
+    assert load_error(path) == f"non-finite value 'inf' in numeric column 'b' (data row {LATE - 1})"
+
+    rows = long_rows()
+    rows[LATE - 1][0] = ""  # missing, under ERROR
+    rows[LATE + 3][1] = "x"
+    path = write_csv("missing.csv", ["a", "b", "c"], rows)
+    assert load_error(path, MissingPolicy.ERROR) == f"{path}: missing value in data row {LATE}"
+
+
+def test_schema_order_decides_between_bad_cells_of_one_row(write_csv):
+    # The file lists b before a; the message names a, the schema's first column.
+    rows = [[str(i), str(i), "c"] for i in range(LATE + 10)]
+    rows[LATE - 1] = ["bad_b", "bad_a", "c"]
+    path = write_csv("order.csv", ["b", "a", "c"], rows)
+    assert load_error(path) == f"non-numeric token 'bad_a' in numeric column 'a' (data row {LATE})"
+
+
+def test_bad_token_in_a_dropped_row_is_not_an_error(write_csv, caplog):
+    rows = long_rows()
+    rows[LATE - 1][0] = ""
+    rows[LATE - 1][1] = "x"
+    path = write_csv("dropped.csv", ["a", "b", "c"], rows)
+    with caplog.at_level("WARNING", logger="synthaudit.dataset"):
+        ds = load_dataset(path, SCHEMA3, MissingPolicy.DROP_ROW)
+    assert ds.row_count == len(rows) - 1
+    assert LATE - 1 not in ds.column("a")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: dropped 1 of {len(rows)} data rows with missing cells"
+    ]
+
+
+def test_bad_row_before_malformed_csv_in_one_block_is_reported_first(tmp_path):
+    path = tmp_path / "both.csv"
+    lines = ["a,b,c"] + [f"{i},{i},c" for i in range(LATE + 10)]
+    lines[LATE] = "1,x,c"
+    lines[LATE + 5] = f"1,2,{'y' * 200_000}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_error(path) == f"non-numeric token 'x' in numeric column 'b' (data row {LATE})"
+    lines[LATE] = "1,2,c"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_error(path).startswith(f"{path}: not readable as UTF-8 CSV: field larger")
+
+
+def test_header_only_file_round_trips(write_csv, tmp_path):
+    path = write_csv("empty.csv", ["a", "b", "c"], [])
+    ds = load_dataset(path, SCHEMA3)
+    assert ds.row_count == 0
+    assert [ds.column(name).dtype for name in "abc"] == [np.float64, np.float64, object]
+    save_dataset(ds, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
+
+
+def test_synthesized_floats_survive_save_and_load(toy_dataset, tmp_path):
+    synth = synthesize(toy_dataset, epsilon=1.0, n=2 * dataset.BLOCK_ROWS + 3, seed=5)
+    assert any(len(repr(v)) > 15 for v in synth.column("income"))  # full precision in play
+    save_dataset(synth, tmp_path / "synth.csv")
+    loaded = load_dataset(tmp_path / "synth.csv", synth.schema)
+    assert loaded == synth
+    for name in ("age", "income", "amount"):
+        assert loaded.column(name).tobytes() == synth.column(name).tobytes()
+
+
+def test_categories_with_line_breaks_round_trip(tmp_path):
+    schema = (AttributeSchema("x", Kind.NUMERICAL), AttributeSchema("c", Kind.CATEGORICAL))
+    cells = ["two\nlines", "crlf\r\nend", "\n"]
+    ds = Dataset.from_columns(schema, {"x": [1.0, 2.0, 3.0], "c": cells})
+    save_dataset(ds, tmp_path / "breaks.csv")
+    assert load_dataset(tmp_path / "breaks.csv", schema) == ds
+
+
+def test_loaded_categories_are_interned(write_csv):
+    rows = [[i, i, f"cat{i % 3}-{i % 7}"] for i in range(dataset.BLOCK_ROWS + 5)]
+    ds = load_dataset(write_csv("cats.csv", ["a", "b", "c"], rows), SCHEMA3)
+    assert all(sys.intern(v) is v for v in ds.column("c"))
+
+
+def test_load_memory_stays_within_three_times_the_result(tmp_path):
+    # 40,000 rows by 12 columns, one row in eight missing a cell. Reading the
+    # whole file into rows, or parsing it cell by cell, peaks far higher.
+    rng = np.random.default_rng(31)
+    n = 40_000
+    schema = tuple(AttributeSchema(f"n{k}", Kind.NUMERICAL) for k in range(8)) + tuple(
+        AttributeSchema(f"c{k}", Kind.CATEGORICAL) for k in range(4)
+    )
+    cols = [np.round(rng.normal(1e4, 3e3, n), 2).astype(str) for _ in range(8)]
+    homes = np.array(["RENT", "OWN", "MORTGAGE", "OTHER"])
+    cols += [homes[rng.integers(0, 4, n)] for _ in range(4)]
+    cols[3][rng.random(n) < 0.125] = "NA"
+    path = tmp_path / "wide.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([a.name for a in schema])
+        writer.writerows(zip(*(c.tolist() for c in cols)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(path, schema)
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * n < ds.row_count < n
+    assert retained >= 12 * 8 * ds.row_count
+    assert peak <= 3 * retained, (peak, retained)
