@@ -3,7 +3,9 @@
 An audit plan names one original dataset and any number of synthetic
 variants (external files or parameters for the built-in generator). For
 every variant the runner computes utility metrics once and runs the linkage
-attack once per QI subset in the ladder. Every audit leaves its trail
+attack once per QI subset in the ladder. The work on the original (its
+outlier targets, histogram counts per ``num_bins`` and utility reference) is
+done once per run and shared by every variant. Every audit leaves its trail
 under the plan's output directory: the original's outlier listing, each
 generated variant and one pair file per variant and subset. A data or
 configuration error on one variant is recorded in its report entry and
@@ -23,11 +25,11 @@ from pathlib import Path
 
 from .config import SynthSettings, VariantSpec
 from .dataset import AttributeSchema, Dataset, load_dataset, save_dataset
-from .dp_synth import DEFAULT_NUM_BINS, generator_metadata, synthesize
+from .dp_synth import DEFAULT_NUM_BINS, Marginals, count_marginals, generator_metadata, synthesize
 from .errors import ConfigError, SynthAuditError
 from .linkage import LinkageResult, QIConfig, attack, save_matches
-from .outliers import OutlierConfig, detect_outliers, save_outlier_set
-from .utility import compute_utility
+from .outliers import OutlierConfig, OutlierSet, detect_outliers, save_outlier_set
+from .utility import UtilityReference, compute_utility, utility_reference
 
 logger = logging.getLogger(__name__)
 
@@ -89,8 +91,24 @@ def _linkage_summary(result: LinkageResult) -> dict:
     }
 
 
+@dataclass
+class _Original:
+    """The original and the work on it that every variant reuses, each piece
+    built once per run and handed to the layer that owns it."""
+
+    data: Dataset
+    targets: OutlierSet
+    reference: UtilityReference
+    marginals: dict[int, Marginals] = field(default_factory=dict)  # by num_bins
+
+    def marginals_for(self, num_bins: int) -> Marginals:
+        if num_bins not in self.marginals:
+            self.marginals[num_bins] = count_marginals(self.data, num_bins)
+        return self.marginals[num_bins]
+
+
 def _resolve_variant(
-    plan: AuditPlan, spec: VariantSpec, original: Dataset
+    plan: AuditPlan, spec: VariantSpec, original: _Original
 ) -> tuple[Dataset, dict]:
     if spec.file is not None:
         path = Path(spec.file)
@@ -101,19 +119,21 @@ def _resolve_variant(
         if spec.tags:
             generator["tags"] = dict(spec.tags)
         return ds, generator
-    defaults = plan.synth_defaults or SynthSettings(epsilon=spec.epsilon, n=original.row_count)
+    defaults = plan.synth_defaults or SynthSettings(epsilon=spec.epsilon, n=original.data.row_count)
     epsilon = spec.epsilon
     n = spec.n if spec.n is not None else defaults.n
     num_bins = spec.num_bins if spec.num_bins is not None else defaults.num_bins
     seed = spec.seed if spec.seed is not None else defaults.seed
-    ds = synthesize(original, epsilon, n, num_bins, seed)
+    ds = synthesize(
+        original.data, epsilon, n, num_bins, seed, marginals=original.marginals_for(num_bins)
+    )
     generator = generator_metadata(plan.schema, epsilon, n, num_bins, seed)
     if spec.tags:
         generator["tags"] = dict(spec.tags)
     return ds, generator
 
 
-def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> dict:
+def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: _Original) -> dict:
     try:
         variant, generator = _resolve_variant(plan, spec, original)
         if spec.generated:
@@ -126,17 +146,20 @@ def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) ->
             "name": spec.name,
             "status": "ok",
             "generator": generator,
-            "utility": compute_utility(original, variant).to_dict(),
+            "utility": compute_utility(
+                original.data, variant, reference=original.reference
+            ).to_dict(),
             "linkage": {},
         }
         for subset in plan.ladder:
             result = attack(
-                original,
+                original.data,
                 variant,
                 plan.outlier_cfg,
                 plan.qi_cfg,
                 qi_subset=subset,
                 restrict_variant_outliers=plan.restrict_variant_outliers,
+                targets=original.targets,
             )
             key = ",".join(subset)
             entry["linkage"][key] = _linkage_summary(result)
@@ -162,7 +185,8 @@ def run_audit(plan: AuditPlan) -> AuditReport:
     original = load_dataset(plan.original_path, plan.schema)
     targets = detect_outliers(original, plan.outlier_cfg)
     save_outlier_set(targets, plan.outlier_cfg, plan.output_dir / "outliers.csv")
-    entries = [_audit_one_variant(plan, spec, original) for spec in plan.variants]
+    prepared = _Original(original, targets, utility_reference(original))
+    entries = [_audit_one_variant(plan, spec, prepared) for spec in plan.variants]
 
     run_meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
@@ -198,22 +222,29 @@ def sweep_epsilon(
 
     Variant index i (epsilon-major over the ascending grid) uses seed
     base_seed + i. Curve rows aggregate unique-match counts and per-metric
-    utility means per epsilon, sorted by epsilon ascending.
+    utility means per epsilon, sorted by epsilon ascending. The original's
+    outliers, histogram counts and utility statistics are computed once and
+    shared by every variant. A grid that lists an epsilon twice is refused.
     """
     if not grid:
         raise ConfigError("epsilon grid must not be empty")
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"epsilon grid lists an epsilon more than once: {list(grid)}")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     started = time.time()
     rows = n if n is not None else original.row_count
+    targets = detect_outliers(original, outlier_cfg)
+    marginals = count_marginals(original, num_bins)
+    reference = utility_reference(original)
     entries = []
     index = 0
     for epsilon in sorted(grid):
         for _ in range(repeats):
             seed = base_seed + index
-            variant = synthesize(original, epsilon, rows, num_bins, seed)
-            result = attack(original, variant, outlier_cfg, qi_cfg)
-            utility = compute_utility(original, variant)
+            variant = synthesize(original, epsilon, rows, num_bins, seed, marginals=marginals)
+            result = attack(original, variant, outlier_cfg, qi_cfg, targets=targets)
+            utility = compute_utility(original, variant, reference=reference)
             entries.append(
                 {
                     "name": f"eps{epsilon!r}_seed{seed}",
@@ -226,7 +257,7 @@ def sweep_epsilon(
             index += 1
 
     curve = []
-    for epsilon in sorted(set(grid)):
+    for epsilon in sorted(grid):
         group = [e for e in entries if e["generator"]["epsilon"] == epsilon]
         uniques = [next(iter(e["linkage"].values()))["unique_matches"] for e in group]
         row: dict = {

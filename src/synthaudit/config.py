@@ -276,12 +276,21 @@ def _parse_sweep(section) -> SweepSettings:
     _check_keys("sweep", section.keys(), _SWEEP_KEYS)
     if "grid" not in section:
         raise ConfigError("[sweep] requires 'grid'")
-    grid = tuple(_as_float("sweep", "grid", tok) for tok in section["grid"].split())
+    tokens = section["grid"].split()
+    grid = tuple(_as_float("sweep", "grid", tok) for tok in tokens)
     if not grid:
         raise ConfigError("[sweep] grid is empty")
+    for tok, epsilon in zip(tokens, grid):
+        if not 0 < epsilon < float("inf"):  # also false for nan
+            raise _fail("sweep", "grid", tok, "a positive, finite epsilon")
+    if len(set(grid)) != len(grid):
+        raise _fail("sweep", "grid", section["grid"], "each epsilon once")
+    repeats = _as_int("sweep", "repeats", section["repeats"]) if "repeats" in section else 1
+    if repeats < 1:
+        raise _fail("sweep", "repeats", section["repeats"], "an integer >= 1")
     return SweepSettings(
         grid=grid,
-        repeats=_as_int("sweep", "repeats", section["repeats"]) if "repeats" in section else 1,
+        repeats=repeats,
         base_seed=_as_int("sweep", "base_seed", section["base_seed"]) if "base_seed" in section else 0,
     )
 

@@ -119,7 +119,7 @@ class Dataset:
     def from_columns(
         cls, schema: tuple[AttributeSchema, ...], columns: dict[str, list | np.ndarray]
     ) -> "Dataset":
-        """Build a dataset from in-memory columns (used by the synthesizer and tests)."""
+        """Build a dataset from in-memory columns, interning categorical cells."""
         validate_schema(schema)
         out: dict[str, np.ndarray] = {}
         n = None

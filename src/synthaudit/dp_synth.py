@@ -85,6 +85,60 @@ def _normalize(noisy: np.ndarray) -> np.ndarray:
     return clamped / total
 
 
+@dataclass(frozen=True, eq=False)
+class Marginals:
+    """Every attribute's histogram bins and exact counts, before any noise,
+    counted on the ``source`` dataset object with ``num_bins`` numeric bins."""
+
+    source: Dataset = field(repr=False)
+    num_bins: int
+    counts: dict[str, tuple[tuple, np.ndarray]] = field(repr=False)  # attr -> (bins, counts)
+
+
+def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np.ndarray]:
+    """One attribute's bins and exact counts, binned as :func:`build_noisy_histogram` says."""
+    if num_bins < 1:
+        raise ConfigError(f"num_bins must be >= 1, got {num_bins}")
+    if ds.row_count == 0:
+        raise DataError("cannot build a histogram from an empty dataset")
+    col = ds.columns[attr.name]
+    if attr.kind is Kind.NUMERICAL:
+        lo, hi = float(np.min(col)), float(np.max(col))
+        if hi == lo:
+            edges = np.array([lo, hi])
+            counts = np.array([float(len(col))])
+        else:
+            edges = np.linspace(lo, hi, num_bins + 1)
+            counts, _ = np.histogram(col, bins=edges)
+            counts = counts.astype(np.float64)
+        bins: tuple = tuple(edges)
+    else:
+        bins, counts = zip(*sorted(Counter(col.tolist()).items()))
+        counts = np.array(counts, dtype=np.float64)
+    counts.flags.writeable = False
+    return bins, counts
+
+
+def count_marginals(ds: Dataset, num_bins: int = DEFAULT_NUM_BINS) -> Marginals:
+    """Count every attribute's histogram once, for any number of syntheses."""
+    counts = {a.name: _count(ds, a, num_bins) for a in ds.schema}
+    return Marginals(source=ds, num_bins=num_bins, counts=counts)
+
+
+def _noisy_histogram(
+    attr: AttributeSchema, bins: tuple, counts: np.ndarray, eps_a: float, rng: np.random.Generator
+) -> NoisyHistogram:
+    """Perturb exact counts with Laplace(1/eps_a), clamp, and normalize."""
+    noisy = counts + _laplace_noise(rng, 1.0 / eps_a, len(counts))
+    return NoisyHistogram(
+        attribute=attr.name,
+        kind=attr.kind,
+        bins=bins,
+        noisy_counts=noisy,
+        probabilities=_normalize(noisy),
+    )
+
+
 def build_noisy_histogram(
     ds: Dataset,
     attr: str,
@@ -100,37 +154,10 @@ def build_noisy_histogram(
     """
     if not eps_a > 0:
         raise ConfigError(f"per-attribute epsilon must be positive, got {eps_a}")
-    if num_bins < 1:
-        raise ConfigError(f"num_bins must be >= 1, got {num_bins}")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     schema = ds.attribute(attr)
-    col = ds.columns[attr]
-    if ds.row_count == 0:
-        raise DataError("cannot build a histogram from an empty dataset")
-
-    if schema.kind is Kind.NUMERICAL:
-        lo, hi = float(np.min(col)), float(np.max(col))
-        if hi == lo:
-            edges = np.array([lo, hi])
-            counts = np.array([float(len(col))])
-        else:
-            edges = np.linspace(lo, hi, num_bins + 1)
-            counts, _ = np.histogram(col, bins=edges)
-            counts = counts.astype(np.float64)
-        bins: tuple = tuple(edges)
-    else:
-        bins, counts = zip(*sorted(Counter(col.tolist()).items()))
-        counts = np.array(counts, dtype=np.float64)
-
-    noisy = counts + _laplace_noise(rng, 1.0 / eps_a, len(counts))
-    return NoisyHistogram(
-        attribute=attr,
-        kind=schema.kind,
-        bins=bins,
-        noisy_counts=noisy,
-        probabilities=_normalize(noisy),
-    )
+    return _noisy_histogram(schema, *_count(ds, schema, num_bins), eps_a, rng)
 
 
 def _sample_from_histogram(
@@ -161,11 +188,19 @@ def synthesize(
     n: int,
     num_bins: int = DEFAULT_NUM_BINS,
     seed: int = 0,
+    *,
+    marginals: Marginals | None = None,
 ) -> Dataset:
     """Generate n rows by sampling every attribute from its noisy marginal.
 
     Deterministic for a fixed (dataset, epsilon, n, num_bins, seed); the
-    output carries the input schema unchanged.
+    output carries the input schema unchanged, and its categorical cells are
+    the input's own interned strings.
+
+    ``marginals`` are the exact counts of :func:`count_marginals`, so a run
+    synthesizing many variants counts once per ``num_bins``; when omitted,
+    they are counted here. Counts that were not built from this ``ds``
+    object with this ``num_bins`` raise ``ConfigError``.
     """
     if ds.row_count == 0:
         raise DataError("cannot synthesize from an empty dataset")
@@ -174,13 +209,18 @@ def synthesize(
     budget = PrivacyBudget(epsilon=epsilon, attribute_count=len(ds.schema))
     eps_a = budget.per_attribute_epsilon
 
+    if marginals is None:
+        marginals = count_marginals(ds, num_bins)
+    elif marginals.source is not ds or marginals.num_bins != num_bins:
+        raise ConfigError("marginals were counted on another dataset or num_bins")
+
     children = np.random.SeedSequence(seed).spawn(len(ds.schema))
     columns: dict[str, np.ndarray] = {}
-    for ordinal, attr in enumerate(ds.schema):
-        rng = np.random.Generator(np.random.PCG64(children[ordinal]))
-        hist = build_noisy_histogram(ds, attr.name, eps_a, num_bins, rng)
+    for child, attr in zip(children, ds.schema):
+        rng = np.random.Generator(np.random.PCG64(child))
+        hist = _noisy_histogram(attr, *marginals.counts[attr.name], eps_a, rng)
         columns[attr.name] = _sample_from_histogram(hist, n, rng)
-    return Dataset.from_columns(ds.schema, columns)
+    return Dataset(schema=ds.schema, columns=columns, row_count=n)
 
 
 def generator_metadata(

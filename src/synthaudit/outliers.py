@@ -45,10 +45,16 @@ class OutlierConfig:
 
 @dataclass(frozen=True)
 class OutlierSet:
-    """Flagged record ordinals plus the z-scores that drove the decision."""
+    """Flagged record ordinals plus the z-scores that drove the decision.
+
+    ``source`` and ``cfg`` are the dataset object and the configuration the
+    set was detected with, so a consumer can refuse a set built from others.
+    """
 
     flagged: frozenset[int]
     per_attribute_z: dict[int, dict[str, float]] = field(repr=False)
+    source: Dataset | None = field(default=None, repr=False, compare=False)
+    cfg: OutlierConfig | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.flagged)
@@ -88,7 +94,10 @@ def detect_outliers(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
         int(i): {attr: float(z_cols[attr][i]) for attr in cfg.attributes} for i in flagged_idx
     }
     return OutlierSet(
-        flagged=frozenset(int(i) for i in flagged_idx), per_attribute_z=per_attribute_z
+        flagged=frozenset(int(i) for i in flagged_idx),
+        per_attribute_z=per_attribute_z,
+        source=ds,
+        cfg=cfg,
     )
 
 

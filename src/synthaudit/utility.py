@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, Kind
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 BOUNDARY_ADHERENCE = "BoundaryAdherence"
 CATEGORY_COVERAGE = "CategoryCoverage"
@@ -93,6 +93,33 @@ def attribute_coverage(real_col: np.ndarray, synth_col: np.ndarray, kind: Kind) 
     return category_coverage(real_col, synth_col)
 
 
+@dataclass(frozen=True, eq=False)
+class UtilityReference:
+    """Each real column of ``source`` reduced to what the metrics read of it.
+
+    A numeric column is reduced to [min, median, max] and a categorical one
+    to its distinct categories. Every metric depends on the real column only
+    through these, so it scores the same against the reduced column.
+    """
+
+    source: Dataset = field(repr=False)
+    columns: dict[str, np.ndarray] = field(repr=False)
+
+
+def utility_reference(real: Dataset) -> UtilityReference:
+    """Reduce every real column once, for scoring any number of variants."""
+    columns = {}
+    for attr in real.schema:
+        col = real.columns[attr.name]
+        if len(col) == 0:  # kept, so each metric raises its own error
+            columns[attr.name] = col
+        elif attr.kind is Kind.NUMERICAL:
+            columns[attr.name] = np.array([np.min(col), np.median(col), np.max(col)])
+        else:
+            columns[attr.name] = np.array(list(set(col.tolist())), dtype=object)
+    return UtilityReference(source=real, columns=columns)
+
+
 @dataclass(frozen=True)
 class UtilityReport:
     """Per-attribute metric scores plus per-metric mean/median aggregates."""
@@ -104,27 +131,38 @@ class UtilityReport:
         return {"per_attribute": self.per_attribute, "aggregate": self.aggregate}
 
 
-def compute_utility(real: Dataset, synth: Dataset) -> UtilityReport:
+def compute_utility(
+    real: Dataset, synth: Dataset, *, reference: UtilityReference | None = None
+) -> UtilityReport:
     """Score every attribute with every applicable metric and aggregate.
 
     Aggregates weight applicable attributes equally; a metric's mean is the
     arithmetic mean of its per-attribute scores over the attributes where it
     is defined.
+
+    ``reference`` is :func:`utility_reference` of ``real``, so a run scoring
+    many variants reduces the real columns once; when omitted, they are
+    reduced here. A reference that was not built from this ``real`` object
+    raises ``ConfigError``.
     """
     if real.schema != synth.schema:
         raise DataError("utility comparison requires identical schemas")
+    if reference is None:
+        reference = utility_reference(real)
+    elif reference.source is not real:
+        raise ConfigError("utility reference was built from another dataset")
     per_attribute: dict[str, dict[str, float]] = {}
     for attr in real.schema:
-        r_col = real.columns[attr.name]
+        r_col = reference.columns[attr.name]
         s_col = synth.columns[attr.name]
         scores: dict[str, float] = {}
         if attr.kind is Kind.NUMERICAL:
             scores[BOUNDARY_ADHERENCE] = boundary_adherence(r_col, s_col)
-            scores[RANGE_COVERAGE] = range_coverage(r_col, s_col)
+            scores[RANGE_COVERAGE] = coverage = range_coverage(r_col, s_col)
             scores[STATISTIC_SIMILARITY] = statistic_similarity(r_col, s_col)
         else:
-            scores[CATEGORY_COVERAGE] = category_coverage(r_col, s_col)
-        scores[ATTRIBUTE_COVERAGE] = attribute_coverage(r_col, s_col, attr.kind)
+            scores[CATEGORY_COVERAGE] = coverage = category_coverage(r_col, s_col)
+        scores[ATTRIBUTE_COVERAGE] = coverage  # attribute_coverage, already computed
         per_attribute[attr.name] = scores
 
     aggregate: dict[str, dict[str, float]] = {}

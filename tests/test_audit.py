@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,19 @@ from synthaudit import (
     QIConfig,
     QIRule,
     Role,
+    attack,
+    compute_utility,
+    detect_outliers,
+    load_dataset,
     run_audit,
     save_dataset,
     sweep_epsilon,
+    synthesize,
 )
 from synthaudit.audit import AuditPlan
-from synthaudit.config import VariantSpec
+from synthaudit.config import SynthSettings, VariantSpec
+from synthaudit.dp_synth import DEFAULT_NUM_BINS, count_marginals, generator_metadata
+from synthaudit.linkage import save_matches
 from synthaudit.report import strip_volatile, dumps_report
 
 SCHEMA = (
@@ -214,3 +222,139 @@ class TestSweep:
             sweep_epsilon(original, (), 1, 0, OUTLIER_CFG, QI_CFG)
         with pytest.raises(ConfigError):
             sweep_epsilon(original, (1.0,), 0, 0, OUTLIER_CFG, QI_CFG)
+
+    def test_duplicate_epsilon_rejected(self):
+        original = fixture_original(n=30)
+        with pytest.raises(ConfigError, match="more than once"):
+            sweep_epsilon(original, (0.1, 1.0, 0.1), 1, 0, OUTLIER_CFG, QI_CFG)
+
+
+def count_calls(monkeypatch, function, *modules):
+    """Replace ``function`` in each module that uses it by a wrapper that
+    records the arguments of every call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(f"{module}.{function.__name__}", counted)
+    return calls
+
+
+class TestOriginalPreparedOncePerRun:
+    def test_run_audit_detects_outliers_once(self, tmp_path, original_csv, monkeypatch):
+        path, _ = original_csv
+        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.audit", "synthaudit.linkage")
+        plan = make_plan(
+            tmp_path, path, [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
+        )
+        report = run_audit(plan)
+        assert [e["status"] for e in report.variants] == ["ok", "ok"]
+        assert sum(len(e["linkage"]) for e in report.variants) == 4
+        assert len(detects) == 1
+
+    def test_run_audit_counts_histograms_once_per_bin_count(self, tmp_path, original_csv, monkeypatch):
+        path, _ = original_csv
+        counts = count_calls(monkeypatch, count_marginals, "synthaudit.audit", "synthaudit.dp_synth")
+        variants = [
+            VariantSpec(name="a", epsilon=1.0, seed=1, num_bins=8),
+            VariantSpec(name="b", epsilon=0.5, seed=2),
+            VariantSpec(name="c", epsilon=2.0, seed=3, num_bins=8),
+            VariantSpec(name="d", epsilon=0.1, seed=4, num_bins=16),
+            VariantSpec(name="e", epsilon=5.0, seed=5),
+        ]
+        run_audit(make_plan(tmp_path, path, variants, ladder=(("age", "income"),)))
+        assert sorted(num_bins for _, num_bins in counts) == [8, 16, DEFAULT_NUM_BINS]
+        assert len({id(ds) for ds, _ in counts}) == 1
+
+    def test_sweep_prepares_once(self, monkeypatch):
+        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.audit", "synthaudit.linkage")
+        counts = count_calls(monkeypatch, count_marginals, "synthaudit.audit", "synthaudit.dp_synth")
+        original = fixture_original(n=80)
+        report = sweep_epsilon(original, (0.1, 1.0, 5.0), 2, 0, OUTLIER_CFG, QI_CFG, num_bins=12)
+        assert len(report.variants) == 6
+        assert [args[0] for args in detects] == [original]
+        assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
+
+
+def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tmp_path, original_csv):
+    """Generated variants with their own num_bins and restrict_variant_outliers:
+    the report, variant files and pair files equal what synthesize,
+    compute_utility and attack give per variant without prepared arguments."""
+    path, _ = original_csv
+    variants = [
+        VariantSpec(name="coarse", epsilon=1.0, seed=1, num_bins=2),
+        VariantSpec(name="fine", epsilon=5.0, seed=2, num_bins=64),
+        VariantSpec(name="default", epsilon=0.5, seed=3),
+        VariantSpec(name="coarse_again", epsilon=2.0, seed=4, num_bins=2, n=50),
+    ]
+    defaults = SynthSettings(epsilon=1.0, n=120, num_bins=10, seed=0)
+    plan = make_plan(
+        tmp_path, path, variants, synth_defaults=defaults, restrict_variant_outliers=True
+    )
+    report = dumps_report(strip_volatile(run_audit(plan).to_dict()))
+
+    original = load_dataset(path, SCHEMA)
+    expected_dir = tmp_path / "expected"
+    entries = []
+    for spec in variants:
+        n = spec.n or defaults.n
+        num_bins = spec.num_bins or defaults.num_bins
+        variant = synthesize(original, spec.epsilon, n, num_bins, spec.seed)
+        save_dataset(variant, expected_dir / f"{spec.name}.csv")
+        generator = generator_metadata(SCHEMA, spec.epsilon, n, num_bins, spec.seed)
+        generator["path"] = f"variants/{spec.name}.csv"
+        entry = {
+            "name": spec.name,
+            "status": "ok",
+            "generator": generator,
+            "utility": compute_utility(original, variant).to_dict(),
+            "linkage": {},
+        }
+        for subset in LADDER:
+            result = attack(
+                original, variant, OUTLIER_CFG, QI_CFG, qi_subset=subset, restrict_variant_outliers=True
+            )
+            pairs_file = f"pairs/{spec.name}__{'-'.join(subset)}.csv"
+            save_matches(result, QI_CFG.subset(subset), expected_dir / pairs_file)
+            entry["linkage"][",".join(subset)] = {
+                "possible_matches": len(result.pairs),
+                "distinct_originals": result.distinct_original_count,
+                "unique_matches": result.unique_match_count,
+                "targets": result.attack_surface[0],
+                "variant_rows": result.attack_surface[1],
+                "per_original": {str(k): v for k, v in result.per_original_match_count.items()},
+                "pairs_file": pairs_file,
+            }
+        entries.append(entry)
+    run_meta = {
+        "original": {
+            "path": str(path),
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "row_count": original.row_count,
+        },
+        "outliers": {
+            "count": len(detect_outliers(original, OUTLIER_CFG)),
+            "k": OUTLIER_CFG.k,
+            "combine": OUTLIER_CFG.combine.value,
+            "attributes": list(OUTLIER_CFG.attributes),
+        },
+        "ladder": [",".join(subset) for subset in LADDER],
+    }
+    assert report == dumps_report({"run_meta": run_meta, "variants": entries})
+
+    out = plan.output_dir
+    for spec in variants:
+        name = f"{spec.name}.csv"
+        assert (out / "variants" / name).read_bytes() == (expected_dir / name).read_bytes()
+    pair_files = sorted(p.name for p in (out / "pairs").iterdir())
+    assert pair_files == sorted(p.name for p in (expected_dir / "pairs").iterdir())
+    assert len(pair_files) == len(variants) * len(LADDER)
+    matched = 0
+    for name in pair_files:
+        actual = (out / "pairs" / name).read_text()
+        assert actual == (expected_dir / "pairs" / name).read_text()
+        matched += len(actual.splitlines()) - 1
+    assert matched > 0  # restricting to the variants' outliers still leaves matches

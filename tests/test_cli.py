@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthaudit import Dataset, save_dataset
+from synthaudit import Dataset, detect_outliers, save_dataset
 from synthaudit.cli import main
 from synthaudit.config import load_config, parse_config
 
-from test_audit import SCHEMA, fixture_original
+from test_audit import SCHEMA, count_calls, fixture_original
 
 BASE_CONFIG = """\
 [schema]
@@ -191,6 +191,15 @@ class TestLinkCommand:
         header = (tmp / "pairs.csv").read_text().splitlines()[0]
         assert header == "original_index,synthetic_index,score_age,score_income"
         assert capsys.readouterr().out  # summary printed
+
+    def test_outliers_detected_once_per_run(self, workdir, monkeypatch, capsys):
+        tmp, _ = workdir
+        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.cli", "synthaudit.linkage")
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=1.5))
+        args = ["link", "-c", str(cfg), str(tmp / "original.csv"), str(tmp / "original.csv"), "--out", str(tmp)]
+        assert main(args) == 0
+        assert int(capsys.readouterr().out.split()[0]) > 0
+        assert len(detects) == 1
 
 
 class TestUtilityCommand:
@@ -444,6 +453,17 @@ class TestSweepCommand:
         report = json.loads((tmp / "out" / "sweep_report.json").read_text())
         # the echoed effective config re-parses to an equivalent RunConfig
         assert parse_config(report["run_meta"]["effective_config"]) == load_config(plan)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        ["grid = 0.1 0.1 1.0\nrepeats = 1", "grid = -1.0 1.0\nrepeats = 1", "grid = 1.0\nrepeats = 0"],
+        ids=["duplicate-epsilon", "negative-epsilon", "repeats-0"],
+    )
+    def test_bad_sweep_is_2_before_any_data_is_read(self, tmp_path, sweep):
+        # there is no original.csv: reading it would exit 3
+        plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out") + f"\n[sweep]\n{sweep}\n")
+        assert main(["sweep", "--plan", str(plan)]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirResolution:

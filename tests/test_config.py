@@ -223,3 +223,40 @@ def test_minimal_schema_only_config():
     cfg = parse_config("[schema]\nage = numerical qi\n")
     assert cfg == RunConfig(schema=cfg.schema)
     assert cfg.qi is None and cfg.outliers is None and cfg.ladder == ()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("grid = 0.01 0.1 1.0", "grid = 0.1 0.1 1.0", r"grid = '0\.1 0\.1 1\.0': expected each epsilon once"),
+        ("grid = 0.01 0.1 1.0", "grid = 0.1 1.0 0.10", "expected each epsilon once"),
+        ("grid = 0.01 0.1 1.0", "grid = 0.01 -0.1 1.0", r"grid = '-0\.1': expected a positive, finite epsilon"),
+        ("grid = 0.01 0.1 1.0", "grid = 0 0.1", r"grid = '0': expected a positive, finite epsilon"),
+        ("grid = 0.01 0.1 1.0", "grid = 0.1 inf", r"grid = 'inf': expected a positive, finite epsilon"),
+        ("grid = 0.01 0.1 1.0", "grid = nan 0.1", r"grid = 'nan': expected a positive, finite epsilon"),
+        ("repeats = 2", "repeats = 0", r"repeats = '0': expected an integer >= 1"),
+        ("repeats = 2", "repeats = -3", r"repeats = '-3': expected an integer >= 1"),
+    ],
+    ids=["duplicate", "duplicate-spelled-apart", "negative", "zero", "inf", "nan", "repeats-0", "repeats-negative"],
+)
+def test_sweep_grid_and_repeats_rejected(old, new, message):
+    assert old in FULL_CONFIG
+    with pytest.raises(ConfigError, match=message):
+        parse_config(FULL_CONFIG.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "grid, repeats",
+    [("0.01 0.1 1.0", "2"), ("10.0 0.5", "1"), ("1e-3", "5"), ("2", "3")],
+)
+def test_accepted_sweep_renders_as_before(grid, repeats):
+    text = FULL_CONFIG.replace("grid = 0.01 0.1 1.0", f"grid = {grid}").replace(
+        "repeats = 2", f"repeats = {repeats}"
+    )
+    cfg = parse_config(text)
+    expected = (
+        f"[sweep]\ngrid = {' '.join(repr(float(e)) for e in grid.split())}\n"
+        f"repeats = {repeats}\nbase_seed = 3\n"
+    )
+    assert render_config(cfg).endswith(expected)
+    assert parse_config(render_config(cfg)) == cfg

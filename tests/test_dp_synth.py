@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from synthaudit import (
     save_dataset,
     synthesize,
 )
-from synthaudit.dp_synth import _laplace_noise, _normalize
+from synthaudit.dp_synth import _laplace_noise, _normalize, _sample_from_histogram, count_marginals
 
 
 def rng_of(seed=0):
@@ -208,3 +210,100 @@ class TestSynthesize:
         assert isinstance(hist, NoisyHistogram)
         assert hist.attribute == "c"
         assert len(hist.noisy_counts) == len(hist.bins)
+
+
+SCHEMA_EDGES = (
+    AttributeSchema("age", Kind.NUMERICAL, Role.QI),
+    AttributeSchema("flat", Kind.NUMERICAL),
+    AttributeSchema("home", Kind.CATEGORICAL, Role.QI),
+    AttributeSchema("only", Kind.CATEGORICAL),
+)
+
+
+def edge_ds(n=300, seed=8):
+    """Mixed columns plus a constant numeric one and a single-category one."""
+    rng = np.random.default_rng(seed)
+    return Dataset.from_columns(
+        SCHEMA_EDGES,
+        {
+            "age": np.round(rng.lognormal(3.5, 0.4, n), 1),
+            "flat": [7.25] * n,
+            "home": [["RENT", "OWN", "MORTGAGE", "OTHER"][i] for i in rng.integers(0, 4, n)],
+            "only": ["X"] * n,
+        },
+    )
+
+
+def per_histogram_synthesize(ds, epsilon, n, num_bins, seed):
+    """Sampling through the public per-attribute histogram, each attribute on
+    its own PCG64 substream, and the output built by ``from_columns``."""
+    eps_a = PrivacyBudget(epsilon, len(ds.schema)).per_attribute_epsilon
+    children = np.random.SeedSequence(seed).spawn(len(ds.schema))
+    columns = {}
+    for child, attr in zip(children, ds.schema):
+        rng = np.random.Generator(np.random.PCG64(child))
+        hist = build_noisy_histogram(ds, attr.name, eps_a, num_bins, rng)
+        columns[attr.name] = _sample_from_histogram(hist, n, rng)
+    return Dataset.from_columns(ds.schema, columns)
+
+
+def assert_bit_identical(a, b):
+    assert a.schema == b.schema and a.row_count == b.row_count
+    for attr in a.schema:
+        x, y = a.columns[attr.name], b.columns[attr.name]
+        assert x.dtype == y.dtype
+        if attr.kind is Kind.NUMERICAL:
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x.tolist() == y.tolist()
+
+
+class TestPreparedMarginals:
+    @pytest.mark.parametrize("num_bins", [1, 2, 7, 32])
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_counted_once_equals_counted_per_call(self, num_bins, seed):
+        ds = edge_ds()
+        marginals = count_marginals(ds, num_bins)
+        for epsilon, n in [(0.05, 40), (1.0, 300), (50.0, 1)]:
+            plain = synthesize(ds, epsilon, n, num_bins, seed)
+            prepared = synthesize(ds, epsilon, n, num_bins, seed, marginals=marginals)
+            assert_bit_identical(prepared, plain)
+            assert_bit_identical(prepared, per_histogram_synthesize(ds, epsilon, n, num_bins, seed))
+
+    def test_edge_columns(self):
+        ds = edge_ds()
+        out = synthesize(ds, 0.5, 200, 1, 3, marginals=count_marginals(ds, 1))
+        assert set(out.column("flat").tolist()) == {7.25}
+        assert set(out.column("only").tolist()) == {"X"}
+
+    def test_synthesized_categories_are_interned(self):
+        ds = edge_ds()
+        out = synthesize(ds, 1.0, 500, 16, 4, marginals=count_marginals(ds, 16))
+        for name in ("home", "only"):
+            assert all(sys.intern(v) is v for v in out.column(name).tolist())
+
+    def test_counts_equal_the_histogram_before_noise(self):
+        ds = edge_ds()
+        marginals = count_marginals(ds, 5)
+        bins, counts = marginals.counts["home"]
+        hist = build_noisy_histogram(ds, "home", eps_a=1e12, num_bins=5, rng=rng_of(0))
+        assert bins == hist.bins
+        assert counts.sum() == ds.row_count
+        assert np.allclose(hist.noisy_counts, counts, atol=1e-6)
+        edges, counts = marginals.counts["age"]
+        assert len(edges) == 6 and counts.sum() == ds.row_count
+        assert not counts.flags.writeable
+
+    def test_marginals_of_another_dataset_or_bin_count_raise(self):
+        ds = edge_ds()
+        twin = edge_ds()  # equal content, another object
+        with pytest.raises(ConfigError, match="another dataset or num_bins"):
+            synthesize(ds, 1.0, 10, 16, 0, marginals=count_marginals(twin, 16))
+        with pytest.raises(ConfigError, match="another dataset or num_bins"):
+            synthesize(ds, 1.0, 10, 16, 0, marginals=count_marginals(ds, 8))
+
+    def test_count_validation(self):
+        with pytest.raises(ConfigError):
+            count_marginals(edge_ds(), 0)
+        with pytest.raises(DataError):
+            count_marginals(Dataset.from_columns(SCHEMA_MIXED, {"age": [], "home": []}))

@@ -106,6 +106,45 @@ class TestCandidatePairs:
             attack(original, other, OUTLIER_CFG, QI4)
 
 
+class TestPreparedTargets:
+    """attack(targets=...) reuses the original's outlier set detected once."""
+
+    @pytest.mark.parametrize("restrict", [False, True], ids=["all-rows", "variant-outliers"])
+    @pytest.mark.parametrize("subset", [None, ("age", "income"), ("home", "income")])
+    def test_prepared_targets_give_the_same_pairs(self, restrict, subset):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            original, variant = random_instance(rng, 150, 220)
+            targets = detect_outliers(original, OUTLIER_CFG)
+            kwargs = dict(qi_subset=subset, restrict_variant_outliers=restrict)
+            plain = attack(original, variant, OUTLIER_CFG, QI4, **kwargs)
+            prepared = attack(original, variant, OUTLIER_CFG, QI4, targets=targets, **kwargs)
+            assert prepared.pairs == plain.pairs
+            assert prepared.attack_surface == plain.attack_surface
+            assert prepared.per_original_match_count == plain.per_original_match_count
+
+    def test_identity_attack_with_prepared_targets_finds_pairs(self):
+        original, _ = random_instance(np.random.default_rng(32), 150, 1)
+        targets = detect_outliers(original, OUTLIER_CFG)
+        result = attack(original, original, OUTLIER_CFG, QI4, targets=targets)
+        assert len(targets) > 0
+        assert result.pairs == attack(original, original, OUTLIER_CFG, QI4).pairs
+        assert {(p.original, p.synthetic) for p in result.pairs} >= {(i, i) for i in targets.flagged}
+
+    def test_targets_of_another_dataset_or_config_raise(self):
+        original, variant = random_instance(np.random.default_rng(33), 60, 60)
+        twin = Dataset(schema=original.schema, columns=dict(original.columns), row_count=original.row_count)
+        with pytest.raises(ConfigError, match="another dataset or outlier config"):
+            attack(original, variant, OUTLIER_CFG, QI4, targets=detect_outliers(twin, OUTLIER_CFG))
+        other_cfg = OutlierConfig(k=2.5, attributes=("age", "income"))
+        with pytest.raises(ConfigError, match="another dataset or outlier config"):
+            attack(original, variant, OUTLIER_CFG, QI4, targets=detect_outliers(original, other_cfg))
+        # an equal config is the same setting
+        same_cfg = OutlierConfig(k=1.5, attributes=("age", "income"))
+        prepared = attack(original, variant, OUTLIER_CFG, QI4, targets=detect_outliers(original, same_cfg))
+        assert prepared.pairs == attack(original, variant, OUTLIER_CFG, QI4).pairs
+
+
 class TestScoreAndFilter:
     def test_identical_pair_scores_all_ones(self):
         ds = make_ds([54], [170000], ["MORTGAGE"], ["PERSONAL"])

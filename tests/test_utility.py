@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from synthaudit import (
     AttributeSchema,
+    ConfigError,
     DataError,
     Dataset,
     Kind,
@@ -16,7 +17,9 @@ from synthaudit import (
     compute_utility,
     range_coverage,
     statistic_similarity,
+    synthesize,
 )
+from synthaudit.utility import METRIC_NAMES, utility_reference
 
 arr = np.asarray
 
@@ -177,3 +180,89 @@ class TestComputeUtility:
         report = compute_utility(toy_dataset, synth)
         for scores in report.per_attribute.values():
             assert all(v == 1.0 for v in scores.values())
+
+
+SCHEMA_EDGES = (
+    AttributeSchema("age", Kind.NUMERICAL, Role.QI),
+    AttributeSchema("flat", Kind.NUMERICAL),
+    AttributeSchema("home", Kind.CATEGORICAL, Role.QI),
+    AttributeSchema("only", Kind.CATEGORICAL),
+)
+
+
+def edge_real(n=200, seed=2):
+    rng = np.random.default_rng(seed)
+    return Dataset.from_columns(
+        SCHEMA_EDGES,
+        {
+            "age": rng.integers(18, 90, n).astype(float),
+            "flat": [3.0] * n,
+            "home": [["RENT", "OWN", "MORTGAGE"][i] for i in rng.integers(0, 3, n)],
+            "only": ["X"] * n,
+        },
+    )
+
+
+def edge_synths(real):
+    yield real
+    for epsilon, n, seed in [(0.05, 30, 1), (1.0, 200, 2), (100.0, 5, 3), (0.01, 1, 4)]:
+        yield synthesize(real, epsilon, n, num_bins=8, seed=seed)
+    yield Dataset.from_columns(
+        SCHEMA_EDGES,
+        {"age": [500.0, -3.0], "flat": [2.0, 4.0], "home": ["BOAT", "RENT"], "only": ["Y", "Z"]},
+    )
+
+
+class TestUtilityReference:
+    def test_prepared_reference_gives_the_same_report(self):
+        real = edge_real()
+        reference = utility_reference(real)
+        for synth in edge_synths(real):
+            plain = compute_utility(real, synth)
+            assert compute_utility(real, synth, reference=reference).to_dict() == plain.to_dict()
+
+    def test_report_scores_equal_the_public_metric_functions(self):
+        real = edge_real()
+        for synth in edge_synths(real):
+            report = compute_utility(real, synth, reference=utility_reference(real))
+            for attr in SCHEMA_EDGES:
+                r, s = real.column(attr.name), synth.column(attr.name)
+                if attr.kind is Kind.NUMERICAL:
+                    expected = {
+                        "BoundaryAdherence": boundary_adherence(r, s),
+                        "RangeCoverage": range_coverage(r, s),
+                        "StatisticSimilarity": statistic_similarity(r, s),
+                    }
+                else:
+                    expected = {"CategoryCoverage": category_coverage(r, s)}
+                expected["AttributeCoverage"] = attribute_coverage(r, s, attr.kind)
+                assert report.per_attribute[attr.name] == expected
+            assert set(report.aggregate) == set(METRIC_NAMES)
+
+    def test_reference_reduces_each_real_column(self):
+        real = edge_real()
+        columns = utility_reference(real).columns
+        age = real.column("age")
+        assert columns["age"].tolist() == [age.min(), float(np.median(age)), age.max()]
+        assert columns["flat"].tolist() == [3.0, 3.0, 3.0]
+        assert sorted(columns["home"].tolist()) == ["MORTGAGE", "OWN", "RENT"]
+        assert columns["only"].tolist() == ["X"]
+
+    def test_reference_of_another_dataset_raises(self):
+        real = edge_real()
+        with pytest.raises(ConfigError, match="another dataset"):
+            compute_utility(real, real, reference=utility_reference(edge_real()))
+
+    def test_empty_datasets_raise_data_errors(self):
+        real = edge_real()
+        empty = Dataset.from_columns(SCHEMA_EDGES, {a.name: [] for a in SCHEMA_EDGES})
+        with pytest.raises(DataError, match="non-empty synthetic column"):
+            compute_utility(real, empty, reference=utility_reference(real))
+        with pytest.raises(DataError, match="boundary_adherence needs a non-empty real column"):
+            compute_utility(empty, real)
+        cat_first = tuple(reversed(SCHEMA_EDGES))
+        with pytest.raises(DataError, match="at least one real category"):
+            compute_utility(
+                Dataset.from_columns(cat_first, {a.name: [] for a in cat_first}),
+                Dataset.from_columns(cat_first, {a.name: real.column(a.name) for a in cat_first}),
+            )
