@@ -94,17 +94,24 @@ def _linkage_summary(result: LinkageResult) -> dict:
 @dataclass
 class _Original:
     """The original and the work on it that every variant reuses, each piece
-    built once per run and handed to the layer that owns it."""
+    built once per run and handed to the layer that owns it. The utility
+    reference and the counts are built on first use, where the per-variant
+    calls used to build them, so the run's peak memory stays where it was."""
 
     data: Dataset
     targets: OutlierSet
-    reference: UtilityReference
-    marginals: dict[int, Marginals] = field(default_factory=dict)  # by num_bins
+    _reference: UtilityReference | None = None
+    _marginals: dict[int, Marginals] = field(default_factory=dict)  # by num_bins
 
-    def marginals_for(self, num_bins: int) -> Marginals:
-        if num_bins not in self.marginals:
-            self.marginals[num_bins] = count_marginals(self.data, num_bins)
-        return self.marginals[num_bins]
+    def reference(self) -> UtilityReference:
+        if self._reference is None:
+            self._reference = utility_reference(self.data)
+        return self._reference
+
+    def marginals(self, num_bins: int) -> Marginals:
+        if num_bins not in self._marginals:
+            self._marginals[num_bins] = count_marginals(self.data, num_bins)
+        return self._marginals[num_bins]
 
 
 def _resolve_variant(
@@ -125,7 +132,7 @@ def _resolve_variant(
     num_bins = spec.num_bins if spec.num_bins is not None else defaults.num_bins
     seed = spec.seed if spec.seed is not None else defaults.seed
     ds = synthesize(
-        original.data, epsilon, n, num_bins, seed, marginals=original.marginals_for(num_bins)
+        original.data, epsilon, n, num_bins, seed, marginals=original.marginals(num_bins)
     )
     generator = generator_metadata(plan.schema, epsilon, n, num_bins, seed)
     if spec.tags:
@@ -147,7 +154,7 @@ def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: _Original) 
             "status": "ok",
             "generator": generator,
             "utility": compute_utility(
-                original.data, variant, reference=original.reference
+                original.data, variant, reference=original.reference()
             ).to_dict(),
             "linkage": {},
         }
@@ -185,7 +192,7 @@ def run_audit(plan: AuditPlan) -> AuditReport:
     original = load_dataset(plan.original_path, plan.schema)
     targets = detect_outliers(original, plan.outlier_cfg)
     save_outlier_set(targets, plan.outlier_cfg, plan.output_dir / "outliers.csv")
-    prepared = _Original(original, targets, utility_reference(original))
+    prepared = _Original(original, targets)
     entries = [_audit_one_variant(plan, spec, prepared) for spec in plan.variants]
 
     run_meta = {
