@@ -116,7 +116,8 @@ def utility_reference(real: Dataset) -> UtilityReference:
         elif attr.kind is Kind.NUMERICAL:
             columns[attr.name] = np.array([np.min(col), np.median(col), np.max(col)])
         else:
-            columns[attr.name] = np.array(list(set(col.tolist())), dtype=object)
+            # no col.tolist(): a list the length of the column raises the peak RSS
+            columns[attr.name] = np.array(list(set(col)), dtype=object)
     return UtilityReference(source=real, columns=columns)
 
 
