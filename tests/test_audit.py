@@ -31,6 +31,7 @@ from synthaudit.config import SynthSettings, VariantSpec
 from synthaudit.dp_synth import DEFAULT_NUM_BINS, count_marginals, generator_metadata
 from synthaudit.linkage import save_matches
 from synthaudit.report import strip_volatile, dumps_report
+from synthaudit.utility import utility_reference
 
 SCHEMA = (
     AttributeSchema("age", Kind.NUMERICAL, Role.QI),
@@ -244,9 +245,12 @@ def count_calls(monkeypatch, function, *modules):
 
 
 class TestOriginalPreparedOncePerRun:
-    def test_run_audit_detects_outliers_once(self, tmp_path, original_csv, monkeypatch):
+    def test_run_audit_detects_outliers_and_reduces_the_original_once(
+        self, tmp_path, original_csv, monkeypatch
+    ):
         path, _ = original_csv
         detects = count_calls(monkeypatch, detect_outliers, "synthaudit.audit", "synthaudit.linkage")
+        reductions = count_calls(monkeypatch, utility_reference, "synthaudit.audit", "synthaudit.utility")
         plan = make_plan(
             tmp_path, path, [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
         )
@@ -254,6 +258,7 @@ class TestOriginalPreparedOncePerRun:
         assert [e["status"] for e in report.variants] == ["ok", "ok"]
         assert sum(len(e["linkage"]) for e in report.variants) == 4
         assert len(detects) == 1
+        assert len(reductions) == 1
 
     def test_run_audit_counts_histograms_once_per_bin_count(self, tmp_path, original_csv, monkeypatch):
         path, _ = original_csv
@@ -272,11 +277,13 @@ class TestOriginalPreparedOncePerRun:
     def test_sweep_prepares_once(self, monkeypatch):
         detects = count_calls(monkeypatch, detect_outliers, "synthaudit.audit", "synthaudit.linkage")
         counts = count_calls(monkeypatch, count_marginals, "synthaudit.audit", "synthaudit.dp_synth")
+        reductions = count_calls(monkeypatch, utility_reference, "synthaudit.audit", "synthaudit.utility")
         original = fixture_original(n=80)
         report = sweep_epsilon(original, (0.1, 1.0, 5.0), 2, 0, OUTLIER_CFG, QI_CFG, num_bins=12)
         assert len(report.variants) == 6
         assert [args[0] for args in detects] == [original]
         assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
+        assert [args[0] for args in reductions] == [original]
 
 
 def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tmp_path, original_csv):
