@@ -17,6 +17,7 @@ All comparators are symmetric, total on their domains, and never return NaN
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -30,7 +31,7 @@ class ComparatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ComparatorSpec:
-    """Comparator choice plus parameters; only gauss takes offset/scale."""
+    """Comparator choice plus parameters; only gauss takes offset/scale, both finite."""
 
     kind: ComparatorKind
     offset: float | None = None
@@ -42,6 +43,11 @@ class ComparatorSpec:
                 raise ConfigError(f"gauss comparator requires scale > 0, got {self.scale}")
             if self.offset is None or self.offset < 0:
                 raise ConfigError(f"gauss comparator requires offset >= 0, got {self.offset}")
+            if not (math.isfinite(self.offset) and math.isfinite(self.scale)):  # nan passes `< 0`
+                raise ConfigError(
+                    f"gauss comparator requires a finite offset and scale, "
+                    f"got offset {self.offset} and scale {self.scale}"
+                )
         elif self.offset is not None or self.scale is not None:
             raise ConfigError(f"{self.kind.value} comparator takes no offset/scale")
 

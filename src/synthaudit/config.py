@@ -5,25 +5,23 @@ silently weaken privacy parameters. The canonical rendering produced by
 :func:`render_config` re-parses to an equivalent RunConfig and is what gets
 hashed and echoed into run reports.
 
-Sections::
-
-    [schema]            attribute = <numerical|categorical> [qi]
-    [outliers]          k, attributes, combine, stddev
-    [qi <attribute>]    comparator, offset, scale, threshold
-    [synth]             epsilon, n, num_bins, seed
-    [paths]             original, output_dir
-    [attack]            ladder, blocking, restrict_variant_outliers
-    [variant <name>]    file   -or-   epsilon, seed, n, num_bins
-    [sweep]             grid, repeats, base_seed
+Besides ``[schema]`` (``attribute = <numerical|categorical> [qi]``), each
+section is declared once, as an ordered table from key to :class:`_Key`:
+``[outliers]``, ``[qi <attribute>]``, ``[synth]``, ``[paths]``, ``[attack]``,
+``[variant <name>]`` (a file, or generator settings) and ``[sweep]``. The
+unknown-key check, the required-key message, parsing and rendering all come
+from those tables; only rules that span keys or sections are written out.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable
 
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import AttributeSchema, Kind, Role, validate_schema
@@ -31,14 +29,6 @@ from .dp_synth import DEFAULT_NUM_BINS
 from .errors import ConfigError
 from .linkage import QIConfig, QIRule, validate_blocking
 from .outliers import Combine, OutlierConfig
-
-_OUTLIER_KEYS = {"k", "attributes", "combine", "stddev"}
-_QI_KEYS = {"comparator", "offset", "scale", "threshold"}
-_SYNTH_KEYS = {"epsilon", "n", "num_bins", "seed"}
-_PATH_KEYS = {"original", "output_dir"}
-_ATTACK_KEYS = {"ladder", "blocking", "restrict_variant_outliers"}
-_VARIANT_KEYS = {"file", "epsilon", "seed", "n", "num_bins", "tags"}
-_SWEEP_KEYS = {"grid", "repeats", "base_seed"}
 
 
 @dataclass(frozen=True)
@@ -101,33 +91,163 @@ def _fail(section: str, key: str, value: str, expected: str) -> ConfigError:
     return ConfigError(f"[{section}] {key} = {value!r}: expected {expected}")
 
 
-def _as_float(section: str, key: str, value: str) -> float:
+@dataclass(frozen=True)
+class _Key:
+    """How one key reads its text and writes its value back.
+
+    ``parse(section, key, text)`` returns the value or raises ConfigError.
+    ``attr`` is the dotted attribute the value is rendered from, when it is
+    not the key itself.
+    """
+
+    parse: Callable[[str, str, str], Any]
+    render: Callable[[Any], str] = str
+    required: bool = False
+    attr: str | None = None
+
+
+def _words(section: str, key: str, text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+def _number(section: str, key: str, text: str) -> float:
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise _fail(section, key, value, "a number") from None
+        raise _fail(section, key, text, "a number") from None
 
 
-def _as_int(section: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise _fail(section, key, value, "an integer") from None
+def _epsilon(section: str, key: str, text: str) -> float:
+    value = _number(section, key, text)
+    if not 0 < value < math.inf:  # also false for nan
+        raise _fail(section, key, text, "a positive, finite epsilon")
+    return value
 
 
-def _as_bool(section: str, key: str, value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise _fail(section, key, value, "true or false")
+def _integer(least: int) -> Callable[[str, str, str], int]:
+    def parse(section: str, key: str, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise _fail(section, key, text, "an integer") from None
+        if value < least:
+            raise _fail(section, key, text, f"an integer >= {least}")
+        return value
+
+    return parse
 
 
-def _check_keys(section: str, present, allowed: set[str]) -> None:
-    unknown = sorted(set(present) - allowed)
+def _choice(options: dict[str, Any], expected: str, **kwargs) -> _Key:
+    """A key naming one of ``options``, case-insensitively; a value renders as its last name."""
+    names = {value: name for name, value in options.items()}
+
+    def parse(section: str, key: str, text: str) -> Any:
+        try:
+            return options[text.strip().lower()]
+        except KeyError:
+            raise _fail(section, key, text, expected) from None
+
+    return _Key(parse, names.__getitem__, **kwargs)
+
+
+def _ladder(section: str, key: str, text: str) -> tuple[tuple[str, ...], ...]:
+    # Empty subsets and unknown names are checked against [qi] by _parse_attack.
+    return tuple(tuple(part.split()) for part in text.split("|"))
+
+
+def _tags(section: str, key: str, text: str) -> tuple[tuple[str, str], ...]:
+    tokens = text.split()
+    if not all("=" in token for token in tokens):
+        raise _fail(section, key, text, "space-separated key=value pairs")
+    return tuple(tuple(token.split("=", 1)) for token in tokens)
+
+
+def _grid(section: str, key: str, text: str) -> tuple[float, ...]:
+    tokens = text.split()
+    grid = tuple(_number(section, key, tok) for tok in tokens)
+    if not grid:
+        raise ConfigError(f"[{section}] grid is empty")
+    for tok in tokens:
+        _epsilon(section, key, tok)
+    if len(set(grid)) != len(grid):
+        raise _fail(section, key, text, "each epsilon once")
+    return grid
+
+
+_COMPARATOR = _choice({c.value: c for c in ComparatorKind}, "gauss, levenshtein or exact")
+_NUMBER = _Key(_number, repr)
+_EPSILON = _Key(_epsilon, repr)
+_COUNT = _Key(_integer(1))
+_SEED = _Key(_integer(0))
+_TEXT = _Key(lambda section, key, text: text.strip())
+# "true" and "false" come last, so they are the names a flag renders as.
+_FLAG = _choice(
+    {"yes": True, "1": True, "true": True, "no": False, "0": False, "false": False}, "true or false"
+)
+
+# One ordered table per keyed section: parse order, render order and the
+# allowed keys all come from here.
+_OUTLIERS = {
+    "k": replace(_NUMBER, required=True),
+    "attributes": _Key(_words, " ".join, required=True),
+    "combine": _choice({c.value: c for c in Combine}, "'any' or 'all'"),
+    "stddev": _choice({"population": 0, "sample": 1}, "'population' or 'sample'", attr="ddof"),
+}
+_QI = {
+    "comparator": replace(_COMPARATOR, required=True, attr="comparator.kind"),
+    "offset": replace(_NUMBER, attr="comparator.offset"),
+    "scale": replace(_NUMBER, attr="comparator.scale"),
+    "threshold": _NUMBER,
+}
+_SYNTH = {
+    "epsilon": replace(_EPSILON, required=True),
+    "n": replace(_COUNT, required=True),
+    "num_bins": _COUNT,
+    "seed": _SEED,
+}
+_PATHS = {"original": _TEXT, "output_dir": _TEXT}
+_ATTACK = {
+    "ladder": _Key(_ladder, lambda ladder: " | ".join(" ".join(names) for names in ladder)),
+    "blocking": _TEXT,
+    "restrict_variant_outliers": _FLAG,
+}
+_VARIANT = {
+    "file": _TEXT,
+    "epsilon": _EPSILON,
+    "seed": _SEED,
+    "n": _COUNT,
+    "num_bins": _COUNT,
+    "tags": _Key(_tags, lambda tags: " ".join(map("=".join, tags))),
+}
+_SWEEP = {
+    "grid": _Key(_grid, lambda grid: " ".join(map(repr, grid)), required=True),
+    "repeats": _COUNT,
+    "base_seed": _SEED,
+}
+
+
+def _read(section: str, raw: configparser.SectionProxy, table: dict[str, _Key]) -> dict:
+    """Check the section's keys against ``table``, then parse each in table order."""
+    unknown = sorted(set(raw) - set(table))
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {unknown}")
+    required = [key for key, spec in table.items() if spec.required]
+    if not all(key in raw for key in required):
+        both = "both " if len(required) == 2 else ""
+        raise ConfigError(f"[{section}] requires {both}{' and '.join(map(repr, required))}")
+    return {key: spec.parse(section, key, raw[key]) for key, spec in table.items() if key in raw}
+
+
+def _render(section: str, obj: Any, table: dict[str, _Key]) -> str:
+    """The section's text: one line per key whose value is set; '' when there is none."""
+    if obj is None:
+        return ""
+    lines = []
+    for key, spec in table.items():
+        value = attrgetter(spec.attr or key)(obj)
+        if value is not None and value != ():
+            lines.append(f"{key} = {spec.render(value)}\n")
+    return f"[{section}]\n" + "".join(lines) if lines else ""
 
 
 def _parse_schema(section: configparser.SectionProxy) -> tuple[AttributeSchema, ...]:
@@ -136,15 +256,12 @@ def _parse_schema(section: configparser.SectionProxy) -> tuple[AttributeSchema, 
         tokens = value.split()
         if not tokens or tokens[0] not in ("numerical", "categorical"):
             raise _fail("schema", name, value, "'numerical' or 'categorical', optionally 'qi'")
-        kind = Kind.NUMERICAL if tokens[0] == "numerical" else Kind.CATEGORICAL
-        role = Role.NON_QI
-        if len(tokens) == 2:
-            if tokens[1] != "qi":
-                raise _fail("schema", name, value, "'qi' as the only flag")
-            role = Role.QI
-        elif len(tokens) > 2:
+        if len(tokens) > 2:
             raise _fail("schema", name, value, "at most two tokens")
-        attrs.append(AttributeSchema(name=name, kind=kind, role=role))
+        if tokens[1:] not in ([], ["qi"]):
+            raise _fail("schema", name, value, "'qi' as the only flag")
+        role = Role.QI if len(tokens) == 2 else Role.NON_QI
+        attrs.append(AttributeSchema(name=name, kind=Kind(tokens[0]), role=role))
     schema = tuple(attrs)
     validate_schema(schema)
     return schema
@@ -158,141 +275,56 @@ def _schema_attr(schema: tuple[AttributeSchema, ...], name: str) -> AttributeSch
 
 
 def _parse_outliers(section, schema) -> OutlierConfig:
-    _check_keys("outliers", section.keys(), _OUTLIER_KEYS)
-    if "k" not in section or "attributes" not in section:
-        raise ConfigError("[outliers] requires both 'k' and 'attributes'")
-    attributes = tuple(section["attributes"].split())
-    for name in attributes:
+    values = _read("outliers", section, _OUTLIERS)
+    for name in values["attributes"]:
         attr = _schema_attr(schema, name)
         if attr.kind is not Kind.NUMERICAL:
             raise ConfigError(f"[outliers] attribute {name!r} is not numerical")
         if attr.role is not Role.QI:
             raise ConfigError(f"[outliers] attribute {name!r} is not a QI")
-    combine = Combine.ANY
-    if "combine" in section:
-        try:
-            combine = Combine(section["combine"].strip().lower())
-        except ValueError:
-            raise _fail("outliers", "combine", section["combine"], "'any' or 'all'") from None
-    ddof = 0
-    if "stddev" in section:
-        conv = section["stddev"].strip().lower()
-        if conv not in ("population", "sample"):
-            raise _fail("outliers", "stddev", section["stddev"], "'population' or 'sample'")
-        ddof = 0 if conv == "population" else 1
-    return OutlierConfig(
-        k=_as_float("outliers", "k", section["k"]),
-        attributes=attributes,
-        combine=combine,
-        ddof=ddof,
-    )
+    if "stddev" in values:
+        values["ddof"] = values.pop("stddev")
+    return OutlierConfig(**values)
 
 
 def _parse_qi_rule(attr_name: str, section, schema) -> QIRule:
     section_name = f"qi {attr_name}"
-    _check_keys(section_name, section.keys(), _QI_KEYS)
     attr = _schema_attr(schema, attr_name)
     if attr.role is not Role.QI:
         raise ConfigError(f"[{section_name}]: {attr_name!r} is not marked 'qi' in [schema]")
-    if "comparator" not in section:
-        raise ConfigError(f"[{section_name}] requires 'comparator'")
-    try:
-        kind = ComparatorKind(section["comparator"].strip().lower())
-    except ValueError:
-        raise _fail(section_name, "comparator", section["comparator"], "gauss, levenshtein or exact") from None
+    values = _read(section_name, section, _QI)
+    kind = values["comparator"]
     if kind is ComparatorKind.GAUSS and attr.kind is not Kind.NUMERICAL:
         raise ConfigError(f"[{section_name}]: gauss comparator on a categorical attribute")
     if kind is not ComparatorKind.GAUSS and attr.kind is not Kind.CATEGORICAL:
         raise ConfigError(f"[{section_name}]: {kind.value} comparator on a numeric attribute")
-    offset = _as_float(section_name, "offset", section["offset"]) if "offset" in section else None
-    scale = _as_float(section_name, "scale", section["scale"]) if "scale" in section else None
-    threshold = (
-        _as_float(section_name, "threshold", section["threshold"])
-        if "threshold" in section
-        else None
-    )
-    return QIRule(
-        name=attr_name,
-        comparator=ComparatorSpec(kind=kind, offset=offset, scale=scale),
-        threshold=threshold,
-    )
+    comparator = ComparatorSpec(kind=kind, offset=values.get("offset"), scale=values.get("scale"))
+    return QIRule(name=attr_name, comparator=comparator, threshold=values.get("threshold"))
 
 
-def _parse_synth(section) -> SynthSettings:
-    _check_keys("synth", section.keys(), _SYNTH_KEYS)
-    if "epsilon" not in section or "n" not in section:
-        raise ConfigError("[synth] requires both 'epsilon' and 'n'")
-    return SynthSettings(
-        epsilon=_as_float("synth", "epsilon", section["epsilon"]),
-        n=_as_int("synth", "n", section["n"]),
-        num_bins=_as_int("synth", "num_bins", section["num_bins"]) if "num_bins" in section else DEFAULT_NUM_BINS,
-        seed=_as_int("synth", "seed", section["seed"]) if "seed" in section else 0,
-    )
-
-
-def _parse_ladder(value: str, qi: QIConfig) -> tuple[tuple[str, ...], ...]:
-    subsets = []
-    for part in value.split("|"):
-        names = tuple(part.split())
+def _parse_attack(section, qi: QIConfig | None) -> dict:
+    values = _read("attack", section, _ATTACK)
+    if qi is None:
+        raise ConfigError("[attack] requires at least one [qi ...] section")
+    for names in values.get("ladder", ()):  # one subset at a time, in order
         if not names:
             raise ConfigError("[attack] ladder contains an empty QI subset")
         qi.subset(names)  # raises on unknown names
-        subsets.append(names)
-    return tuple(subsets)
-
-
-def _parse_tags(section_name: str, value: str) -> tuple[tuple[str, str], ...]:
-    tags = []
-    for token in value.split():
-        if "=" not in token:
-            raise _fail(section_name, "tags", value, "space-separated key=value pairs")
-        key, _, val = token.partition("=")
-        tags.append((key, val))
-    return tuple(tags)
+    if "blocking" in values:
+        validate_blocking(values["blocking"], qi)
+    return values
 
 
 def _parse_variant(name: str, section) -> VariantSpec:
     section_name = f"variant {name}"
-    _check_keys(section_name, section.keys(), _VARIANT_KEYS)
-    tags = _parse_tags(section_name, section["tags"]) if "tags" in section else ()
-    if "file" in section:
-        extra = sorted(set(section.keys()) - {"file", "tags"})
+    values = _read(section_name, section, _VARIANT)
+    if "file" in values:
+        extra = sorted(set(values) - {"file", "tags"})
         if extra:
             raise ConfigError(f"[{section_name}] mixes 'file' with generator keys {extra}")
-        return VariantSpec(name=name, file=section["file"].strip(), tags=tags)
-    if "epsilon" not in section:
+    elif "epsilon" not in values:
         raise ConfigError(f"[{section_name}] needs either 'file' or 'epsilon'")
-    return VariantSpec(
-        name=name,
-        epsilon=_as_float(section_name, "epsilon", section["epsilon"]),
-        seed=_as_int(section_name, "seed", section["seed"]) if "seed" in section else None,
-        n=_as_int(section_name, "n", section["n"]) if "n" in section else None,
-        num_bins=_as_int(section_name, "num_bins", section["num_bins"]) if "num_bins" in section else None,
-        tags=tags,
-    )
-
-
-def _parse_sweep(section) -> SweepSettings:
-    _check_keys("sweep", section.keys(), _SWEEP_KEYS)
-    if "grid" not in section:
-        raise ConfigError("[sweep] requires 'grid'")
-    tokens = section["grid"].split()
-    grid = tuple(_as_float("sweep", "grid", tok) for tok in tokens)
-    if not grid:
-        raise ConfigError("[sweep] grid is empty")
-    for tok, epsilon in zip(tokens, grid):
-        if not 0 < epsilon < float("inf"):  # also false for nan
-            raise _fail("sweep", "grid", tok, "a positive, finite epsilon")
-    if len(set(grid)) != len(grid):
-        raise _fail("sweep", "grid", section["grid"], "each epsilon once")
-    repeats = _as_int("sweep", "repeats", section["repeats"]) if "repeats" in section else 1
-    if repeats < 1:
-        raise _fail("sweep", "repeats", section["repeats"], "an integer >= 1")
-    return SweepSettings(
-        grid=grid,
-        repeats=repeats,
-        base_seed=_as_int("sweep", "base_seed", section["base_seed"]) if "base_seed" in section else 0,
-    )
+    return VariantSpec(name=name, **values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -322,46 +354,22 @@ def parse_config(text: str) -> RunConfig:
 
     qi = QIConfig(rules=tuple(qi_rules)) if qi_rules else None
     outliers = _parse_outliers(parser["outliers"], schema) if "outliers" in parser else None
-    synth = _parse_synth(parser["synth"]) if "synth" in parser else None
-    sweep = _parse_sweep(parser["sweep"]) if "sweep" in parser else None
-
-    original = None
-    output_dir = None
-    if "paths" in parser:
-        _check_keys("paths", parser["paths"].keys(), _PATH_KEYS)
-        original = parser["paths"].get("original")
-        output_dir = parser["paths"].get("output_dir")
-
-    ladder: tuple[tuple[str, ...], ...] = ()
-    blocking = None
-    restrict = False
-    if "attack" in parser:
-        section = parser["attack"]
-        _check_keys("attack", section.keys(), _ATTACK_KEYS)
-        if qi is None:
-            raise ConfigError("[attack] requires at least one [qi ...] section")
-        if "ladder" in section:
-            ladder = _parse_ladder(section["ladder"], qi)
-        if "blocking" in section:
-            blocking = section["blocking"].strip()
-            validate_blocking(blocking, qi)
-        if "restrict_variant_outliers" in section:
-            restrict = _as_bool("attack", "restrict_variant_outliers", section["restrict_variant_outliers"])
-    if not ladder and qi is not None:
-        ladder = (qi.names(),)
+    synth = SynthSettings(**_read("synth", parser["synth"], _SYNTH)) if "synth" in parser else None
+    sweep = SweepSettings(**_read("sweep", parser["sweep"], _SWEEP)) if "sweep" in parser else None
+    paths = _read("paths", parser["paths"], _PATHS) if "paths" in parser else {}
+    attack = _parse_attack(parser["attack"], qi) if "attack" in parser else {}
+    if "ladder" not in attack and qi is not None:
+        attack["ladder"] = (qi.names(),)
 
     return RunConfig(
         schema=schema,
         outliers=outliers,
         qi=qi,
         synth=synth,
-        original=original,
-        output_dir=output_dir,
-        ladder=ladder,
-        blocking=blocking,
-        restrict_variant_outliers=restrict,
         variants=tuple(variants),
         sweep=sweep,
+        **paths,
+        **attack,
     )
 
 
@@ -376,84 +384,22 @@ def load_config(path: str | Path) -> RunConfig:
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(render_config(cfg)) is equivalent to cfg."""
-    out = io.StringIO()
-
-    def line(s: str = "") -> None:
-        out.write(s + "\n")
-
-    line("[schema]")
-    for attr in cfg.schema:
-        role = " qi" if attr.role is Role.QI else ""
-        line(f"{attr.name} = {attr.kind.value}{role}")
-
-    if cfg.outliers is not None:
-        line()
-        line("[outliers]")
-        line(f"k = {cfg.outliers.k!r}")
-        line(f"attributes = {' '.join(cfg.outliers.attributes)}")
-        line(f"combine = {cfg.outliers.combine.value}")
-        line(f"stddev = {'population' if cfg.outliers.ddof == 0 else 'sample'}")
-
-    if cfg.qi is not None:
-        for rule in cfg.qi.rules:
-            line()
-            line(f"[qi {rule.name}]")
-            line(f"comparator = {rule.comparator.kind.value}")
-            if rule.comparator.offset is not None:
-                line(f"offset = {rule.comparator.offset!r}")
-            if rule.comparator.scale is not None:
-                line(f"scale = {rule.comparator.scale!r}")
-            line(f"threshold = {rule.threshold!r}")
-
-    if cfg.synth is not None:
-        line()
-        line("[synth]")
-        line(f"epsilon = {cfg.synth.epsilon!r}")
-        line(f"n = {cfg.synth.n}")
-        line(f"num_bins = {cfg.synth.num_bins}")
-        line(f"seed = {cfg.synth.seed}")
-
-    if cfg.original is not None or cfg.output_dir is not None:
-        line()
-        line("[paths]")
-        if cfg.original is not None:
-            line(f"original = {cfg.original}")
-        if cfg.output_dir is not None:
-            line(f"output_dir = {cfg.output_dir}")
-
-    if cfg.qi is not None:
-        line()
-        line("[attack]")
-        if cfg.ladder:
-            line(f"ladder = {' | '.join(' '.join(subset) for subset in cfg.ladder)}")
-        if cfg.blocking is not None:
-            line(f"blocking = {cfg.blocking}")
-        line(f"restrict_variant_outliers = {'true' if cfg.restrict_variant_outliers else 'false'}")
-
-    for variant in cfg.variants:
-        line()
-        line(f"[variant {variant.name}]")
-        if variant.file is not None:
-            line(f"file = {variant.file}")
-        else:
-            line(f"epsilon = {variant.epsilon!r}")
-            if variant.seed is not None:
-                line(f"seed = {variant.seed}")
-            if variant.n is not None:
-                line(f"n = {variant.n}")
-            if variant.num_bins is not None:
-                line(f"num_bins = {variant.num_bins}")
-        if variant.tags:
-            line(f"tags = {' '.join(f'{k}={v}' for k, v in variant.tags)}")
-
-    if cfg.sweep is not None:
-        line()
-        line("[sweep]")
-        line(f"grid = {' '.join(repr(e) for e in cfg.sweep.grid)}")
-        line(f"repeats = {cfg.sweep.repeats}")
-        line(f"base_seed = {cfg.sweep.base_seed}")
-
-    return out.getvalue()
+    schema = "".join(
+        f"{attr.name} = {attr.kind.value}{' qi' if attr.role is Role.QI else ''}\n"
+        for attr in cfg.schema
+    )
+    rules = cfg.qi.rules if cfg.qi is not None else ()
+    blocks = [
+        "[schema]\n" + schema,
+        _render("outliers", cfg.outliers, _OUTLIERS),
+        *(_render(f"qi {rule.name}", rule, _QI) for rule in rules),
+        _render("synth", cfg.synth, _SYNTH),
+        _render("paths", cfg, _PATHS),
+        _render("attack", cfg if cfg.qi is not None else None, _ATTACK),
+        *(_render(f"variant {variant.name}", variant, _VARIANT) for variant in cfg.variants),
+        _render("sweep", cfg.sweep, _SWEEP),
+    ]
+    return "\n".join(block for block in blocks if block)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -206,6 +206,8 @@ def synthesize(
         raise DataError("cannot synthesize from an empty dataset")
     if n < 1:
         raise ConfigError(f"row count n must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     budget = PrivacyBudget(epsilon=epsilon, attribute_count=len(ds.schema))
     eps_a = budget.per_attribute_epsilon
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Kind, column_stats
-from .errors import ConfigError
+from .dataset import Dataset, Kind
+from .errors import ConfigError, DataError
 
 
 class Combine(enum.Enum):
@@ -79,12 +79,15 @@ def detect_outliers(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     for attr in cfg.attributes:
         if ds.attribute(attr).kind is not Kind.NUMERICAL:
             raise ConfigError(f"outlier attribute {attr!r} is not numeric")
-        stats = column_stats(ds, attr, ddof=cfg.ddof)
+        if ds.row_count < 1:  # column_stats' message, which a failed variant's report entry records
+            raise DataError("column_stats on an empty dataset")
         col = ds.columns[attr]
-        if stats.stddev == 0:
+        mean = float(np.mean(col))
+        stddev = float(np.std(col, ddof=cfg.ddof))
+        if stddev == 0:
             z_cols[attr] = np.zeros(ds.row_count)
         else:
-            z_cols[attr] = (col - stats.mean) / stats.stddev
+            z_cols[attr] = (col - mean) / stddev
 
     extreme = np.stack([np.abs(z) > cfg.k for z in z_cols.values()])
     hits = extreme.any(axis=0) if cfg.combine is Combine.ANY else extreme.all(axis=0)

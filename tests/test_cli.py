@@ -253,6 +253,19 @@ class TestSynthesizeCommand:
         assert (tmp / "s1.csv").read_bytes() == (tmp / "s2.csv").read_bytes()
         assert "wrote 120 rows" in capsys.readouterr().out
 
+    def test_negative_seed_is_config_exit_without_traceback(self, workdir, caplog):
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", SYNTH_CONFIG)
+        code = main(
+            ["synthesize", "-c", str(cfg), str(tmp / "original.csv"), "--out", str(tmp / "x.csv"), "--seed", "-3"]
+        )
+        assert code == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: seed must be non-negative, got -3"
+        ]
+        assert not any(r.exc_info for r in caplog.records)
+        assert not (tmp / "x.csv").exists()
+
     def test_zero_rows_rejected_with_config_exit(self, workdir):
         tmp, _ = workdir
         cfg = write(tmp / "cfg.ini", SYNTH_CONFIG)
@@ -381,6 +394,37 @@ class TestAuditCommand:
         assert not (tmp / "out" / "report.json").exists()
         assert not (tmp / "out" / "outliers.csv").exists()
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("epsilon = 0.5\n", "epsilon = -1\n"),
+            ("epsilon = 0.5\n", "epsilon = nan\n"),
+            ("epsilon = 0.5\n", "epsilon = 0.5\nn = 0\n"),
+            ("epsilon = 0.5\n", "epsilon = 0.5\nnum_bins = 0\n"),
+            ("seed = 11\n", "seed = -3\n"),
+            ("seed = 5\n", "seed = -1\n"),
+            ("offset = 2\n", "offset = nan\n"),
+            ("scale = 3\n", "scale = inf\n"),
+        ],
+        ids=[
+            "variant-epsilon-negative",
+            "variant-epsilon-nan",
+            "variant-n-0",
+            "variant-num_bins-0",
+            "variant-seed-negative",
+            "synth-seed-negative",
+            "gauss-offset-nan",
+            "gauss-scale-inf",
+        ],
+    )
+    def test_bad_generator_or_gauss_setting_is_2_before_any_data_is_read(self, tmp_path, old, new):
+        # there is no original.csv: reading it would exit 3
+        template = PLAN_TEMPLATE.format(out=tmp_path / "out")
+        assert old in template
+        plan = write(tmp_path / "plan.ini", template.replace(old, new, 1))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_original_is_3(self, tmp_path):
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
         assert main(["audit", "--plan", str(plan)]) == 3
@@ -456,8 +500,13 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "sweep",
-        ["grid = 0.1 0.1 1.0\nrepeats = 1", "grid = -1.0 1.0\nrepeats = 1", "grid = 1.0\nrepeats = 0"],
-        ids=["duplicate-epsilon", "negative-epsilon", "repeats-0"],
+        [
+            "grid = 0.1 0.1 1.0\nrepeats = 1",
+            "grid = -1.0 1.0\nrepeats = 1",
+            "grid = 1.0\nrepeats = 0",
+            "grid = 1.0\nbase_seed = -1",
+        ],
+        ids=["duplicate-epsilon", "negative-epsilon", "repeats-0", "base-seed-negative"],
     )
     def test_bad_sweep_is_2_before_any_data_is_read(self, tmp_path, sweep):
         # there is no original.csv: reading it would exit 3

@@ -106,6 +106,25 @@ class TestComparatorSpec:
         with pytest.raises(ConfigError):
             ComparatorSpec(ComparatorKind.GAUSS, offset=-1.0, scale=1.0)
 
+    @pytest.mark.parametrize(
+        "offset, scale, shown",
+        [
+            (float("nan"), 5.0, "offset nan and scale 5.0"),
+            (float("inf"), 5.0, "offset inf and scale 5.0"),
+            (5.0, float("inf"), "offset 5.0 and scale inf"),
+        ],
+        ids=["nan-offset", "inf-offset", "inf-scale"],
+    )
+    def test_gauss_requires_finite_parameters(self, offset, scale, shown):
+        # a nan offset made the join radius nan, so attack() found no pair the scalar score accepts
+        with pytest.raises(ConfigError) as caught:
+            ComparatorSpec(ComparatorKind.GAUSS, offset=offset, scale=scale)
+        assert str(caught.value) == f"gauss comparator requires a finite offset and scale, got {shown}"
+
+    def test_gauss_accepts_large_finite_parameters(self):
+        spec = ComparatorSpec(ComparatorKind.GAUSS, offset=1e308, scale=1e308)
+        assert spec.score(-1e307, 1e307) == 1.0
+
     def test_string_comparators_take_no_parameters(self):
         with pytest.raises(ConfigError):
             ComparatorSpec(ComparatorKind.LEVENSHTEIN, offset=1.0)

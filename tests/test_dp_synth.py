@@ -159,6 +159,12 @@ class TestSynthesize:
         save_dataset(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_negative_seed_rejected(self):
+        ds = mixed_ds()
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -3"):
+            synthesize(ds, 0.5, 300, seed=-3)
+        assert synthesize(ds, 0.5, 300, seed=0).row_count == 300
+
     def test_different_seeds_differ(self):
         ds = mixed_ds()
         assert synthesize(ds, 0.5, 300, seed=1) != synthesize(ds, 0.5, 300, seed=2)

@@ -15,6 +15,7 @@ from synthaudit import (
     detect_outliers,
     z_score,
 )
+from synthaudit.dataset import column_stats
 from synthaudit.outliers import save_outlier_set
 
 
@@ -139,6 +140,25 @@ def test_detect_rejects_categorical_and_missing(toy_dataset):
         detect_outliers(toy_dataset, OutlierConfig(k=3, attributes=("home",)))
     with pytest.raises(DataError):
         detect_outliers(toy_dataset, OutlierConfig(k=3, attributes=("nope",)))
+
+
+def test_empty_dataset_rejected():
+    empty = one_col([])
+    with pytest.raises(DataError, match="empty dataset"):
+        detect_outliers(empty, OutlierConfig(k=1.0, attributes=("x",)))
+
+
+@pytest.mark.parametrize("ddof", [0, 1])
+def test_z_scores_equal_column_stats_based_scores(ddof):
+    rng = np.random.default_rng(7)
+    ds = two_col(rng.lognormal(3.0, 1.0, 997).tolist(), [4.0] * 997)
+    cfg = OutlierConfig(k=0.5, attributes=("x", "y"), ddof=ddof)
+    flagged = detect_outliers(ds, cfg)
+    stats = column_stats(ds, "x", ddof=ddof)
+    expected = (ds.columns["x"] - stats.mean) / stats.stddev
+    assert flagged.flagged == frozenset(np.flatnonzero(np.abs(expected) > 0.5).tolist())
+    for i, zs in flagged.per_attribute_z.items():
+        assert zs == {"x": float(expected[i]), "y": 0.0}  # bit for bit; the constant column is 0
 
 
 def test_sample_convention_changes_scores():
