@@ -9,13 +9,10 @@ from .comparators import (
 )
 from .dataset import (
     AttributeSchema,
-    ColumnStats,
     Dataset,
     Kind,
     MissingPolicy,
     Role,
-    category_set,
-    column_stats,
     load_dataset,
     save_dataset,
 )
@@ -30,7 +27,7 @@ from .linkage import (
     filter_matches,
     score_pairs,
 )
-from .outliers import Combine, OutlierConfig, OutlierSet, detect_outliers, z_score
+from .outliers import Combine, OutlierConfig, OutlierSet, detect_outliers
 from .utility import (
     UtilityReport,
     attribute_coverage,
@@ -48,7 +45,6 @@ __all__ = [
     "AttributeSchema",
     "AuditPlan",
     "AuditReport",
-    "ColumnStats",
     "Combine",
     "ComparatorKind",
     "ComparatorSpec",
@@ -73,8 +69,6 @@ __all__ = [
     "boundary_adherence",
     "build_noisy_histogram",
     "category_coverage",
-    "category_set",
-    "column_stats",
     "compute_utility",
     "detect_outliers",
     "exact_similarity",
@@ -89,5 +83,4 @@ __all__ = [
     "statistic_similarity",
     "sweep_epsilon",
     "synthesize",
-    "z_score",
 ]

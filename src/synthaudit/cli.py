@@ -23,7 +23,7 @@ from pathlib import Path
 from .audit import AuditPlan, AuditReport, run_audit, sweep_epsilon
 from .config import RunConfig, SynthSettings, config_hash, load_config, render_config
 from .dataset import load_dataset, save_dataset
-from .dp_synth import DEFAULT_NUM_BINS, synthesize
+from .dp_synth import DEFAULT_NUM_BINS, check_settings, synthesize
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
@@ -110,10 +110,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else base.n
     num_bins = args.num_bins if args.num_bins is not None else base.num_bins
     seed = args.seed if args.seed is not None else base.seed
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive (set [synth] epsilon or pass --epsilon)")
-    if n < 1:
-        raise ConfigError("row count must be >= 1 (set [synth] n or pass --n)")
+    check_settings(epsilon, n, num_bins, seed)  # before the original is read
     original = load_dataset(args.original, cfg.schema)
     synth = synthesize(original, epsilon, n, num_bins, seed)
     save_dataset(synth, args.out)

@@ -61,10 +61,10 @@ class ComparatorSpec:
 
 def gauss_similarity(x: float, y: float, offset: float, scale: float) -> float:
     """2^(-(max(0, |x-y| - offset) / scale)^2); 1 iff |x-y| <= offset."""
-    if not scale > 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    if offset < 0:
-        raise ConfigError(f"offset must be non-negative, got {offset}")
+    if not 0 < scale < math.inf:  # also false for nan
+        raise ConfigError(f"scale must be positive and finite, got {scale}")
+    if not 0 <= offset < math.inf:
+        raise ConfigError(f"offset must be non-negative and finite, got {offset}")
     surplus = max(0.0, abs(x - y) - offset)
     return 2.0 ** (-((surplus / scale) ** 2))
 

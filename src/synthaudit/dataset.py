@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from pathlib import Path
-from typing import NoReturn
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -65,15 +65,6 @@ def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
         raise ConfigError(f"duplicate attribute names in schema: {dupes}")
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    mean: float
-    stddev: float
-    min: float
-    max: float
-    median: float
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable columnar table; safe to share across concurrent readers."""
@@ -81,6 +72,7 @@ class Dataset:
     schema: tuple[AttributeSchema, ...]
     columns: dict[str, np.ndarray] = field(repr=False)
     row_count: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         validate_schema(self.schema)
@@ -104,6 +96,19 @@ class Dataset:
         return all(
             np.array_equal(self.columns[a.name], other.columns[a.name]) for a in self.schema
         )
+
+    def derived(self, build: Callable[..., Any], *args: Any) -> Any:
+        """``build(self, *args)``, computed once per dataset object and argument tuple.
+
+        A dataset never changes, so a stored value cannot go stale. A build
+        that raises stores nothing. Two concurrent readers may both build a
+        value; the two are equal, and either is kept. A value must not hold
+        its dataset, so the dataset is freed by reference counting alone.
+        """
+        key = (build, *args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
     def attribute(self, name: str) -> AttributeSchema:
         for attr in self.schema:
@@ -318,34 +323,3 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
             writer.writerows(
                 zip(*(map(repr, values) if num else values for num, values in zip(numeric, block)))
             )
-
-
-def column_stats(ds: Dataset, attr: str, ddof: int = 0) -> ColumnStats:
-    """Summary statistics for a numeric column.
-
-    ``ddof=0`` (the default) selects the population standard deviation; pass
-    ``ddof=1`` for the sample convention when doing sensitivity analysis.
-    The median of an even-length column is the mean of the two middle order
-    statistics.
-    """
-    schema = ds.attribute(attr)
-    if schema.kind is not Kind.NUMERICAL:
-        raise DataError(f"column_stats requires a numeric attribute, {attr!r} is categorical")
-    if ds.row_count < 1:
-        raise DataError("column_stats on an empty dataset")
-    col = ds.columns[attr]
-    return ColumnStats(
-        mean=float(np.mean(col)),
-        stddev=float(np.std(col, ddof=ddof)),
-        min=float(np.min(col)),
-        max=float(np.max(col)),
-        median=float(np.median(col)),
-    )
-
-
-def category_set(ds: Dataset, attr: str) -> set[str]:
-    """Distinct values of a categorical column, case-sensitive, unnormalized."""
-    schema = ds.attribute(attr)
-    if schema.kind is not Kind.CATEGORICAL:
-        raise DataError(f"category_set requires a categorical attribute, {attr!r} is numeric")
-    return set(ds.columns[attr])

@@ -24,6 +24,7 @@ the output.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -43,8 +44,8 @@ class PrivacyBudget:
     attribute_count: int
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:  # also false for nan
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.attribute_count < 1:
             raise ConfigError("budget needs at least one attribute")
 
@@ -85,16 +86,6 @@ def _normalize(noisy: np.ndarray) -> np.ndarray:
     return clamped / total
 
 
-@dataclass(frozen=True, eq=False)
-class Marginals:
-    """Every attribute's histogram bins and exact counts, before any noise,
-    counted on the ``source`` dataset object with ``num_bins`` numeric bins."""
-
-    source: Dataset = field(repr=False)
-    num_bins: int
-    counts: dict[str, tuple[tuple, np.ndarray]] = field(repr=False)  # attr -> (bins, counts)
-
-
 def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np.ndarray]:
     """One attribute's bins and exact counts, binned as :func:`build_noisy_histogram` says."""
     if num_bins < 1:
@@ -119,10 +110,19 @@ def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np
     return bins, counts
 
 
-def count_marginals(ds: Dataset, num_bins: int = DEFAULT_NUM_BINS) -> Marginals:
-    """Count every attribute's histogram once, for any number of syntheses."""
-    counts = {a.name: _count(ds, a, num_bins) for a in ds.schema}
-    return Marginals(source=ds, num_bins=num_bins, counts=counts)
+def count_marginals(
+    ds: Dataset, num_bins: int = DEFAULT_NUM_BINS
+) -> dict[str, tuple[tuple, np.ndarray]]:
+    """Every attribute's histogram bins and exact counts, before any noise.
+
+    Counted once per dataset object and ``num_bins``; later calls return
+    the same read-only counts.
+    """
+    return ds.derived(_count_all, num_bins)
+
+
+def _count_all(ds: Dataset, num_bins: int) -> dict[str, tuple[tuple, np.ndarray]]:
+    return {a.name: _count(ds, a, num_bins) for a in ds.schema}
 
 
 def _noisy_histogram(
@@ -152,8 +152,8 @@ def build_noisy_histogram(
     range (a constant column collapses to a single bin); categorical
     attributes use their observed category set, in sorted order.
     """
-    if not eps_a > 0:
-        raise ConfigError(f"per-attribute epsilon must be positive, got {eps_a}")
+    if not 0 < eps_a < math.inf:  # also false for nan
+        raise ConfigError(f"per-attribute epsilon must be positive and finite, got {eps_a}")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     schema = ds.attribute(attr)
@@ -182,45 +182,45 @@ def _sample_from_histogram(
     return np.minimum(values, edges[-1])
 
 
+def check_settings(epsilon: float, n: int, num_bins: int, seed: int) -> None:
+    """Refuse the settings that ``[synth]`` refuses at load, in the order of its keys."""
+    if not 0 < epsilon < math.inf:  # also false for nan
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
+    if n < 1:
+        raise ConfigError(f"row count n must be >= 1, got {n}")
+    if num_bins < 1:
+        raise ConfigError(f"num_bins must be >= 1, got {num_bins}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def synthesize(
     ds: Dataset,
     epsilon: float,
     n: int,
     num_bins: int = DEFAULT_NUM_BINS,
     seed: int = 0,
-    *,
-    marginals: Marginals | None = None,
 ) -> Dataset:
     """Generate n rows by sampling every attribute from its noisy marginal.
 
     Deterministic for a fixed (dataset, epsilon, n, num_bins, seed); the
     output carries the input schema unchanged, and its categorical cells are
-    the input's own interned strings.
-
-    ``marginals`` are the exact counts of :func:`count_marginals`, so a run
-    synthesizing many variants counts once per ``num_bins``; when omitted,
-    they are counted here. Counts that were not built from this ``ds``
-    object with this ``num_bins`` raise ``ConfigError``.
+    the input's own interned strings. The exact counts come from
+    :func:`count_marginals`, so many syntheses from one dataset object count
+    once per ``num_bins``.
     """
     if ds.row_count == 0:
         raise DataError("cannot synthesize from an empty dataset")
-    if n < 1:
-        raise ConfigError(f"row count n must be >= 1, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_settings(epsilon, n, num_bins, seed)
     budget = PrivacyBudget(epsilon=epsilon, attribute_count=len(ds.schema))
     eps_a = budget.per_attribute_epsilon
-
-    if marginals is None:
-        marginals = count_marginals(ds, num_bins)
-    elif marginals.source is not ds or marginals.num_bins != num_bins:
-        raise ConfigError("marginals were counted on another dataset or num_bins")
+    marginals = count_marginals(ds, num_bins)
 
     children = np.random.SeedSequence(seed).spawn(len(ds.schema))
     columns: dict[str, np.ndarray] = {}
     for child, attr in zip(children, ds.schema):
         rng = np.random.Generator(np.random.PCG64(child))
-        hist = _noisy_histogram(attr, *marginals.counts[attr.name], eps_a, rng)
+        hist = _noisy_histogram(attr, *marginals[attr.name], eps_a, rng)
         columns[attr.name] = _sample_from_histogram(hist, n, rng)
     return Dataset(schema=ds.schema, columns=columns, row_count=n)
 

@@ -43,7 +43,7 @@ import numpy as np
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import Dataset, Kind
 from .errors import ConfigError, DataError
-from .outliers import OutlierConfig, OutlierSet, detect_outliers
+from .outliers import OutlierConfig, detect_outliers
 
 logger = logging.getLogger(__name__)
 
@@ -377,7 +377,6 @@ def attack(
     *,
     blocking: str | None = None,
     restrict_variant_outliers: bool = False,
-    targets: OutlierSet | None = None,
 ) -> LinkageResult:
     """Run the full attack: outlier targets scored against a variant.
 
@@ -391,12 +390,8 @@ def attack(
     time, each match decided on the scalar comparator's scores. The plan of
     each attack is logged at DEBUG level. ``blocking`` is only checked to
     name such a QI of the subset (:func:`validate_blocking`); it changes
-    nothing.
-
-    ``targets`` is the original's outlier set, so a run attacking many
-    variants detects it once; when omitted, the attack detects it itself. A
-    set that :func:`detect_outliers` did not build from this ``original``
-    object with an ``outlier_cfg`` equal to this one raises ``ConfigError``.
+    nothing. Outliers come from :func:`detect_outliers`, so many attacks on
+    one dataset object detect its outliers once.
     """
     _check_same_schema(original, variant)
     cfg = qi_cfg if qi_subset is None else qi_cfg.subset(qi_subset)
@@ -404,11 +399,7 @@ def attack(
     if blocking is not None:
         validate_blocking(blocking, cfg)
 
-    if targets is None:
-        targets = detect_outliers(original, outlier_cfg)
-    elif targets.source is not original or targets.cfg != outlier_cfg:
-        raise ConfigError("targets were detected on another dataset or outlier config")
-    targets = np.array(sorted(targets.flagged), dtype=np.int64)
+    targets = np.array(sorted(detect_outliers(original, outlier_cfg).flagged), dtype=np.int64)
     if restrict_variant_outliers:
         rows = np.array(
             sorted(detect_outliers(variant, outlier_cfg).flagged), dtype=np.int64

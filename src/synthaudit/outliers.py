@@ -45,41 +45,31 @@ class OutlierConfig:
 
 @dataclass(frozen=True)
 class OutlierSet:
-    """Flagged record ordinals plus the z-scores that drove the decision.
-
-    ``source`` and ``cfg`` are the dataset object and the configuration the
-    set was detected with, so a consumer can refuse a set built from others.
-    """
+    """Flagged record ordinals plus the z-scores that drove the decision."""
 
     flagged: frozenset[int]
     per_attribute_z: dict[int, dict[str, float]] = field(repr=False)
-    source: Dataset | None = field(default=None, repr=False, compare=False)
-    cfg: OutlierConfig | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.flagged)
-
-
-def z_score(x: float, mean: float, stddev: float) -> float:
-    """(x - mean) / stddev; a constant column (stddev 0) has no extremes, so 0."""
-    if stddev < 0:
-        raise ConfigError(f"stddev must be non-negative, got {stddev}")
-    if stddev == 0:
-        return 0.0
-    return (x - mean) / stddev
 
 
 def detect_outliers(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     """Flag records whose z-score magnitude strictly exceeds cfg.k.
 
     Deterministic and order-independent: permuting rows permutes the flagged
-    set identically.
+    set identically. A constant column (stddev 0) has no extremes. Detected
+    once per dataset object and equal config; later calls return that set.
     """
+    return ds.derived(_detect, cfg)
+
+
+def _detect(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     z_cols: dict[str, np.ndarray] = {}
     for attr in cfg.attributes:
         if ds.attribute(attr).kind is not Kind.NUMERICAL:
             raise ConfigError(f"outlier attribute {attr!r} is not numeric")
-        if ds.row_count < 1:  # column_stats' message, which a failed variant's report entry records
+        if ds.row_count < 1:  # kept verbatim: a failed variant's report entry records this text
             raise DataError("column_stats on an empty dataset")
         col = ds.columns[attr]
         mean = float(np.mean(col))
@@ -99,8 +89,6 @@ def detect_outliers(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     return OutlierSet(
         flagged=frozenset(int(i) for i in flagged_idx),
         per_attribute_z=per_attribute_z,
-        source=ds,
-        cfg=cfg,
     )
 
 

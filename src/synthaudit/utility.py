@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, Kind
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 BOUNDARY_ADHERENCE = "BoundaryAdherence"
 CATEGORY_COVERAGE = "CategoryCoverage"
@@ -93,21 +93,18 @@ def attribute_coverage(real_col: np.ndarray, synth_col: np.ndarray, kind: Kind) 
     return category_coverage(real_col, synth_col)
 
 
-@dataclass(frozen=True, eq=False)
-class UtilityReference:
-    """Each real column of ``source`` reduced to what the metrics read of it.
+def utility_reference(real: Dataset) -> dict[str, np.ndarray]:
+    """Each real column reduced to what the metrics read of it.
 
     A numeric column is reduced to [min, median, max] and a categorical one
     to its distinct categories. Every metric depends on the real column only
     through these, so it scores the same against the reduced column.
+    Reduced once per dataset object; later calls return the same columns.
     """
-
-    source: Dataset = field(repr=False)
-    columns: dict[str, np.ndarray] = field(repr=False)
+    return real.derived(_reduce)
 
 
-def utility_reference(real: Dataset) -> UtilityReference:
-    """Reduce every real column once, for scoring any number of variants."""
+def _reduce(real: Dataset) -> dict[str, np.ndarray]:
     columns = {}
     for attr in real.schema:
         col = real.columns[attr.name]
@@ -118,7 +115,7 @@ def utility_reference(real: Dataset) -> UtilityReference:
         else:
             # no col.tolist(): a list the length of the column raises the peak RSS
             columns[attr.name] = np.array(list(set(col)), dtype=object)
-    return UtilityReference(source=real, columns=columns)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -132,29 +129,20 @@ class UtilityReport:
         return {"per_attribute": self.per_attribute, "aggregate": self.aggregate}
 
 
-def compute_utility(
-    real: Dataset, synth: Dataset, *, reference: UtilityReference | None = None
-) -> UtilityReport:
+def compute_utility(real: Dataset, synth: Dataset) -> UtilityReport:
     """Score every attribute with every applicable metric and aggregate.
 
     Aggregates weight applicable attributes equally; a metric's mean is the
     arithmetic mean of its per-attribute scores over the attributes where it
-    is defined.
-
-    ``reference`` is :func:`utility_reference` of ``real``, so a run scoring
-    many variants reduces the real columns once; when omitted, they are
-    reduced here. A reference that was not built from this ``real`` object
-    raises ``ConfigError``.
+    is defined. The real columns are read through :func:`utility_reference`,
+    so many variants scored against one dataset object reduce it once.
     """
     if real.schema != synth.schema:
         raise DataError("utility comparison requires identical schemas")
-    if reference is None:
-        reference = utility_reference(real)
-    elif reference.source is not real:
-        raise ConfigError("utility reference was built from another dataset")
+    reference = utility_reference(real)
     per_attribute: dict[str, dict[str, float]] = {}
     for attr in real.schema:
-        r_col = reference.columns[attr.name]
+        r_col = reference[attr.name]
         s_col = synth.columns[attr.name]
         scores: dict[str, float] = {}
         if attr.kind is Kind.NUMERICAL:

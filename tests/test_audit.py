@@ -26,12 +26,12 @@ from synthaudit import (
     sweep_epsilon,
     synthesize,
 )
+from synthaudit import dp_synth, outliers, utility
 from synthaudit.audit import AuditPlan
 from synthaudit.config import SynthSettings, VariantSpec
-from synthaudit.dp_synth import DEFAULT_NUM_BINS, count_marginals, generator_metadata
+from synthaudit.dp_synth import DEFAULT_NUM_BINS, generator_metadata
 from synthaudit.linkage import save_matches
 from synthaudit.report import strip_volatile, dumps_report
-from synthaudit.utility import utility_reference
 
 SCHEMA = (
     AttributeSchema("age", Kind.NUMERICAL, Role.QI),
@@ -245,12 +245,16 @@ def count_calls(monkeypatch, function, *modules):
 
 
 class TestOriginalPreparedOncePerRun:
+    """Each layer computes its share of a dataset once per dataset object.
+    The computations are counted by wrapping the private function behind
+    each public one: outliers._detect, dp_synth._count_all, utility._reduce."""
+
     def test_run_audit_detects_outliers_and_reduces_the_original_once(
         self, tmp_path, original_csv, monkeypatch
     ):
         path, _ = original_csv
-        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.audit", "synthaudit.linkage")
-        reductions = count_calls(monkeypatch, utility_reference, "synthaudit.audit", "synthaudit.utility")
+        detects = count_calls(monkeypatch, outliers._detect, "synthaudit.outliers")
+        reductions = count_calls(monkeypatch, utility._reduce, "synthaudit.utility")
         plan = make_plan(
             tmp_path, path, [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
         )
@@ -262,7 +266,7 @@ class TestOriginalPreparedOncePerRun:
 
     def test_run_audit_counts_histograms_once_per_bin_count(self, tmp_path, original_csv, monkeypatch):
         path, _ = original_csv
-        counts = count_calls(monkeypatch, count_marginals, "synthaudit.audit", "synthaudit.dp_synth")
+        counts = count_calls(monkeypatch, dp_synth._count_all, "synthaudit.dp_synth")
         variants = [
             VariantSpec(name="a", epsilon=1.0, seed=1, num_bins=8),
             VariantSpec(name="b", epsilon=0.5, seed=2),
@@ -275,15 +279,29 @@ class TestOriginalPreparedOncePerRun:
         assert len({id(ds) for ds, _ in counts}) == 1
 
     def test_sweep_prepares_once(self, monkeypatch):
-        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.audit", "synthaudit.linkage")
-        counts = count_calls(monkeypatch, count_marginals, "synthaudit.audit", "synthaudit.dp_synth")
-        reductions = count_calls(monkeypatch, utility_reference, "synthaudit.audit", "synthaudit.utility")
+        detects = count_calls(monkeypatch, outliers._detect, "synthaudit.outliers")
+        counts = count_calls(monkeypatch, dp_synth._count_all, "synthaudit.dp_synth")
+        reductions = count_calls(monkeypatch, utility._reduce, "synthaudit.utility")
         original = fixture_original(n=80)
         report = sweep_epsilon(original, (0.1, 1.0, 5.0), 2, 0, OUTLIER_CFG, QI_CFG, num_bins=12)
         assert len(report.variants) == 6
         assert [args[0] for args in detects] == [original]
         assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
         assert [args[0] for args in reductions] == [original]
+
+    def test_variant_outliers_detected_once_per_variant(self, tmp_path, original_csv, monkeypatch):
+        path, original = original_csv
+        detects = count_calls(monkeypatch, outliers._detect, "synthaudit.outliers")
+        plan = make_plan(
+            tmp_path,
+            path,
+            [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)],
+            restrict_variant_outliers=True,
+        )
+        report = run_audit(plan)
+        assert sum(len(e["linkage"]) for e in report.variants) == 4
+        assert len(detects) == 3  # the original, then each variant once for both subsets
+        assert [args[0] == original for args in detects] == [True, False, False]
 
 
 def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tmp_path, original_csv):

@@ -274,6 +274,35 @@ class TestSynthesizeCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be non-negative, got -1"),
+            ("--num-bins", "0", "num_bins must be >= 1, got 0"),
+            ("--epsilon", "nan", "epsilon must be positive and finite, got nan"),
+            ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
+        ],
+    )
+    def test_bad_setting_is_2_before_the_original_is_read(self, tmp_path, caplog, flag, value, message):
+        cfg = write(tmp_path / "cfg.ini", SYNTH_CONFIG)
+        out = tmp_path / "x.csv"
+        code = main(["synthesize", "-c", str(cfg), str(tmp_path / "absent.csv"), "--out", str(out), flag, value])
+        assert code == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"configuration error: {message}"
+        ]
+        assert not out.exists()
+
+    def test_infinite_epsilon_writes_nothing(self, workdir):
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", SYNTH_CONFIG)
+        out = tmp / "x.csv"
+        code = main(
+            ["synthesize", "-c", str(cfg), str(tmp / "original.csv"), "--out", str(out), "--epsilon", "inf", "--n", "5"]
+        )
+        assert code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon", ["0.01", "0.1", "0.2", "0.5", "1.0", "5.0", "10.0"])
     def test_epsilon_grid_accepted(self, workdir, epsilon):
         tmp, _ = workdir

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +66,14 @@ class TestGauss:
             gauss_similarity(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ConfigError):
             gauss_similarity(0.0, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "offset, scale", [(math.nan, 5.0), (math.inf, 5.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_parameters_rejected(self, offset, scale):
+        # unchecked, each would score a full match, 1.0, for values 100 apart
+        with pytest.raises(ConfigError, match="finite"):
+            gauss_similarity(0.0, 100.0, offset, scale)
 
 
 class TestLevenshtein:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import csv
-import math
+import gc
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ from synthaudit import (
     Dataset,
     Kind,
     MissingPolicy,
+    OutlierConfig,
     Role,
-    category_set,
-    column_stats,
+    detect_outliers,
     load_dataset,
     save_dataset,
     synthesize,
 )
 from synthaudit import dataset
+from synthaudit.dp_synth import count_marginals
+from synthaudit.utility import utility_reference
 
 SCHEMA3 = (
     AttributeSchema("a", Kind.NUMERICAL, Role.QI),
@@ -173,62 +176,67 @@ def num_ds(values):
     return Dataset.from_columns((AttributeSchema("x", Kind.NUMERICAL, Role.QI),), {"x": values})
 
 
-def test_column_stats_basic():
-    stats = column_stats(num_ds([1, 2, 3]), "x")
-    assert stats.mean == 2
-    assert stats.stddev == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-    assert (stats.min, stats.max, stats.median) == (1, 3, 2)
-
-
-def test_column_stats_single_and_constant():
-    single = column_stats(num_ds([5]), "x")
-    assert (single.mean, single.stddev, single.median) == (5, 0, 5)
-    assert column_stats(num_ds([1, 1, 1, 1]), "x").stddev == 0
-
-
 def test_even_length_median_is_mean_of_middles():
-    assert column_stats(num_ds([1, 2, 10, 20]), "x").median == 6.0
+    assert utility_reference(num_ds([1, 2, 10, 20]))["x"].tolist() == [1.0, 6.0, 20.0]
 
 
 def test_sample_convention_switch():
-    assert column_stats(num_ds([1, 2, 3]), "x", ddof=1).stddev == pytest.approx(1.0)
+    found = detect_outliers(num_ds([1, 2, 3]), OutlierConfig(k=0.5, attributes=("x",), ddof=1))
+    assert found.per_attribute_z[2]["x"] == pytest.approx(1.0)
 
 
-def test_column_stats_errors(toy_dataset):
-    with pytest.raises(DataError):
-        column_stats(toy_dataset, "home")
-    empty = Dataset.from_columns((AttributeSchema("x", Kind.NUMERICAL),), {"x": []})
-    with pytest.raises(DataError):
-        column_stats(empty, "x")
+def twin(ds):
+    """An equal dataset that is another object, so nothing derived from ``ds`` is reused."""
+    return Dataset(schema=ds.schema, columns=dict(ds.columns), row_count=ds.row_count)
 
 
-def test_min_median_max_ordering():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        ds = num_ds(rng.normal(0, 10, size=rng.integers(1, 40)))
-        stats = column_stats(ds, "x")
-        assert stats.min <= stats.median <= stats.max
+class TestDerived:
+    def test_built_once_per_dataset_object_and_arguments(self):
+        calls = []
 
+        def build(ds, k):
+            calls.append(k)
+            return [k, ds.row_count]
 
-def test_stddev_invariant_under_repetition():
-    rng = np.random.default_rng(11)
-    values = list(rng.normal(5, 3, size=17))
-    base = column_stats(num_ds(values), "x").stddev
-    repeated = column_stats(num_ds(values * 4), "x").stddev
-    assert repeated == pytest.approx(base, rel=1e-12)
+        ds = num_ds([1.0, 2.0])
+        first = ds.derived(build, 1)
+        assert ds.derived(build, 1) is first
+        assert ds.derived(build, 2) == [2, 2]
+        assert calls == [1, 2]
+        assert twin(ds).derived(build, 1) == first  # an equal dataset builds its own
+        assert calls == [1, 2, 1]
 
+    def test_a_build_that_raises_caches_nothing(self):
+        calls = []
 
-def test_category_set_contract(toy_dataset):
-    ds = Dataset.from_columns(
-        (AttributeSchema("c", Kind.CATEGORICAL),), {"c": ["MORTGAGE", "RENT", "MORTGAGE"]}
-    )
-    assert category_set(ds, "c") == {"MORTGAGE", "RENT"}
-    one = Dataset.from_columns((AttributeSchema("c", Kind.CATEGORICAL),), {"c": ["A"]})
-    assert category_set(one, "c") == {"A"}
-    mixed = Dataset.from_columns((AttributeSchema("c", Kind.CATEGORICAL),), {"c": ["a", "A"]})
-    assert category_set(mixed, "c") == {"a", "A"}
-    with pytest.raises(DataError):
-        category_set(toy_dataset, "age")
+        def build(ds):
+            calls.append(ds.row_count)
+            if len(calls) == 1:
+                raise DataError("first build fails")
+            return "built"
+
+        ds = num_ds([1.0])
+        with pytest.raises(DataError, match="first build fails"):
+            ds.derived(build)
+        assert ds.derived(build) == "built"
+        assert ds.derived(build) == "built"
+        assert calls == [1, 1]
+
+    def test_dataset_with_derived_values_is_freed_by_reference_counting(self):
+        schema = (AttributeSchema("x", Kind.NUMERICAL, Role.QI), AttributeSchema("c", Kind.CATEGORICAL))
+        enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free it
+        try:
+            ds = Dataset.from_columns(schema, {"x": [1.0, 2.0, 3.0, 50.0], "c": ["a", "b", "a", "c"]})
+            assert len(detect_outliers(ds, OutlierConfig(k=1.0, attributes=("x",)))) == 1
+            assert count_marginals(ds, 4)["c"][0] == ("a", "b", "c")
+            assert sorted(utility_reference(ds)["c"].tolist()) == ["a", "b", "c"]
+            ref = weakref.ref(ds)
+            del ds
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def test_round_trip_reproduces_equal_dataset(toy_dataset, tmp_path):

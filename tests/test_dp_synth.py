@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -20,6 +21,8 @@ from synthaudit import (
     synthesize,
 )
 from synthaudit.dp_synth import _laplace_noise, _normalize, _sample_from_histogram, count_marginals
+
+from test_dataset import twin
 
 
 def rng_of(seed=0):
@@ -65,6 +68,13 @@ class TestBudget:
             PrivacyBudget(epsilon=0.0, attribute_count=2)
         with pytest.raises(ConfigError):
             PrivacyBudget(epsilon=1.0, attribute_count=0)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            PrivacyBudget(epsilon=epsilon, attribute_count=2)
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            synthesize(mixed_ds(n=20), epsilon=epsilon, n=5)
 
 
 class TestNormalize:
@@ -123,6 +133,12 @@ class TestBuildNoisyHistogram:
             build_noisy_histogram(num_ds([1.0, 2.0]), "x", eps_a=1.0, num_bins=0)
         with pytest.raises(DataError):
             build_noisy_histogram(ds, "missing", eps_a=1.0)
+
+    @pytest.mark.parametrize("eps_a", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps_a):
+        # at inf the Laplace scale is 0, so the exact counts would be released
+        with pytest.raises(ConfigError, match="per-attribute epsilon must be positive and finite"):
+            build_noisy_histogram(cat_ds(["A"] * 7 + ["B"] * 3), "c", eps_a)
 
 
 SCHEMA_MIXED = (
@@ -265,51 +281,63 @@ def assert_bit_identical(a, b):
 
 
 class TestPreparedMarginals:
+    """synthesize() counts each dataset object's histograms once per num_bins."""
+
     @pytest.mark.parametrize("num_bins", [1, 2, 7, 32])
     @pytest.mark.parametrize("seed", [0, 5, 123])
     def test_counted_once_equals_counted_per_call(self, num_bins, seed):
         ds = edge_ds()
-        marginals = count_marginals(ds, num_bins)
         for epsilon, n in [(0.05, 40), (1.0, 300), (50.0, 1)]:
-            plain = synthesize(ds, epsilon, n, num_bins, seed)
-            prepared = synthesize(ds, epsilon, n, num_bins, seed, marginals=marginals)
-            assert_bit_identical(prepared, plain)
-            assert_bit_identical(prepared, per_histogram_synthesize(ds, epsilon, n, num_bins, seed))
+            first = synthesize(ds, epsilon, n, num_bins, seed)
+            second = synthesize(ds, epsilon, n, num_bins, seed)
+            assert_bit_identical(second, synthesize(twin(ds), epsilon, n, num_bins, seed))
+            assert_bit_identical(first, second)
+            assert_bit_identical(second, per_histogram_synthesize(ds, epsilon, n, num_bins, seed))
 
     def test_edge_columns(self):
         ds = edge_ds()
-        out = synthesize(ds, 0.5, 200, 1, 3, marginals=count_marginals(ds, 1))
+        count_marginals(ds, 1)
+        out = synthesize(ds, 0.5, 200, 1, 3)
         assert set(out.column("flat").tolist()) == {7.25}
         assert set(out.column("only").tolist()) == {"X"}
 
     def test_synthesized_categories_are_interned(self):
         ds = edge_ds()
-        out = synthesize(ds, 1.0, 500, 16, 4, marginals=count_marginals(ds, 16))
+        count_marginals(ds, 16)
+        out = synthesize(ds, 1.0, 500, 16, 4)
         for name in ("home", "only"):
             assert all(sys.intern(v) is v for v in out.column(name).tolist())
 
     def test_counts_equal_the_histogram_before_noise(self):
         ds = edge_ds()
         marginals = count_marginals(ds, 5)
-        bins, counts = marginals.counts["home"]
+        assert count_marginals(ds, 5) is marginals
+        bins, counts = marginals["home"]
         hist = build_noisy_histogram(ds, "home", eps_a=1e12, num_bins=5, rng=rng_of(0))
         assert bins == hist.bins
         assert counts.sum() == ds.row_count
         assert np.allclose(hist.noisy_counts, counts, atol=1e-6)
-        edges, counts = marginals.counts["age"]
+        edges, counts = marginals["age"]
         assert len(edges) == 6 and counts.sum() == ds.row_count
         assert not counts.flags.writeable
 
-    def test_marginals_of_another_dataset_or_bin_count_raise(self):
+    def test_two_bin_counts_on_one_dataset_equal_fresh_datasets(self):
         ds = edge_ds()
-        twin = edge_ds()  # equal content, another object
-        with pytest.raises(ConfigError, match="another dataset or num_bins"):
-            synthesize(ds, 1.0, 10, 16, 0, marginals=count_marginals(twin, 16))
-        with pytest.raises(ConfigError, match="another dataset or num_bins"):
-            synthesize(ds, 1.0, 10, 16, 0, marginals=count_marginals(ds, 8))
+        for num_bins in (16, 8, 16, 1):
+            out = synthesize(ds, 1.0, 100, num_bins, 0)
+            assert_bit_identical(out, synthesize(twin(ds), 1.0, 100, num_bins, 0))
+            for attr in ds.schema:
+                bins, counts = count_marginals(ds, num_bins)[attr.name]
+                fresh_bins, fresh_counts = count_marginals(twin(ds), num_bins)[attr.name]
+                assert bins == fresh_bins
+                assert counts.tobytes() == fresh_counts.tobytes()
+        assert len(count_marginals(ds, 8)["age"][0]) == 9
+        assert len(count_marginals(ds, 16)["age"][0]) == 17
 
     def test_count_validation(self):
-        with pytest.raises(ConfigError):
-            count_marginals(edge_ds(), 0)
-        with pytest.raises(DataError):
-            count_marginals(Dataset.from_columns(SCHEMA_MIXED, {"age": [], "home": []}))
+        empty = Dataset.from_columns(SCHEMA_MIXED, {"age": [], "home": []})
+        for _ in range(2):  # a failed count is not stored, so it raises again
+            with pytest.raises(ConfigError, match="^num_bins must be >= 1, got 0$"):
+                count_marginals(edge_ds(), 0)
+            with pytest.raises(DataError, match="^cannot build a histogram from an empty dataset$"):
+                count_marginals(empty)

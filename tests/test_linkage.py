@@ -30,6 +30,7 @@ from synthaudit.linkage import save_matches
 from synthaudit.outliers import detect_outliers
 
 from linkage_oracle import oracle_matches, outlier_targets
+from test_dataset import twin
 
 GAUSS = lambda off, sc: ComparatorSpec(ComparatorKind.GAUSS, offset=off, scale=sc)  # noqa: E731
 LEV = ComparatorSpec(ComparatorKind.LEVENSHTEIN)
@@ -106,8 +107,14 @@ class TestCandidatePairs:
             attack(original, other, OUTLIER_CFG, QI4)
 
 
+def assert_same_result(a, b):
+    assert a.pairs == b.pairs
+    assert a.attack_surface == b.attack_surface
+    assert a.per_original_match_count == b.per_original_match_count
+
+
 class TestPreparedTargets:
-    """attack(targets=...) reuses the original's outlier set detected once."""
+    """attack() detects each dataset object's outliers once, through detect_outliers."""
 
     @pytest.mark.parametrize("restrict", [False, True], ids=["all-rows", "variant-outliers"])
     @pytest.mark.parametrize("subset", [None, ("age", "income"), ("home", "income")])
@@ -115,34 +122,37 @@ class TestPreparedTargets:
         rng = np.random.default_rng(31)
         for _ in range(3):
             original, variant = random_instance(rng, 150, 220)
-            targets = detect_outliers(original, OUTLIER_CFG)
             kwargs = dict(qi_subset=subset, restrict_variant_outliers=restrict)
-            plain = attack(original, variant, OUTLIER_CFG, QI4, **kwargs)
-            prepared = attack(original, variant, OUTLIER_CFG, QI4, targets=targets, **kwargs)
-            assert prepared.pairs == plain.pairs
-            assert prepared.attack_surface == plain.attack_surface
-            assert prepared.per_original_match_count == plain.per_original_match_count
+            first = attack(original, variant, OUTLIER_CFG, QI4, **kwargs)
+            second = attack(original, variant, OUTLIER_CFG, QI4, **kwargs)
+            fresh = attack(twin(original), twin(variant), OUTLIER_CFG, QI4, **kwargs)
+            assert_same_result(second, fresh)
+            assert_same_result(first, fresh)
 
     def test_identity_attack_with_prepared_targets_finds_pairs(self):
         original, _ = random_instance(np.random.default_rng(32), 150, 1)
         targets = detect_outliers(original, OUTLIER_CFG)
-        result = attack(original, original, OUTLIER_CFG, QI4, targets=targets)
+        result = attack(original, original, OUTLIER_CFG, QI4)
         assert len(targets) > 0
-        assert result.pairs == attack(original, original, OUTLIER_CFG, QI4).pairs
+        assert detect_outliers(original, OUTLIER_CFG) is targets
+        assert result.pairs == attack(twin(original), twin(original), OUTLIER_CFG, QI4).pairs
         assert {(p.original, p.synthetic) for p in result.pairs} >= {(i, i) for i in targets.flagged}
 
-    def test_targets_of_another_dataset_or_config_raise(self):
+    def test_two_configs_on_one_dataset_equal_fresh_datasets(self):
         original, variant = random_instance(np.random.default_rng(33), 60, 60)
-        twin = Dataset(schema=original.schema, columns=dict(original.columns), row_count=original.row_count)
-        with pytest.raises(ConfigError, match="another dataset or outlier config"):
-            attack(original, variant, OUTLIER_CFG, QI4, targets=detect_outliers(twin, OUTLIER_CFG))
         other_cfg = OutlierConfig(k=2.5, attributes=("age", "income"))
-        with pytest.raises(ConfigError, match="another dataset or outlier config"):
-            attack(original, variant, OUTLIER_CFG, QI4, targets=detect_outliers(original, other_cfg))
-        # an equal config is the same setting
-        same_cfg = OutlierConfig(k=1.5, attributes=("age", "income"))
-        prepared = attack(original, variant, OUTLIER_CFG, QI4, targets=detect_outliers(original, same_cfg))
-        assert prepared.pairs == attack(original, variant, OUTLIER_CFG, QI4).pairs
+        same_cfg = OutlierConfig(k=1.5, attributes=("age", "income"))  # equal to OUTLIER_CFG
+        assert len(detect_outliers(original, other_cfg)) < len(detect_outliers(original, OUTLIER_CFG))
+        for cfg in (OUTLIER_CFG, other_cfg, same_cfg, OUTLIER_CFG):
+            assert detect_outliers(original, cfg) == detect_outliers(twin(original), cfg)
+            for restrict in (False, True):
+                kwargs = dict(restrict_variant_outliers=restrict)
+                assert_same_result(
+                    attack(original, variant, cfg, QI4, **kwargs),
+                    attack(twin(original), twin(variant), cfg, QI4, **kwargs),
+                )
+        # an equal config is the same setting, so it reads the stored set
+        assert detect_outliers(original, same_cfg) is detect_outliers(original, OUTLIER_CFG)
 
 
 class TestScoreAndFilter:

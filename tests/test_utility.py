@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from synthaudit import (
     AttributeSchema,
-    ConfigError,
     DataError,
     Dataset,
     Kind,
@@ -20,6 +19,8 @@ from synthaudit import (
     synthesize,
 )
 from synthaudit.utility import METRIC_NAMES, utility_reference
+
+from test_dataset import twin
 
 arr = np.asarray
 
@@ -214,17 +215,21 @@ def edge_synths(real):
 
 
 class TestUtilityReference:
+    """compute_utility() reduces each real dataset object once."""
+
     def test_prepared_reference_gives_the_same_report(self):
         real = edge_real()
-        reference = utility_reference(real)
         for synth in edge_synths(real):
-            plain = compute_utility(real, synth)
-            assert compute_utility(real, synth, reference=reference).to_dict() == plain.to_dict()
+            first = compute_utility(real, synth).to_dict()
+            second = compute_utility(real, synth).to_dict()
+            assert second == compute_utility(twin(real), synth).to_dict()
+            assert first == second
 
     def test_report_scores_equal_the_public_metric_functions(self):
         real = edge_real()
+        utility_reference(real)
         for synth in edge_synths(real):
-            report = compute_utility(real, synth, reference=utility_reference(real))
+            report = compute_utility(real, synth)
             for attr in SCHEMA_EDGES:
                 r, s = real.column(attr.name), synth.column(attr.name)
                 if attr.kind is Kind.NUMERICAL:
@@ -241,25 +246,23 @@ class TestUtilityReference:
 
     def test_reference_reduces_each_real_column(self):
         real = edge_real()
-        columns = utility_reference(real).columns
+        columns = utility_reference(real)
+        assert utility_reference(real) is columns
         age = real.column("age")
         assert columns["age"].tolist() == [age.min(), float(np.median(age)), age.max()]
         assert columns["flat"].tolist() == [3.0, 3.0, 3.0]
         assert sorted(columns["home"].tolist()) == ["MORTGAGE", "OWN", "RENT"]
         assert columns["only"].tolist() == ["X"]
 
-    def test_reference_of_another_dataset_raises(self):
-        real = edge_real()
-        with pytest.raises(ConfigError, match="another dataset"):
-            compute_utility(real, real, reference=utility_reference(edge_real()))
-
     def test_empty_datasets_raise_data_errors(self):
         real = edge_real()
         empty = Dataset.from_columns(SCHEMA_EDGES, {a.name: [] for a in SCHEMA_EDGES})
+        utility_reference(real)
         with pytest.raises(DataError, match="non-empty synthetic column"):
-            compute_utility(real, empty, reference=utility_reference(real))
-        with pytest.raises(DataError, match="boundary_adherence needs a non-empty real column"):
-            compute_utility(empty, real)
+            compute_utility(real, empty)
+        for _ in range(2):  # the empty reference is stored; each metric raises on every call
+            with pytest.raises(DataError, match="boundary_adherence needs a non-empty real column"):
+                compute_utility(empty, real)
         cat_first = tuple(reversed(SCHEMA_EDGES))
         with pytest.raises(DataError, match="at least one real category"):
             compute_utility(
