@@ -100,10 +100,11 @@ class Dataset:
     def derived(self, build: Callable[..., Any], *args: Any) -> Any:
         """``build(self, *args)``, computed once per dataset object and argument tuple.
 
-        A dataset never changes, so a stored value cannot go stale. A build
-        that raises stores nothing. Two concurrent readers may both build a
-        value; the two are equal, and either is kept. A value must not hold
-        its dataset, so the dataset is freed by reference counting alone.
+        A dataset never changes, so a stored value cannot go stale; callers
+        share it, so a build returns it read-only. A build that raises stores
+        nothing. Two concurrent readers may both build a value; the two are
+        equal, and either is kept. A value must not hold its dataset, so the
+        dataset is freed by reference counting alone.
         """
         key = (build, *args)
         if key not in self._derived:

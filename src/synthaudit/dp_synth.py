@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,17 +113,17 @@ def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np
 
 def count_marginals(
     ds: Dataset, num_bins: int = DEFAULT_NUM_BINS
-) -> dict[str, tuple[tuple, np.ndarray]]:
+) -> MappingProxyType[str, tuple[tuple, np.ndarray]]:
     """Every attribute's histogram bins and exact counts, before any noise.
 
     Counted once per dataset object and ``num_bins``; later calls return
-    the same read-only counts.
+    the same read-only mapping and counts.
     """
     return ds.derived(_count_all, num_bins)
 
 
-def _count_all(ds: Dataset, num_bins: int) -> dict[str, tuple[tuple, np.ndarray]]:
-    return {a.name: _count(ds, a, num_bins) for a in ds.schema}
+def _count_all(ds: Dataset, num_bins: int) -> MappingProxyType[str, tuple[tuple, np.ndarray]]:
+    return MappingProxyType({a.name: _count(ds, a, num_bins) for a in ds.schema})
 
 
 def _noisy_histogram(

@@ -7,25 +7,25 @@ meets its threshold (conjunctive, worst-case semantics). Aggregation then
 counts matches per original record; an original with exactly one possible
 match is a unique match, the maximum-risk case.
 
-A categorical QI at threshold 1 demands exact agreement, so :func:`attack`
-partitions targets and variant rows on the values of every such QI and
-compares only pairs within one partition; each of those QIs scores 1.0 on
-every pair it lets through. Inside a partition, a sorted-window join
-nominates the candidates. Each Gauss rule becomes a radius,
-``score >= t  <=>  |x - y| <= offset + scale * sqrt(-log2 t)``, and
-``searchsorted`` on the partition's rows, sorted on that QI, gives each
-target the window of rows within the radius, and so the number of pairs
-within it. The rule with the fewest pairs drives the join; with
-no Gauss rule every window is the full row range. Window pairs are
-generated ``PAIR_BUDGET`` at a time, so memory does not grow with targets x
-rows. numpy's vectorized Gauss kernel may differ from the scalar comparator
-in the last ulp, so the radius and the kernel only nominate candidates, at
-a threshold lowered by ``GAUSS_SLACK``. A categorical QI below threshold 1
-then scores each distinct category pair that reaches it once, and each
-Gauss QI scores the remaining pairs with :meth:`ComparatorSpec.score`;
-every match is decided on those scalar scores. The match set and its scores
-therefore equal naive pair-by-pair enumeration (:func:`score_pairs` then
-:func:`filter_matches`) at any threshold.
+An ``exact`` QI at any threshold, and a Levenshtein QI at threshold 1,
+demand exact agreement, so :func:`attack` keys each target and variant row on
+the values of every such QI and compares only pairs of equal key; a partition
+is a key both sides hold. Each Gauss rule becomes a radius,
+``score >= t  <=>  |x - y| <= offset + scale * sqrt(-log2 t)``. One sort of
+the rows per Gauss rule on (key, value), across every partition, and two
+``searchsorted`` calls give each target the window of rows of its key within
+the radius (a sorted-neighbourhood join: Hernández & Stolfo, SIGMOD 1995). In
+each partition the rule whose windows hold the fewest pairs drives; with no
+Gauss rule, or none narrower, a window is the partition's full row range.
+The windows of all targets sharing a driver are expanded ``PAIR_BUDGET`` pairs
+at a time, so memory does not grow with targets x rows. The radii, computed at
+a threshold lowered by ``GAUSS_SLACK``, only nominate candidates: each
+equality QI scores 1.0 on every pair it lets through, a Levenshtein QI below
+threshold 1 scores each distinct category pair once, and each Gauss QI scores
+the remaining pairs with :meth:`ComparatorSpec.score`. Every match is decided
+on those scalar scores, so the match set and its scores equal naive
+pair-by-pair enumeration (:func:`score_pairs` then :func:`filter_matches`) at
+any threshold.
 """
 
 from __future__ import annotations
@@ -150,17 +150,15 @@ class LinkageResult:
         return len(self.per_original_match_count)
 
 
-def _check_same_schema(original: Dataset, variant: Dataset) -> None:
-    if original.schema != variant.schema:
-        raise DataError("variant does not share the original's schema")
-
-
 def _demands_exact_agreement(rule: QIRule) -> bool:
-    return rule.comparator.kind is not ComparatorKind.GAUSS and rule.threshold == 1
+    kind = rule.comparator.kind
+    # exact scores only 0 or 1, so it demands equality at any threshold in (0, 1]
+    exact = kind is ComparatorKind.EXACT
+    return exact or (kind is ComparatorKind.LEVENSHTEIN and rule.threshold == 1)
 
 
 def validate_blocking(blocking: str, cfg: QIConfig) -> None:
-    """Check that ``blocking`` names a QI rule demanding exact agreement.
+    """Check that ``blocking`` names a categorical QI rule at threshold 1.
 
     The engine already partitions on every such QI, so blocking selects
     nothing; a configured value is only checked.
@@ -211,8 +209,8 @@ def filter_matches(
 # addressed by position in the attack's sorted target and row arrays.
 
 PAIR_BUDGET = 1 << 16  # candidate pairs generated and scored at once
-# Relative slack of the vectorized Gauss prefilter: numpy's array power may
-# differ from the scalar comparator's in the last ulp (about 1e-16).
+# Relative slack of the threshold a Gauss radius is computed at: rounding in
+# the radius and in the scalar comparator is about 1e-16.
 GAUSS_SLACK = 1e-9
 
 
@@ -220,66 +218,53 @@ def _codes(values: np.ndarray) -> tuple[list, np.ndarray]:
     """Distinct values in first-seen order, and each value's index among them."""
     cats = list(dict.fromkeys(values))
     code = {c: k for k, c in enumerate(cats)}
-    return cats, np.fromiter((code[v] for v in values), dtype=np.int64, count=len(values))
+    return cats, np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
 
 
-def _group(keys: np.ndarray) -> dict[int, np.ndarray]:
-    """Positions holding each key, ascending within a key."""
-    order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    return dict(zip(uniq.tolist(), np.split(order, starts[1:])))
+def _keys(columns: list[tuple], n_targets: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense int keys of the targets and of the rows, equal iff they agree on every column.
 
-
-def _partitions(
-    columns: list[tuple[np.ndarray, np.ndarray]], n_targets: int, n_rows: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(target positions, row positions) of each value combination both sides hold.
-
-    ``columns`` holds (target values, row values) per column. Every pair
-    outside the partitions disagrees on some column; with no column, one
-    partition spans every pair.
+    ``columns`` holds (target values, row values) per column; with no
+    column every key is 0.
     """
     key = np.zeros(n_targets + n_rows, dtype=np.int64)
     for o, v in columns:
         cats, codes = _codes(np.concatenate([o, v]))
         # re-densify, so the combined key stays below n_targets + n_rows
         key = np.unique(key * len(cats) + codes, return_inverse=True)[1]
-    t_groups, r_groups = _group(key[:n_targets]), _group(key[n_targets:])
-    return [(t_pos, r_groups[k]) for k, t_pos in t_groups.items() if k in r_groups]
+    return key[:n_targets], key[n_targets:]
 
 
 class _GaussRule:
-    """A Gauss QI: a radius for windows, a vectorized nominator and the scalar decision."""
+    """A Gauss QI: a radius for windows and candidates, and the scalar decision."""
 
     def __init__(self, rule: QIRule, o_values: np.ndarray, v_values: np.ndarray):
         self.rule = rule
         self._o, self._v = o_values, v_values
         comp = rule.comparator
-        self.floor = rule.threshold * (1 - GAUSS_SLACK)
         # score >= floor  <=>  |x - y| <= offset + scale * sqrt(-log2 floor). A
         # scalar match clears the floor by GAUSS_SLACK, far above rounding in
-        # the kernel; a few ulps of the values cover rounding in x - y and x ± R.
-        radius = comp.offset + comp.scale * math.sqrt(-math.log2(self.floor))
+        # the comparator; a few ulps of the values cover rounding in x - y and x ± R.
+        floor = rule.threshold * (1 - GAUSS_SLACK)
+        radius = comp.offset + comp.scale * math.sqrt(-math.log2(floor))
         magnitude = max(np.abs(o_values).max(), np.abs(v_values).max(), radius)
         self.radius = radius + 4 * float(np.spacing(magnitude))
 
-    def window(
-        self, t_pos: np.ndarray, r_pos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``r_pos`` sorted on this QI, and each target's [lo, hi) slice of it
-        holding every row within the radius."""
-        order = r_pos[np.argsort(self._v[r_pos], kind="stable")]
-        values, x = self._v[order], self._o[t_pos]
-        lo = np.searchsorted(values, x - self.radius, side="left")
-        return order, lo, np.searchsorted(values, x + self.radius, side="right")
+    def windows(self, t_key: np.ndarray, r_key: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows sorted on (key, this QI), and each target's [lo, hi) slice
+        of them holding every row of its key within the radius."""
+        # row order within a window never matters, so only the key sort, which
+        # keeps the value order within each key, needs to be stable
+        order = np.argsort(self._v)
+        order = order[np.argsort(r_key[order], kind="stable")]
+        # numpy orders complex numbers lexicographically; key + 1j * x is exact
+        rows = r_key[order] + 1j * self._v[order]
+        lo = np.searchsorted(rows, t_key + 1j * (self._o - self.radius), side="left")
+        return order, lo, np.searchsorted(rows, t_key + 1j * (self._o + self.radius), side="right")
 
     def candidates(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
-        """Mask of the pairs (t_sel[k], r_sel[k]) that may meet the threshold;
-        a superset of the matches."""
-        o, v = self._o[t_sel], self._v[r_sel]
-        comp = self.rule.comparator
-        surplus = np.maximum(0.0, np.abs(o - v) - comp.offset)
-        return 2.0 ** (-((surplus / comp.scale) ** 2)) >= self.floor
+        """Mask of the pairs (t_sel[k], r_sel[k]) within the radius; a superset of the matches."""
+        return np.abs(self._o[t_sel] - self._v[r_sel]) <= self.radius
 
     def scores(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
         """Exact scores of the pairs (t_sel[k], r_sel[k])."""
@@ -289,7 +274,7 @@ class _GaussRule:
 
 
 class _CategoryRule:
-    """A categorical QI below threshold 1, scored once per category pair it meets."""
+    """A Levenshtein QI below threshold 1, scored once per category pair it meets."""
 
     def __init__(self, rule: QIRule, o_values: np.ndarray, v_values: np.ndarray):
         self.rule = rule
@@ -311,24 +296,33 @@ class _CategoryRule:
         return np.array(values, dtype=np.float64)[inverse]
 
 
-def _window(
-    gauss: list[_GaussRule], t_pos: np.ndarray, r_pos: np.ndarray
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """The join plan of one partition: the driving QI, the rows in its order,
-    and each target's [lo, hi) window into them.
+def _join_plan(gauss: list[_GaussRule], t_key: np.ndarray, r_key: np.ndarray) -> Iterator[tuple]:
+    """The join plan, one driver at a time: its name, the partitions it drives,
+    the targets in them, the rows in its order and each of those targets'
+    [lo, hi) window into the rows.
 
-    Every Gauss rule's windows hold all of its matches; the rule whose
-    windows hold the fewest pairs drives. With no Gauss rule, or none
-    narrower, every target's window is the full row range.
+    A partition is a key both targets and rows hold. Every Gauss rule's
+    windows hold all of its matches; in each partition the rule whose windows
+    hold the fewest pairs drives, ties going to the full range of the
+    partition's rows and then to the earlier rule.
     """
-    plan = ("full range", r_pos, np.zeros(len(t_pos), np.int64), np.full(len(t_pos), len(r_pos)))
-    size = len(t_pos) * len(r_pos)
-    for rule in gauss:
-        order, lo, hi = rule.window(t_pos, r_pos)
-        pairs = int((hi - lo).sum())
-        if pairs < size:
-            plan, size = (rule.rule.name, order, lo, hi), pairs
-    return plan
+    n = int(max(t_key.max(), r_key.max())) + 1
+    t_count, r_count = np.bincount(t_key, minlength=n), np.bincount(r_key, minlength=n)
+    windows = [rule.windows(t_key, r_key) for rule in gauss]
+    sizes = [t_count * r_count]
+    sizes += [np.bincount(t_key, weights=hi - lo, minlength=n) for _, lo, hi in windows]
+    driver = np.where((t_count > 0) & (r_count > 0), np.argmin(sizes, axis=0), -1)
+    for d, name in enumerate(["full range", *(rule.rule.name for rule in gauss)]):
+        partitions = int(np.count_nonzero(driver == d))
+        if partitions == 0:
+            continue
+        if d == 0:
+            starts = np.cumsum(r_count) - r_count
+            order, lo, hi = np.argsort(r_key), starts[t_key], starts[t_key] + r_count[t_key]
+        else:
+            order, lo, hi = windows[d - 1]
+        t_pos = np.flatnonzero(driver[t_key] == d)
+        yield name, partitions, t_pos, order, lo[t_pos], hi[t_pos]
 
 
 def _pair_chunks(
@@ -350,7 +344,7 @@ def _decide(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """The matches among the candidates (t_sel[k], r_sel[k]) and their scores per scored QI.
 
-    The Gauss nominators drop pairs that cannot match; each categorical rule
+    The Gauss radii drop pairs that cannot match; each categorical rule
     then scores the survivors' category pairs, and each Gauss rule their
     scalar scores, every match decided on those scores.
     """
@@ -383,17 +377,19 @@ def attack(
     ``qi_subset`` restricts the attacker's background knowledge to a subset
     of the configured QIs. ``restrict_variant_outliers`` additionally limits
     the synthetic side to its own outlier rows. The pair space is always
-    partitioned on every QI of the subset that demands exact agreement (a
-    categorical comparator at threshold 1). Inside a partition the Gauss QI
-    whose radius windows hold the fewest pairs drives a sorted-window join,
-    and its candidates are generated and decided ``PAIR_BUDGET`` pairs at a
-    time, each match decided on the scalar comparator's scores. The plan of
-    each attack is logged at DEBUG level. ``blocking`` is only checked to
-    name such a QI of the subset (:func:`validate_blocking`); it changes
-    nothing. Outliers come from :func:`detect_outliers`, so many attacks on
-    one dataset object detect its outliers once.
+    partitioned on every QI of the subset that demands exact agreement (an
+    ``exact`` comparator, or Levenshtein at threshold 1). One sort per Gauss
+    QI spans every partition; in each, the QI whose windows hold the fewest
+    pairs drives, and candidates are decided ``PAIR_BUDGET`` pairs at a time
+    on the scalar comparator's scores. The plan is logged at DEBUG level,
+    drivers listed as the full range, then the Gauss QIs in configured order.
+    ``blocking`` is only checked to name such a QI of the subset
+    (:func:`validate_blocking`); it changes nothing. Outliers come from
+    :func:`detect_outliers`, so many attacks on one dataset object detect
+    its outliers once.
     """
-    _check_same_schema(original, variant)
+    if original.schema != variant.schema:
+        raise DataError("variant does not share the original's schema")
     cfg = qi_cfg if qi_subset is None else qi_cfg.subset(qi_subset)
     cfg.validate_against(original)
     if blocking is not None:
@@ -401,9 +397,7 @@ def attack(
 
     targets = np.array(sorted(detect_outliers(original, outlier_cfg).flagged), dtype=np.int64)
     if restrict_variant_outliers:
-        rows = np.array(
-            sorted(detect_outliers(variant, outlier_cfg).flagged), dtype=np.int64
-        )
+        rows = np.array(sorted(detect_outliers(variant, outlier_cfg).flagged), dtype=np.int64)
     else:
         rows = np.arange(variant.row_count, dtype=np.int64)
     surface = (len(targets), len(rows))
@@ -420,17 +414,14 @@ def attack(
             gauss.append(_GaussRule(r, *sides(r)))
         elif not eq:
             categorical.append(_CategoryRule(r, *sides(r)))
-    partitions = _partitions(
-        [sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows)
-    )
+    keys = _keys([sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows))
 
     names = cfg.names()
     pairs = []
-    drivers: Counter[str] = Counter()
+    drivers: dict[str, int] = {}
     candidates = 0
-    for t_pos, r_pos in partitions:
-        driver, order, lo, hi = _window(gauss, t_pos, r_pos)
-        drivers[driver] += 1
+    for driver, partitions, t_pos, order, lo, hi in _join_plan(gauss, *keys):
+        drivers[driver] = partitions
         candidates += int((hi - lo).sum())
         for chunk in _pair_chunks(t_pos, order, lo, hi):
             t_sel, r_sel, scores = _decide(gauss, categorical, *chunk)
@@ -442,7 +433,7 @@ def attack(
     logger.debug(
         "attack on %s: %d partition(s), driver %s; %d candidates scored, %d matches",
         ",".join(names),
-        len(partitions),
+        sum(drivers.values()),
         ", ".join(f"{d} ({n})" for d, n in drivers.items()) or "none",
         candidates,
         len(pairs),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,10 +46,10 @@ class OutlierConfig:
 
 @dataclass(frozen=True)
 class OutlierSet:
-    """Flagged record ordinals plus the z-scores that drove the decision."""
+    """Flagged record ordinals plus the z-scores that drove the decision, read-only."""
 
     flagged: frozenset[int]
-    per_attribute_z: dict[int, dict[str, float]] = field(repr=False)
+    per_attribute_z: MappingProxyType[int, MappingProxyType[str, float]] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.flagged)
@@ -84,11 +85,12 @@ def _detect(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     flagged_idx = np.flatnonzero(hits)
 
     per_attribute_z = {
-        int(i): {attr: float(z_cols[attr][i]) for attr in cfg.attributes} for i in flagged_idx
+        int(i): MappingProxyType({a: float(z_cols[a][i]) for a in cfg.attributes})
+        for i in flagged_idx
     }
     return OutlierSet(
         flagged=frozenset(int(i) for i in flagged_idx),
-        per_attribute_z=per_attribute_z,
+        per_attribute_z=MappingProxyType(per_attribute_z),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -93,29 +94,31 @@ def attribute_coverage(real_col: np.ndarray, synth_col: np.ndarray, kind: Kind) 
     return category_coverage(real_col, synth_col)
 
 
-def utility_reference(real: Dataset) -> dict[str, np.ndarray]:
+def utility_reference(real: Dataset) -> MappingProxyType[str, np.ndarray]:
     """Each real column reduced to what the metrics read of it.
 
     A numeric column is reduced to [min, median, max] and a categorical one
     to its distinct categories. Every metric depends on the real column only
     through these, so it scores the same against the reduced column.
-    Reduced once per dataset object; later calls return the same columns.
+    Reduced once per dataset object; later calls share the read-only columns.
     """
     return real.derived(_reduce)
 
 
-def _reduce(real: Dataset) -> dict[str, np.ndarray]:
+def _reduce(real: Dataset) -> MappingProxyType[str, np.ndarray]:
     columns = {}
     for attr in real.schema:
         col = real.columns[attr.name]
         if len(col) == 0:  # kept, so each metric raises its own error
-            columns[attr.name] = col
+            reduced = col
         elif attr.kind is Kind.NUMERICAL:
-            columns[attr.name] = np.array([np.min(col), np.median(col), np.max(col)])
+            reduced = np.array([np.min(col), np.median(col), np.max(col)])
         else:
             # no col.tolist(): a list the length of the column raises the peak RSS
-            columns[attr.name] = np.array(list(set(col)), dtype=object)
-    return columns
+            reduced = np.array(list(set(col)), dtype=object)
+        reduced.flags.writeable = False
+        columns[attr.name] = reduced
+    return MappingProxyType(columns)
 
 
 @dataclass(frozen=True)

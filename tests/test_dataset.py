@@ -26,7 +26,7 @@ from synthaudit import (
 )
 from synthaudit import dataset
 from synthaudit.dp_synth import count_marginals
-from synthaudit.utility import utility_reference
+from synthaudit.utility import compute_utility, utility_reference
 
 SCHEMA3 = (
     AttributeSchema("a", Kind.NUMERICAL, Role.QI),
@@ -221,6 +221,49 @@ class TestDerived:
         assert ds.derived(build) == "built"
         assert ds.derived(build) == "built"
         assert calls == [1, 1]
+
+    def test_utility_reference_is_read_only(self):
+        schema = (AttributeSchema("x", Kind.NUMERICAL, Role.QI), AttributeSchema("c", Kind.CATEGORICAL))
+        ds = Dataset.from_columns(schema, {"x": [1.0, 2.0, 3.0], "c": ["a", "b", "a"]})
+        before = compute_utility(ds, ds)
+        reference = utility_reference(ds)
+        with pytest.raises(ValueError, match="read-only"):
+            reference["x"][0] = 2.5
+        with pytest.raises(ValueError, match="read-only"):
+            reference["c"][0] = "z"
+        with pytest.raises(TypeError):
+            reference["x"] = np.array([2.5, 2.5, 2.5])
+        after = compute_utility(ds, ds)
+        assert after == before
+        assert after.aggregate["BoundaryAdherence"]["mean"] == 1.0
+        assert after.aggregate["StatisticSimilarity"]["mean"] == 1.0
+
+    def test_empty_column_reference_is_read_only(self):
+        reference = utility_reference(Dataset.from_columns(SCHEMA3, {"a": [], "b": [], "c": []}))
+        assert not any(col.flags.writeable for col in reference.values())
+        with pytest.raises(TypeError):
+            del reference["c"]
+
+    def test_marginal_counts_are_read_only(self):
+        schema = (AttributeSchema("x", Kind.NUMERICAL, Role.QI), AttributeSchema("c", Kind.CATEGORICAL))
+        ds = Dataset.from_columns(schema, {"x": [1.0, 2.0, 3.0], "c": ["a", "b", "a"]})
+        marginals = count_marginals(ds, 4)
+        with pytest.raises(TypeError):
+            marginals["c"] = (("a",), np.array([3.0]))
+        with pytest.raises(TypeError):
+            del marginals["x"]
+        with pytest.raises(ValueError, match="read-only"):
+            marginals["c"][1][0] = 99.0
+        assert count_marginals(ds, 4)["c"][1].tolist() == [2.0, 1.0]
+
+    def test_outlier_z_scores_are_read_only(self):
+        found = detect_outliers(num_ds([1.0, 2.0, 3.0, 50.0]), OutlierConfig(k=1.0, attributes=("x",)))
+        with pytest.raises(TypeError):
+            found.per_attribute_z[3]["x"] = 0.0
+        with pytest.raises(TypeError):
+            found.per_attribute_z[0] = {"x": 0.0}
+        assert found.per_attribute_z[3]["x"] > 1.0
+        assert dict(found.per_attribute_z) == {3: {"x": found.per_attribute_z[3]["x"]}}
 
     def test_dataset_with_derived_values_is_freed_by_reference_counting(self):
         schema = (AttributeSchema("x", Kind.NUMERICAL, Role.QI), AttributeSchema("c", Kind.CATEGORICAL))

@@ -451,6 +451,198 @@ class TestJoinCost:
         assert int(matches) == len(equality.pairs) == int(scored)
 
 
+PLAN_LINE = re.compile(
+    r"attack on (\S+): (\d+) partition\(s\), driver (.+); (\d+) candidates scored, (\d+) matches"
+)
+
+
+def scalar_pipeline(original, variant, outliers, cfg, result):
+    """attack()'s result as pair-by-pair scoring of every target against every row."""
+    targets = sorted(detect_outliers(original, outliers).flagged)
+    scored = score_pairs(product(targets, range(variant.row_count)), original, variant, cfg)
+    return filter_matches(scored, cfg, result.attack_surface)
+
+
+def spy_on_candidates(monkeypatch) -> list[tuple[int, int]]:
+    """Record every (target position, row) pair the join hands to the decision."""
+    seen = []
+    real = linkage._decide
+
+    def spy(gauss, categorical, t_sel, r_sel):
+        seen.extend(zip(t_sel.tolist(), r_sel.tolist()))
+        return real(gauss, categorical, t_sel, r_sel)
+
+    monkeypatch.setattr(linkage, "_decide", spy)
+    return seen
+
+
+class TestOneJoin:
+    """One sort per Gauss rule joins every partition of an attack."""
+
+    def test_rows_of_another_partition_are_never_nominated(self, monkeypatch, caplog):
+        # Four age outliers, at incomes 10,000 apart. Every row sits within
+        # the income radius (2,000) of some target, under every home, but
+        # only rows of the target's own home and intent may be nominated.
+        # OTHER has no rows and MORTGAGE no target.
+        homes = ["RENT", "OWN", "OTHER", "RENT"]
+        incomes = [50_000.0, 60_000.0, 70_000.0, 80_000.0]
+        original = make_ds(
+            [90.0] * 4 + [30.0] * 16, incomes + [0.0] * 16, homes + ["RENT"] * 16, ["MEDICAL"] * 20
+        )
+        gaps = (0, 500, 1500, 2000)
+        cells = [(h, x + gap) for h in ("RENT", "OWN", "MORTGAGE") for x in incomes for gap in gaps]
+        variant = make_ds(
+            [90.0] * len(cells), [x for _, x in cells], [h for h, _ in cells], ["MEDICAL"] * len(cells)
+        )
+        outliers = OutlierConfig(k=1.0, attributes=("age",))
+        cfg = QI4.subset(("income", "home", "intent"))
+        seen = spy_on_candidates(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
+            result = attack(original, variant, outliers, cfg)
+        home_o, home_v = original.columns["home"], variant.columns["home"]
+        # the targets are rows 0..3, so target positions are original indices
+        assert seen and all(home_o[t] == home_v[j] for t, j in seen)
+        assert sorted(seen) == [
+            (t, j) for t in range(4) for j in range(len(cells))
+            if home_o[t] == home_v[j] and abs(incomes[t] - cells[j][1]) <= 2000
+        ]
+        assert result == scalar_pipeline(original, variant, outliers, cfg, result)
+        assert {p.original for p in result.pairs} == {0, 1, 3}
+        assert caplog.records[-1].getMessage() == (
+            "attack on income,home,intent: 2 partition(s), driver income (2); "
+            "12 candidates scored, 12 matches"
+        )
+
+    @pytest.mark.parametrize("budget", [1, 7, None], ids=["budget-1", "budget-7", "default"])
+    def test_tied_values_at_the_radius_edges(self, monkeypatch, caplog, budget):
+        # Gauss(5, 5) at 0.5 scores exactly 0.5 at a gap of 10, and the
+        # engine's padded radius R is a few billionths more. Four rows share
+        # each age under each home: gaps of exactly 10 (a match), 11 (none),
+        # and x ± R itself, which the windows hold but which cannot match.
+        if budget is not None:
+            monkeypatch.setattr(linkage, "PAIR_BUDGET", budget)
+        target_ages = np.array([40.0, 40.0, 50.0, 45.0, 40.0])
+        original = make_ds(
+            [*target_ages, *[20.0] * 15],
+            [1e6] * 5 + [0.0] * 15,
+            ["RENT", "OWN", "RENT", "RENT", "OWN"] + ["RENT"] * 15,
+            ["MEDICAL"] * 20,
+        )
+        cfg = QI4.subset(("age", "income", "home"))
+        # no row exceeds 61, so the padding is the one the attack computes
+        radius = linkage._GaussRule(cfg.rule("age"), target_ages, np.array([61.0])).radius
+        assert 10 < radius < 10 + 1e-8
+        edges = [x + d for x in (40.0, 45.0, 50.0) for d in (-radius, radius)]
+        ages = [a for a in (29, 30, 31, 35, 40, 45, 50, 55, 59, 60, 61, *edges) for _ in range(4)]
+        n = 2 * len(ages)
+        variant = make_ds(ages * 2, [1e6] * n, ["RENT"] * len(ages) + ["OWN"] * len(ages), ["MEDICAL"] * n)
+        outliers = OutlierConfig(k=1.0, attributes=("income",))
+        with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
+            result = attack(original, variant, outliers, cfg)
+        assert sorted(detect_outliers(original, outliers).flagged) == [0, 1, 2, 3, 4]
+        assert result == scalar_pipeline(original, variant, outliers, cfg, result)
+        assert len([p for p in result.pairs if p.scores["age"] == 0.5]) == 4 * 2 * 5  # both edges
+        home_o, home_v, age_v = original.columns["home"], variant.columns["home"], variant.columns["age"]
+        in_window = sum(
+            int(((age_v >= x - radius) & (age_v <= x + radius) & (home_v == h)).sum())
+            for x, h in zip(target_ages, home_o)
+        )
+        plan = PLAN_LINE.fullmatch(caplog.records[-1].getMessage()).groups()
+        assert plan[1:4] == ("2", "age (2)", str(in_window))
+
+    @pytest.mark.parametrize(
+        "subset",
+        [None, ("age", "income", "home"), ("age", "home", "intent"), ("income",), ("home", "intent")],
+    )
+    def test_plan_line_equals_a_per_partition_recomputation(self, caplog, subset):
+        # Ages are integers and incomes whole thousands, so a pair lies in a
+        # radius window exactly when its gap is at most offset + scale.
+        rng = np.random.default_rng(25)
+        cfg = QI4 if subset is None else QI4.subset(subset)
+        gauss = [r for r in cfg.rules if r.comparator.kind is ComparatorKind.GAUSS]
+        equal = [r.name for r in cfg.rules if r.comparator.kind is not ComparatorKind.GAUSS]
+        # a 20-row variant leaves few rows per partition, so whole partitions
+        # lie within a radius and the full range drives beside a Gauss rule
+        for n_rows in (300, 300, 20, 20):
+            original, variant = random_instance(rng, 80, n_rows)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
+                result = attack(original, variant, OUTLIER_CFG, cfg)
+            line = caplog.records[-1].getMessage()
+            names, parts, drivers, scored, matches = PLAN_LINE.fullmatch(line).groups()
+            logged = [(name, int(n)) for name, n in re.findall(r"(\w[\w ]*?) \((\d+)\)", drivers)]
+
+            def partitions(ds, rows):
+                groups: dict[tuple, list[int]] = {}
+                for i in rows:
+                    groups.setdefault(tuple(ds.columns[n][i] for n in equal), []).append(i)
+                return groups
+
+            by_target = partitions(original, sorted(detect_outliers(original, OUTLIER_CFG).flagged))
+            by_row = partitions(variant, range(variant.row_count))
+            expected: dict[str, int] = {}
+            candidates = 0
+            for part in set(by_target) & set(by_row):
+                t, j = np.array(by_target[part]), np.array(by_row[part])
+                sizes = {"full range": len(t) * len(j)}
+                for r in gauss:
+                    gap = np.abs(original.columns[r.name][t, None] - variant.columns[r.name][None, j])
+                    sizes[r.name] = int((gap <= r.comparator.offset + r.comparator.scale).sum())
+                driver = min(sizes, key=sizes.get)  # ties go to the full range, then the earlier rule
+                expected[driver] = expected.get(driver, 0) + 1
+                candidates += sizes[driver]
+            plan_order = ["full range", *(r.name for r in gauss)]
+            assert names == ",".join(cfg.names())
+            assert int(parts) == len(set(by_target) & set(by_row)) == sum(expected.values())
+            assert logged == sorted(expected.items(), key=lambda item: plan_order.index(item[0]))
+            assert int(scored) == candidates
+            assert int(matches) == len(result.pairs)
+
+    def test_gauss_scored_only_inside_every_radius(self, monkeypatch):
+        # Whichever Gauss rule drives, the other's radius drops its pairs
+        # before any scalar score; integer ages and whole-thousand incomes
+        # lie in a radius exactly when they match.
+        rng = np.random.default_rng(27)
+        cfg = QI4.subset(("age", "income"))
+        calls = []
+        real = comparators.gauss_similarity
+        monkeypatch.setattr(comparators, "gauss_similarity", lambda *a: calls.append(a) or real(*a))
+        for _ in range(4):
+            original, variant = random_instance(rng, 80, 300)
+            calls.clear()
+            result = attack(original, variant, OUTLIER_CFG, cfg)
+            targets = sorted(detect_outliers(original, OUTLIER_CFG).flagged)
+            def gap(name):
+                return np.abs(original.columns[name][targets, None] - variant.columns[name][None, :])
+
+            age, income = gap("age"), gap("income")
+            inside = int(((age <= 10) & (income <= 2000)).sum())
+            assert len(result.pairs) == inside > 0
+            assert len(calls) == 2 * inside  # each rule scores each nominated pair once
+
+    def test_exact_partitions_at_any_threshold(self, monkeypatch, caplog):
+        # exact scores only 0 or 1, so at 0.5 or 0.3 it demands equality and
+        # partitions the pair space instead of being scored pair by pair.
+        rng = np.random.default_rng(26)
+        rules = (QIRule("age", GAUSS(5.0, 5.0)), QIRule("home", EXACT, 0.5), QIRule("intent", EXACT, 0.3))
+        cfg = QIConfig(rules=rules)
+        calls = []
+        real = comparators.exact_similarity
+        monkeypatch.setattr(
+            comparators, "exact_similarity", lambda a, b: calls.append((a, b)) or real(a, b)
+        )
+        for _ in range(5):
+            original, variant = random_instance(rng, 40, 80)
+            calls.clear()
+            with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
+                result = attack(original, variant, OUTLIER_CFG, cfg)
+            assert calls == []
+            assert int(PLAN_LINE.fullmatch(caplog.records[-1].getMessage()).group(2)) > 1
+            assert result == scalar_pipeline(original, variant, OUTLIER_CFG, cfg, result)
+            assert calls  # the scalar pipeline scores each pair
+            assert all(p.scores["home"] == p.scores["intent"] == 1.0 for p in result.pairs)
+
+
 def test_save_matches_format(tmp_path):
     original = make_ds([54], [170000], ["MORTGAGE"], ["PERSONAL"])
     variant = make_ds([54], [170262], ["MORTGAGE"], ["PERSONAL"])

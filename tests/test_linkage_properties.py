@@ -5,9 +5,11 @@ and its window join: equality QIs only, several equality QIs at once,
 ``exact`` at threshold 1 and below it, Levenshtein at 0.8 beside equality
 QIs, Gauss and Levenshtein only, Gauss at a threshold other than 0.5 that
 an integer age gap meets exactly, two Gauss QIs that can each drive the
-join, Gauss at threshold 1 (a window radius of just the offset), and Gauss
-on ``income`` beside Levenshtein at 0.8. ``income`` holds values near 1e6
-in steps of a third, so its gaps are rounded differences of large floats.
+join, Gauss at threshold 1 (a window radius of just the offset), Gauss on
+``income`` beside Levenshtein at 0.8, and three equality QIs (many small
+partitions, one sort per Gauss rule across them) beside two Gauss QIs.
+``income`` holds values near 1e6 in steps of a third, so its gaps are
+rounded differences of large floats.
 The category pools include values present on one side only and the empty
 string, and the generated tables include empty target sets, one-row
 variants and runs restricted to the variant's own outliers.
@@ -82,6 +84,13 @@ RULE_SETS = {
     "two-gauss": [("age", "gauss", 0.5), ("income", "gauss", 0.5)],
     "gauss-at-1": [("income", "gauss", 1.0), ("intent", "exact", 1.0)],
     "income-beside-levenshtein-0.8": [("income", "gauss", 0.5), ("zip", "levenshtein", 0.8)],
+    "three-equality-beside-two-gauss": [
+        ("age", "gauss", 0.5),
+        ("income", "gauss", AT_GAP_4),
+        ("home", "exact", 1.0),
+        ("intent", "levenshtein", 1.0),
+        ("zip", "exact", 0.5),
+    ],
 }
 
 OUTLIER_K = [0.7, 1.1, 10.0]  # |z| never exceeds 3 on ten rows, so 10 flags nothing
