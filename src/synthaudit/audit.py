@@ -83,7 +83,7 @@ def _sha256_file(path: Path) -> str:
 
 def _linkage_summary(result: LinkageResult) -> dict:
     return {
-        "possible_matches": len(result.pairs),
+        "possible_matches": len(result.original),
         "distinct_originals": result.distinct_original_count,
         "unique_matches": result.unique_match_count,
         "targets": result.attack_surface[0],
@@ -144,7 +144,7 @@ def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) ->
             key = ",".join(subset)
             entry["linkage"][key] = _linkage_summary(result)
             pair_path = plan.output_dir / "pairs" / f"{spec.name}__{'-'.join(subset)}.csv"
-            save_matches(result, plan.qi_cfg.subset(subset), pair_path)
+            save_matches(result, pair_path)
             entry["linkage"][key]["pairs_file"] = str(pair_path.relative_to(plan.output_dir))
         return entry
     except SynthAuditError as exc:  # isolate bad variant inputs; a bug propagates

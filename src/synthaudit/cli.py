@@ -77,12 +77,11 @@ def cmd_link(args: argparse.Namespace) -> int:
         qi_subset=subset,
         restrict_variant_outliers=cfg.restrict_variant_outliers,
     )
-    rules = cfg.qi.subset(subset) if subset else cfg.qi
     out = _out_dir(args.out, cfg) / "pairs.csv"
-    save_matches(result, rules, out)
+    save_matches(result, out)
     logger.info("match pairs written to %s", out)
     print(
-        f"{len(result.pairs)} possible matches, "
+        f"{len(result.original)} possible matches, "
         f"{result.distinct_original_count} distinct originals, "
         f"{result.unique_match_count} unique matches"
     )

@@ -25,23 +25,21 @@ threshold 1 scores each distinct category pair once, and each Gauss QI scores
 the remaining pairs with :meth:`ComparatorSpec.score`. Every match is decided
 on those scalar scores, so the match set and its scores equal naive
 pair-by-pair enumeration (:func:`score_pairs` then :func:`filter_matches`) at
-any threshold.
+any threshold; the matches stay arrays, sorted once (:class:`LinkageResult`).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .comparators import ComparatorKind, ComparatorSpec
-from .dataset import Dataset, Kind
+from .dataset import BLOCK_ROWS, Dataset, Kind
 from .errors import ConfigError, DataError
 from .outliers import OutlierConfig, detect_outliers
 
@@ -124,26 +122,38 @@ class ScoredPair:
     scores: dict[str, float] = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkageResult:
-    """Possible-match pairs plus per-original aggregation."""
+    """Matches as read-only columns ordered by (original, synthetic), and one score
+    column per QI in configured order (1.0 on an equality QI). :attr:`pairs` is
+    built on demand; results are equal when their pairs and surfaces are."""
 
-    pairs: tuple[ScoredPair, ...]
-    per_original_match_count: dict[int, int]
-    unique_match_count: int
+    original: np.ndarray
+    synthetic: np.ndarray
+    scores: dict[str, np.ndarray] = field(repr=False)
     attack_surface: tuple[int, int]  # (targets, variant rows considered)
+    per_original_match_count: dict[int, int] = field(init=False, repr=False)
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: tuple[ScoredPair, ...], attack_surface: tuple[int, int]
-    ) -> "LinkageResult":
-        counts = Counter(p.original for p in pairs)
-        return cls(
-            pairs=pairs,
-            per_original_match_count=dict(sorted(counts.items())),
-            unique_match_count=sum(1 for c in counts.values() if c == 1),
-            attack_surface=attack_surface,
-        )
+    def __post_init__(self) -> None:
+        for col in (self.original, self.synthetic, *self.scores.values()):
+            col.flags.writeable = False
+        counts = dict(zip(*(a.tolist() for a in np.unique(self.original, return_counts=True))))
+        object.__setattr__(self, "per_original_match_count", counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinkageResult):
+            return NotImplemented
+        return (self.pairs, self.attack_surface) == (other.pairs, other.attack_surface)
+
+    @property
+    def pairs(self) -> tuple[ScoredPair, ...]:
+        names, columns = list(self.scores), [col.tolist() for col in self.scores.values()]
+        rows = zip(self.original.tolist(), self.synthetic.tolist(), *columns)
+        return tuple(ScoredPair(i, j, dict(zip(names, values))) for i, j, *values in rows)
+
+    @property
+    def unique_match_count(self) -> int:
+        return sum(c == 1 for c in self.per_original_match_count.values())
 
     @property
     def distinct_original_count(self) -> int:
@@ -201,7 +211,9 @@ def filter_matches(
         if all(pair.scores[r.name] >= r.threshold for r in cfg.rules):
             matches.append(pair)
     matches.sort(key=lambda p: (p.original, p.synthetic))
-    return LinkageResult.from_pairs(tuple(matches), attack_surface)
+    ids = np.array([(p.original, p.synthetic) for p in matches], dtype=np.int64).reshape(-1, 2)
+    scores = {n: np.array([p.scores[n] for p in matches], dtype=np.float64) for n in names}
+    return LinkageResult(ids[:, 0], ids[:, 1], scores, attack_surface)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +398,8 @@ def attack(
     ``blocking`` is only checked to name such a QI of the subset
     (:func:`validate_blocking`); it changes nothing. Outliers come from
     :func:`detect_outliers`, so many attacks on one dataset object detect
-    its outliers once.
+    its outliers once. The matches of every chunk are sorted once, into the
+    columns of a :class:`LinkageResult`.
     """
     if original.schema != variant.schema:
         raise DataError("variant does not share the original's schema")
@@ -401,8 +414,9 @@ def attack(
     else:
         rows = np.arange(variant.row_count, dtype=np.int64)
     surface = (len(targets), len(rows))
+    names, none = cfg.names(), np.empty(0, dtype=np.int64)
     if len(targets) == 0 or len(rows) == 0:
-        return LinkageResult.from_pairs((), surface)
+        return LinkageResult(none, none, {n: np.empty(0) for n in names}, surface)
 
     def sides(rule: QIRule) -> tuple[np.ndarray, np.ndarray]:
         return original.columns[rule.name][targets], variant.columns[rule.name][rows]
@@ -416,8 +430,7 @@ def attack(
             categorical.append(_CategoryRule(r, *sides(r)))
     keys = _keys([sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows))
 
-    names = cfg.names()
-    pairs = []
+    found = [_decide(gauss, categorical, none, none)]  # an empty part, so the columns concatenate
     drivers: dict[str, int] = {}
     candidates = 0
     for driver, partitions, t_pos, order, lo, hi in _join_plan(gauss, *keys):
@@ -425,32 +438,35 @@ def attack(
         candidates += int((hi - lo).sum())
         for chunk in _pair_chunks(t_pos, order, lo, hi):
             t_sel, r_sel, scores = _decide(gauss, categorical, *chunk)
-            # a pair inside a partition agrees exactly, scoring 1.0, on each equality QI
-            columns = [repeat(1.0) if eq else scores[n].tolist() for n, eq in zip(names, equal)]
-            for i, j, *values in zip(targets[t_sel].tolist(), rows[r_sel].tolist(), *columns):
-                pairs.append(ScoredPair(original=i, synthetic=j, scores=dict(zip(names, values))))
-    pairs.sort(key=lambda p: (p.original, p.synthetic))
+            found.append((targets[t_sel], rows[r_sel], scores))
+    o, v = (np.concatenate([f[k] for f in found]) for k in (0, 1))
+    scored = {n: np.concatenate([f[2][n] for f in found]) for n in found[0][2]}
+    del found  # before sorting, so the chunks and their sorted copy never coexist
+    order = np.lexsort((v, o))
+    o, v = o[order], v[order]
+    # a pair inside a partition agrees exactly, scoring 1.0, on each equality QI
+    scores = {n: np.ones(len(o)) if eq else scored.pop(n)[order] for n, eq in zip(names, equal)}
     logger.debug(
         "attack on %s: %d partition(s), driver %s; %d candidates scored, %d matches",
         ",".join(names),
         sum(drivers.values()),
         ", ".join(f"{d} ({n})" for d, n in drivers.items()) or "none",
         candidates,
-        len(pairs),
+        len(o),
     )
-    return LinkageResult.from_pairs(tuple(pairs), surface)
+    return LinkageResult(o, v, scores, surface)
 
 
-def save_matches(result: LinkageResult, cfg: QIConfig, path: str | Path) -> None:
-    """Export possible-match pairs with per-QI scores (6 fractional digits)."""
+def save_matches(result: LinkageResult, path: str | Path) -> None:
+    """Export the matches, a column per QI score at 6 fractional digits, formatting
+    ``BLOCK_ROWS`` rows one column at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = cfg.names()
-    lines = [",".join(["original_index", "synthetic_index"] + [f"score_{n}" for n in names])]
-    for p in result.pairs:
-        lines.append(
-            ",".join(
-                [str(p.original), str(p.synthetic)] + [f"{p.scores[n]:.6f}" for n in names]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["original_index", "synthetic_index", *(f"score_{n}" for n in result.scores)]
+    columns = [(str, result.original), (str, result.synthetic)]
+    columns += [("{:.6f}".format, col) for col in result.scores.values()]
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(result.original), BLOCK_ROWS):
+            block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for fmt, col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")

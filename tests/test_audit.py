@@ -343,7 +343,7 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
                 original, variant, OUTLIER_CFG, QI_CFG, qi_subset=subset, restrict_variant_outliers=True
             )
             pairs_file = f"pairs/{spec.name}__{'-'.join(subset)}.csv"
-            save_matches(result, QI_CFG.subset(subset), expected_dir / pairs_file)
+            save_matches(result, expected_dir / pairs_file)
             entry["linkage"][",".join(subset)] = {
                 "possible_matches": len(result.pairs),
                 "distinct_originals": result.distinct_original_count,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import re
 import tracemalloc
@@ -25,7 +26,7 @@ from synthaudit import (
     gauss_similarity,
     score_pairs,
 )
-from synthaudit import comparators, linkage
+from synthaudit import audit, comparators, linkage
 from synthaudit.linkage import save_matches
 from synthaudit.outliers import detect_outliers
 
@@ -434,6 +435,39 @@ class TestJoinCost:
         dense_block = 256 * n_var * 8
         assert peak < dense_block / 8, peak
 
+    def test_memory_per_match_is_bounded(self):
+        # 300 targets against 3,000 rows over 4 homes, an exact-only subset:
+        # 225,000 matches. They stay columns (original, synthetic, one score
+        # column) of 24 bytes a match, sorted once after the chunks are
+        # dropped: about 47 bytes a match at the peak, and about 61 if the
+        # chunks are kept through the sort.
+        rng = np.random.default_rng(25)
+        n_orig, n_var = 1000, 3000
+        original = make_ds(
+            [90.0] * 300 + [30.0] * 700,
+            rng.uniform(0, 1e5, n_orig),
+            [HOMES[i % 4] for i in range(n_orig)],
+            ["MEDICAL"] * n_orig,
+        )
+        variant = make_ds(
+            rng.uniform(18, 90, n_var),
+            rng.uniform(0, 1e5, n_var),
+            [HOMES[i % 4] for i in range(n_var)],
+            ["MEDICAL"] * n_var,
+        )
+        cfg = QIConfig(rules=(QIRule("age", GAUSS(5.0, 5.0)), QIRule("home", EXACT)))
+        outliers = OutlierConfig(k=1.0, attributes=("age",))
+        tracemalloc.start()
+        try:
+            result = attack(original, variant, outliers, cfg, qi_subset=("home",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matches = len(result.original)
+        assert result.attack_surface == (300, n_var)
+        assert matches == 300 * n_var // 4 >= 200_000
+        assert peak <= 56 * matches, f"{peak / matches:.1f} bytes per match"
+
     def test_join_plan_logged_at_debug(self, caplog):
         original, variant = random_instance(np.random.default_rng(23), 40, 60)
         with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
@@ -643,6 +677,16 @@ class TestOneJoin:
             assert all(p.scores["home"] == p.scores["intent"] == 1.0 for p in result.pairs)
 
 
+def reference_pair_file(result, names) -> str:
+    """The pair file formatted one pair at a time."""
+    lines = [",".join(["original_index", "synthetic_index"] + [f"score_{n}" for n in names])]
+    for p in result.pairs:
+        lines.append(
+            ",".join([str(p.original), str(p.synthetic)] + [f"{p.scores[n]:.6f}" for n in names])
+        )
+    return "\n".join(lines) + "\n"
+
+
 def test_save_matches_format(tmp_path):
     original = make_ds([54], [170000], ["MORTGAGE"], ["PERSONAL"])
     variant = make_ds([54], [170262], ["MORTGAGE"], ["PERSONAL"])
@@ -650,10 +694,56 @@ def test_save_matches_format(tmp_path):
         score_pairs([(0, 0)], original, variant, QI4), QI4, attack_surface=(1, 1)
     )
     path = tmp_path / "pairs.csv"
-    save_matches(result, QI4, path)
+    save_matches(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "original_index,synthetic_index,score_age,score_income,score_home,score_intent"
     assert lines[1] == "0,0,1.000000,1.000000,1.000000,1.000000"
+
+    # 3 targets against 300 rows: 900 matches span several blocks of
+    # BLOCK_ROWS. home is an equality QI scoring 1.0; the income scores'
+    # 7th digits vary, so some of them round up at the 6th.
+    rng = np.random.default_rng(27)
+    ages, homes = [90.0] * 3 + [30.0] * 17, ["RENT"] * 20
+    original = make_ds(ages, rng.uniform(0, 1e4, 20), homes, ["MEDICAL"] * 20)
+    variant = make_ds([30.0] * 300, rng.uniform(0, 1e4, 300), ["RENT"] * 300, ["VENTURE"] * 300)
+    cfg = QIConfig(rules=(QIRule("income", GAUSS(0.0, 1e4), 0.01), QIRule("home", EXACT)))
+    outliers = OutlierConfig(k=1.0, attributes=("age",))
+    result = attack(original, variant, outliers, cfg)
+    assert len(result.original) == 900 > 3 * linkage.BLOCK_ROWS
+    income = result.scores["income"]
+    assert np.any(np.round(income, 6) > np.floor(income * 1e6) / 1e6)
+    assert result.scores["home"].tolist() == [1.0] * 900
+    save_matches(result, path)
+    expected = reference_pair_file(result, cfg.names())
+    assert path.read_bytes() == expected.encode()
+    targets = sorted(detect_outliers(original, outliers).flagged)
+    scalar = filter_matches(score_pairs(product(targets, range(300)), original, variant, cfg), cfg)
+    save_matches(scalar, path)
+    assert path.read_bytes() == expected.encode()
+
+    # no targets: only the header, naming every QI
+    none_found = OutlierConfig(k=10.0, attributes=("age",))
+    none = attack(original, variant, none_found, QI4, qi_subset=("age", "home"))
+    assert none.attack_surface == (0, 300)
+    save_matches(none, path)
+    assert path.read_bytes() == b"original_index,synthetic_index,score_age,score_home\n"
+
+
+def test_result_values_are_python_scalars_and_read_only():
+    original, _ = random_instance(np.random.default_rng(23), 40, 40)
+    via_attack = attack(original, original, OUTLIER_CFG, QI4)
+    assert via_attack.unique_match_count > 0
+    for result in (via_attack, scalar_pipeline(original, original, OUTLIER_CFG, QI4, via_attack)):
+        for p in result.pairs:
+            assert type(p.original) is int and type(p.synthetic) is int
+            assert all(type(s) is float for s in p.scores.values())
+        counts = result.per_original_match_count
+        assert all(type(k) is int and type(c) is int for k, c in counts.items())
+        assert type(result.unique_match_count) is int
+        json.dumps(audit._linkage_summary(result))  # no numpy scalar reaches the report
+        for column in (result.original, result.synthetic, *result.scores.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
 
 def test_qi_config_validation(toy_dataset):
