@@ -20,9 +20,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .audit import AuditPlan, AuditReport, run_audit, sweep_epsilon
 from .config import RunConfig, SynthSettings, config_hash, load_config, render_config
-from .dataset import load_dataset, save_dataset
+from .dataset import load_dataset, save_dataset, write_table
 from .dp_synth import DEFAULT_NUM_BINS, check_settings, synthesize
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
@@ -203,22 +205,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _write_curve_csv(curve: list[dict], path: Path) -> None:
     if not curve:
         return
-    metrics = sorted(curve[0]["utility"].keys())
-    header = ["epsilon", "repeats", "unique_matches_mean", "unique_matches_min", "unique_matches_max"]
-    header += [f"{m}_mean" for m in metrics]
-    lines = [",".join(header)]
-    for row in curve:
-        cells = [
-            repr(row["epsilon"]),
-            str(row["repeats"]),
-            f"{row['unique_matches']['mean']:.6f}",
-            str(row["unique_matches"]["min"]),
-            str(row["unique_matches"]["max"]),
-        ]
-        cells += [f"{row['utility'][m]['mean']:.6f}" for m in metrics]
-        lines.append(",".join(cells))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [("epsilon", repr, [r["epsilon"] for r in curve])]
+    columns.append(("repeats", str, [r["repeats"] for r in curve]))
+    for stat, fmt in (("mean", "{:.6f}".format), ("min", str), ("max", str)):
+        columns.append((f"unique_matches_{stat}", fmt, [r["unique_matches"][stat] for r in curve]))
+    for m in sorted(curve[0]["utility"]):
+        columns.append((f"{m}_mean", "{:.6f}".format, [r["utility"][m]["mean"] for r in curve]))
+    write_table(path, [(name, fmt, np.array(col, dtype=object)) for name, fmt, col in columns])
 
 
 def build_parser() -> argparse.ArgumentParser:

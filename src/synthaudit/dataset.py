@@ -29,7 +29,23 @@ logger = logging.getLogger(__name__)
 # fails to parse in a numeric column is corruption, not missingness.
 MISSING_MARKERS = frozenset({"", "NA"})
 
+# Characters no attribute name may contain: the audit-trail files write
+# names unquoted and join the attributes that triggered a flag with "|".
+NAME_FORBIDDEN = frozenset(',"|\r\n')
+
 BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
+
+
+def write_table(path: str | Path, columns: list[tuple[str, Callable, np.ndarray]]) -> None:
+    """Write (name, format, values) columns as an unquoted, LF-terminated CSV
+    table, formatting ``BLOCK_ROWS`` rows at once one column at a time."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(name for name, _, _ in columns) + "\n")
+        for start in range(0, len(columns[0][2]), BLOCK_ROWS):
+            block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for _, fmt, col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 class Kind(enum.Enum):
@@ -63,6 +79,9 @@ def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate attribute names in schema: {dupes}")
+    bad = [n for n in names if not NAME_FORBIDDEN.isdisjoint(n)]
+    if bad:
+        raise ConfigError(f"attribute names must not contain ',', '\"', '|' or a line break: {bad}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .comparators import ComparatorKind, ComparatorSpec
-from .dataset import BLOCK_ROWS, Dataset, Kind
+from .dataset import Dataset, Kind, write_table
 from .errors import ConfigError, DataError
 from .outliers import OutlierConfig, detect_outliers
 
@@ -396,10 +396,10 @@ def attack(
     on the scalar comparator's scores. The plan is logged at DEBUG level,
     drivers listed as the full range, then the Gauss QIs in configured order.
     ``blocking`` is only checked to name such a QI of the subset
-    (:func:`validate_blocking`); it changes nothing. Outliers come from
-    :func:`detect_outliers`, so many attacks on one dataset object detect
-    its outliers once. The matches of every chunk are sorted once, into the
-    columns of a :class:`LinkageResult`.
+    (:func:`validate_blocking`); it changes nothing. Targets, and restricted
+    variant rows, are the sorted ``index`` of :func:`detect_outliers` as it is;
+    a dataset object's outliers are detected once. The matches of every chunk
+    are sorted once, into the columns of a :class:`LinkageResult`.
     """
     if original.schema != variant.schema:
         raise DataError("variant does not share the original's schema")
@@ -408,9 +408,9 @@ def attack(
     if blocking is not None:
         validate_blocking(blocking, cfg)
 
-    targets = np.array(sorted(detect_outliers(original, outlier_cfg).flagged), dtype=np.int64)
+    targets = detect_outliers(original, outlier_cfg).index
     if restrict_variant_outliers:
-        rows = np.array(sorted(detect_outliers(variant, outlier_cfg).flagged), dtype=np.int64)
+        rows = detect_outliers(variant, outlier_cfg).index
     else:
         rows = np.arange(variant.row_count, dtype=np.int64)
     surface = (len(targets), len(rows))
@@ -458,15 +458,7 @@ def attack(
 
 
 def save_matches(result: LinkageResult, path: str | Path) -> None:
-    """Export the matches, a column per QI score at 6 fractional digits, formatting
-    ``BLOCK_ROWS`` rows one column at a time."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["original_index", "synthetic_index", *(f"score_{n}" for n in result.scores)]
-    columns = [(str, result.original), (str, result.synthetic)]
-    columns += [("{:.6f}".format, col) for col in result.scores.values()]
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(result.original), BLOCK_ROWS):
-            block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for fmt, col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+    """Export the matches, a column per QI score at 6 fractional digits."""
+    columns = [("original_index", str, result.original), ("synthetic_index", str, result.synthetic)]
+    columns += [(f"score_{n}", "{:.6f}".format, col) for n, col in result.scores.items()]
+    write_table(path, columns)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import Dataset, Kind
+from .dataset import Dataset, Kind, write_table
 from .errors import ConfigError, DataError
 
 
@@ -42,17 +43,33 @@ class OutlierConfig:
             raise ConfigError(f"outlier threshold k must be positive, got {self.k}")
         if not self.attributes:
             raise ConfigError("outlier config needs at least one attribute")
+        if len(set(self.attributes)) != len(self.attributes):
+            raise ConfigError("duplicate attribute in outlier config")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlierSet:
-    """Flagged record ordinals plus the z-scores that drove the decision, read-only."""
+    """Flagged rows as read-only columns: sorted int64 ``index``, float64 ``z`` per attribute."""
 
-    flagged: frozenset[int]
-    per_attribute_z: MappingProxyType[int, MappingProxyType[str, float]] = field(repr=False)
+    index: np.ndarray
+    z: MappingProxyType[str, np.ndarray] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for col in (self.index, *self.z.values()):
+            col.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OutlierSet):
+            return NotImplemented
+        same = np.array_equal(self.index, other.index) and self.z.keys() == other.z.keys()
+        return same and all(np.array_equal(z, other.z[a]) for a, z in self.z.items())
 
     def __len__(self) -> int:
-        return len(self.flagged)
+        return len(self.index)
+
+    @property
+    def flagged(self) -> frozenset[int]:
+        return frozenset(self.index.tolist())
 
 
 def detect_outliers(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
@@ -82,28 +99,15 @@ def _detect(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
 
     extreme = np.stack([np.abs(z) > cfg.k for z in z_cols.values()])
     hits = extreme.any(axis=0) if cfg.combine is Combine.ANY else extreme.all(axis=0)
-    flagged_idx = np.flatnonzero(hits)
-
-    per_attribute_z = {
-        int(i): MappingProxyType({a: float(z_cols[a][i]) for a in cfg.attributes})
-        for i in flagged_idx
-    }
-    return OutlierSet(
-        flagged=frozenset(int(i) for i in flagged_idx),
-        per_attribute_z=MappingProxyType(per_attribute_z),
-    )
+    index = np.flatnonzero(hits)
+    return OutlierSet(index, MappingProxyType({a: z[index] for a, z in z_cols.items()}))
 
 
 def save_outlier_set(outliers: OutlierSet, cfg: OutlierConfig, path: str | Path) -> None:
-    """Audit-trail export: one flagged record per line with its z values."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["index"] + [f"z_{a}" for a in cfg.attributes] + ["triggered"]
-    lines = [",".join(header)]
-    for idx in sorted(outliers.flagged):
-        zs = outliers.per_attribute_z[idx]
-        triggered = "|".join(a for a in cfg.attributes if abs(zs[a]) > cfg.k)
-        lines.append(
-            ",".join([str(idx)] + [f"{zs[a]:.6f}" for a in cfg.attributes] + [triggered])
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Audit-trail export, a column at a time: each flagged record's ordinal, its z-scores
+    at 6 fractional digits and, joined by ``|``, the attributes with |z| > k."""
+    columns = [("index", str, outliers.index)]
+    columns += [(f"z_{a}", "{:.6f}".format, outliers.z[a]) for a in cfg.attributes]
+    extreme = np.abs(np.stack([outliers.z[a] for a in cfg.attributes], axis=1)) > cfg.k
+    columns.append(("triggered", lambda hits: "|".join(compress(cfg.attributes, hits)), extreme))
+    write_table(path, columns)

@@ -321,6 +321,22 @@ class TestExitCodes:
         cfg = write(tmp / "bad.ini", BASE_CONFIG.format(k=3) + "\n[outliers2]\nk = 1\n")
         assert main(["outliers", "-c", str(cfg), str(tmp / "original.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["outliers", "link"])
+    def test_attribute_name_that_breaks_the_trail_is_2(self, workdir, caplog, command):
+        # the data file quotes the name, so it would load; the unquoted
+        # listing and pair file would not read back
+        tmp, _ = workdir
+        text = (tmp / "original.csv").read_text(encoding="utf-8")
+        data = write(tmp / "quoted.csv", text.replace("income", '"in,come"', 1))
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=1).replace("income", "in,come"))
+        out = tmp / "out"
+        sides = [str(data)] * (2 if command == "link" else 1)
+        assert main([command, "-c", str(cfg), *sides, "--out", str(out)]) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: attribute names must not contain ',', '\"', '|' or a line break: ['in,come']"
+        ]
+        assert not out.exists()
+
     def test_missing_config_is_2(self, workdir):
         tmp, _ = workdir
         assert main(["outliers", "-c", str(tmp / "absent.ini"), str(tmp / "original.csv")]) == 2
@@ -512,6 +528,25 @@ class TestSweepCommand:
         report = json.loads((tmp / "out" / "sweep_report.json").read_text())
         assert [row["epsilon"] for row in report["sweep_curve"]] == [0.1, 1.0]
         assert len(report["variants"]) == 4
+
+    def test_curve_file_matches_a_row_by_row_writer(self, workdir):
+        tmp, _ = workdir
+        plan = write(
+            tmp / "plan.ini",
+            PLAN_TEMPLATE.format(out=tmp / "out") + "\n[sweep]\ngrid = 0.1 1.0 5.0\nrepeats = 2\nbase_seed = 1\n",
+        )
+        assert main(["sweep", "--plan", str(plan)]) == 0
+        curve = json.loads((tmp / "out" / "sweep_report.json").read_text())["sweep_curve"]
+        metrics = sorted(curve[0]["utility"])
+        header = ["epsilon", "repeats", "unique_matches_mean", "unique_matches_min", "unique_matches_max"]
+        lines = [",".join(header + [f"{m}_mean" for m in metrics])]
+        for row in curve:
+            matches = row["unique_matches"]
+            cells = [repr(row["epsilon"]), str(row["repeats"]), f"{matches['mean']:.6f}"]
+            cells += [str(matches["min"]), str(matches["max"])]
+            lines.append(",".join(cells + [f"{row['utility'][m]['mean']:.6f}" for m in metrics]))
+        assert len(lines) == 4 and len(metrics) > 1
+        assert (tmp / "out" / "sweep_curve.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_absolute_original_and_config_echo(self, workdir, tmp_path_factory):
         tmp, _ = workdir

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from synthaudit import Combine, ComparatorKind, ConfigError, Kind, Role
+from synthaudit import AttributeSchema, Combine, ComparatorKind, ConfigError, Kind, Role
 from synthaudit.config import (
     RunConfig,
     SweepSettings,
@@ -16,6 +16,7 @@ from synthaudit.config import (
     parse_config,
     render_config,
 )
+from synthaudit.dataset import validate_schema
 
 FULL_CONFIG = """\
 # example toolkit configuration
@@ -209,6 +210,24 @@ def test_schema_value_validation():
         parse_config("[schema]\nage = number qi\n")
     with pytest.raises(ConfigError, match="'qi' as the only flag"):
         parse_config("[schema]\nage = numerical pii\n")
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a|b"])
+def test_attribute_name_that_breaks_the_trail_rejected(name):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(f"[schema]\n{name} = numerical qi\nc = numerical qi\n")
+    message = "attribute names must not contain ',', '\"', '|' or a line break"
+    assert str(caught.value) == f"{message}: [{name!r}]"
+    for name in ("a\rb", "a\nb"):  # no config key holds one; a library schema can
+        with pytest.raises(ConfigError, match=message):
+            validate_schema((AttributeSchema(name, Kind.NUMERICAL),))
+
+
+def test_duplicate_outlier_attribute_rejected():
+    text = "[schema]\nx = numerical qi\n\n[outliers]\nk = 1\nattributes = x x\n"
+    with pytest.raises(ConfigError) as caught:
+        parse_config(text)
+    assert str(caught.value) == "duplicate attribute in outlier config"
 
 
 def test_duplicate_key_rejected():

@@ -92,7 +92,9 @@ def run_configs(draw) -> RunConfig:
     if numeric_qis and draw(st.booleans()):
         outliers = OutlierConfig(
             k=draw(POSITIVE),
-            attributes=tuple(draw(st.lists(st.sampled_from(numeric_qis), min_size=1, max_size=3))),
+            attributes=tuple(
+                draw(st.lists(st.sampled_from(numeric_qis), min_size=1, max_size=3, unique=True))
+            ),
             combine=draw(st.sampled_from(Combine)),
             ddof=draw(st.sampled_from([0, 1])),
         )

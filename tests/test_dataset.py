@@ -182,7 +182,8 @@ def test_even_length_median_is_mean_of_middles():
 
 def test_sample_convention_switch():
     found = detect_outliers(num_ds([1, 2, 3]), OutlierConfig(k=0.5, attributes=("x",), ddof=1))
-    assert found.per_attribute_z[2]["x"] == pytest.approx(1.0)
+    assert found.index.tolist() == [0, 2]
+    assert found.z["x"][1] == pytest.approx(1.0)
 
 
 def twin(ds):
@@ -258,12 +259,16 @@ class TestDerived:
 
     def test_outlier_z_scores_are_read_only(self):
         found = detect_outliers(num_ds([1.0, 2.0, 3.0, 50.0]), OutlierConfig(k=1.0, attributes=("x",)))
+        with pytest.raises(ValueError, match="read-only"):
+            found.z["x"][0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            found.index[0] = 0
         with pytest.raises(TypeError):
-            found.per_attribute_z[3]["x"] = 0.0
+            found.z["y"] = np.zeros(1)
         with pytest.raises(TypeError):
-            found.per_attribute_z[0] = {"x": 0.0}
-        assert found.per_attribute_z[3]["x"] > 1.0
-        assert dict(found.per_attribute_z) == {3: {"x": found.per_attribute_z[3]["x"]}}
+            del found.z["x"]
+        assert found.z["x"][0] > 1.0
+        assert found.index.tolist() == [3] and list(found.z) == ["x"] and found.z["x"].shape == (1,)
 
     def test_dataset_with_derived_values_is_freed_by_reference_counting(self):
         schema = (AttributeSchema("x", Kind.NUMERICAL, Role.QI), AttributeSchema("c", Kind.CATEGORICAL))

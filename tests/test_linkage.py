@@ -27,6 +27,7 @@ from synthaudit import (
     score_pairs,
 )
 from synthaudit import audit, comparators, linkage
+from synthaudit.dataset import BLOCK_ROWS
 from synthaudit.linkage import save_matches
 from synthaudit.outliers import detect_outliers
 
@@ -709,7 +710,7 @@ def test_save_matches_format(tmp_path):
     cfg = QIConfig(rules=(QIRule("income", GAUSS(0.0, 1e4), 0.01), QIRule("home", EXACT)))
     outliers = OutlierConfig(k=1.0, attributes=("age",))
     result = attack(original, variant, outliers, cfg)
-    assert len(result.original) == 900 > 3 * linkage.BLOCK_ROWS
+    assert len(result.original) == 900 > 3 * BLOCK_ROWS
     income = result.scores["income"]
     assert np.any(np.round(income, 6) > np.floor(income * 1e6) / 1e6)
     assert result.scores["home"].tolist() == [1.0] * 900

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from synthaudit import (
     Role,
     detect_outliers,
 )
+from synthaudit.dataset import BLOCK_ROWS
 from synthaudit.outliers import save_outlier_set
 
 
@@ -102,15 +105,32 @@ def test_permuting_rows_permutes_flags():
     assert permuted == frozenset(i for i, src in enumerate(perm) if src in base)
 
 
-def test_per_attribute_z_covers_all_configured_attributes():
+def test_z_covers_all_configured_attributes():
     ds = two_col([1, 1, 1, 1, 50], [2, 2, 2, 2, 2])
     cfg = OutlierConfig(k=1.5, attributes=("x", "y"))
     found = detect_outliers(ds, cfg)
     assert found.flagged == frozenset({4})
-    zs = found.per_attribute_z[4]
-    assert set(zs) == {"x", "y"}
-    assert abs(zs["x"]) > 1.5
-    assert zs["y"] == 0.0
+    assert found.index.tolist() == [4]
+    assert list(found.z) == ["x", "y"]
+    assert abs(found.z["x"][0]) > 1.5
+    assert found.z["y"][0] == 0.0
+
+
+def test_memory_kept_per_flagged_record_is_bounded():
+    # two attributes at a low k flag most rows; the index and two z columns
+    # take 24 bytes a record, a Python object per record several hundred
+    rng = np.random.default_rng(5)
+    ds = two_col(rng.uniform(size=20_000), rng.uniform(size=20_000))
+    cfg = OutlierConfig(k=0.25, attributes=("x", "y"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = detect_outliers(ds, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(found) > 18_000
+    assert kept <= 64 * len(found)
 
 
 def test_config_validation():
@@ -120,6 +140,8 @@ def test_config_validation():
         OutlierConfig(k=-1, attributes=("x",))
     with pytest.raises(ConfigError):
         OutlierConfig(k=3, attributes=())
+    with pytest.raises(ConfigError, match="duplicate attribute"):
+        OutlierConfig(k=3, attributes=("x", "y", "x"))
 
 
 def test_detect_rejects_categorical_and_missing(toy_dataset):
@@ -145,8 +167,11 @@ def test_z_scores_equal_column_stats_based_scores(ddof):
     mean, stddev = float(np.mean(ds.columns["x"])), float(np.std(ds.columns["x"], ddof=ddof))
     expected = (ds.columns["x"] - mean) / stddev
     assert flagged.flagged == frozenset(np.flatnonzero(np.abs(expected) > 0.5).tolist())
-    for i, zs in flagged.per_attribute_z.items():
-        assert zs == {"x": float(expected[i]), "y": 0.0}  # bit for bit; the constant column is 0
+    assert flagged.index.dtype == np.int64 and flagged.z["x"].dtype == np.float64
+    assert flagged.index.tolist() == sorted(flagged.flagged)
+    # bit for bit; the constant column is 0
+    assert flagged.z["x"].tolist() == expected[flagged.index].tolist()
+    assert flagged.z["y"].tolist() == [0.0] * len(flagged)
 
 
 def test_sample_convention_changes_scores():
@@ -154,7 +179,20 @@ def test_sample_convention_changes_scores():
     population = detect_outliers(ds, OutlierConfig(k=1.7, attributes=("x",), ddof=0))
     sample = detect_outliers(ds, OutlierConfig(k=1.7, attributes=("x",), ddof=1))
     # sample stddev is larger, so the extreme point's z shrinks
-    assert population.per_attribute_z[4]["x"] > sample.per_attribute_z[4]["x"]
+    assert population.index.tolist() == sample.index.tolist() == [4]
+    assert population.z["x"][0] > sample.z["x"][0]
+
+
+def test_sets_are_equal_when_their_columns_are():
+    population = detect_outliers(one_col([1, 2, 3, 4, 100]), OutlierConfig(k=1.7, attributes=("x",)))
+    again = detect_outliers(one_col([1, 2, 3, 4, 100]), OutlierConfig(k=1.7, attributes=("x",)))
+    sample = detect_outliers(one_col([1, 2, 3, 4, 100]), OutlierConfig(k=1.7, attributes=("x",), ddof=1))
+    assert population is not again and population == again
+    assert population.flagged == sample.flagged and population != sample  # same rows, other z
+    ds = two_col([1, 1, 1, 1, 50], [2, 2, 2, 2, 2])
+    one, both = (OutlierConfig(k=1.5, attributes=attrs) for attrs in (("x",), ("x", "y")))
+    assert detect_outliers(ds, one).flagged == detect_outliers(ds, both).flagged
+    assert detect_outliers(ds, one) != detect_outliers(ds, both)  # other attributes
 
 
 def test_export_listing(tmp_path):
@@ -167,3 +205,45 @@ def test_export_listing(tmp_path):
     assert lines[0] == "index,z_x,z_y,triggered"
     assert lines[1].startswith("4,")
     assert lines[1].endswith(",x")
+
+
+LISTING_HEADER = "index,z_x,z_y,triggered\n"
+
+
+@pytest.mark.parametrize(
+    "k, combine, expected",
+    [
+        (
+            1.2,
+            Combine.ANY,
+            LISTING_HEADER
+            + "7,2.388365,2.226322,x|y\n8,-0.125703,-2.244204,y\n9,-2.011255,-0.008941,x\n",
+        ),
+        (1.2, Combine.ALL, LISTING_HEADER + "7,2.388365,2.226322,x|y\n"),
+        (5.0, Combine.ANY, LISTING_HEADER),
+    ],
+    ids=["any", "all", "empty"],
+)
+def test_listing_bytes_are_pinned(tmp_path, k, combine, expected):
+    # row 7 is extreme on both attributes, rows 8 and 9 each on one, with negative z
+    ds = two_col([10, 11, 12, 13, 14, 15, 16, 40, 12, -9], [5, 5, 6, 5, 5, 5, 5, 30, -20, 5])
+    cfg = OutlierConfig(k=k, attributes=("x", "y"), combine=combine)
+    path = tmp_path / "outliers.csv"
+    save_outlier_set(detect_outliers(ds, cfg), cfg, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_listing_spans_blocks_like_a_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    ds = two_col(rng.normal(size=1000).tolist(), rng.normal(size=1000).tolist())
+    cfg = OutlierConfig(k=0.5, attributes=("x", "y"))
+    z = {a: (ds.columns[a] - np.mean(ds.columns[a])) / np.std(ds.columns[a]) for a in "xy"}
+    lines = ["index,z_x,z_y,triggered"]
+    for i in range(ds.row_count):
+        hits = [a for a in "xy" if abs(z[a][i]) > cfg.k]
+        if hits:
+            lines.append(",".join([str(i), *(f"{z[a][i]:.6f}" for a in "xy"), "|".join(hits)]))
+    assert len(lines) > 3 * BLOCK_ROWS
+    path = tmp_path / "outliers.csv"
+    save_outlier_set(detect_outliers(ds, cfg), cfg, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
