@@ -35,17 +35,35 @@ NAME_FORBIDDEN = frozenset(',"|\r\n')
 
 BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
 
+# Characters that make csv.writer's default dialect quote a cell.
+_CSV_SPECIAL = frozenset(',"\r\n')
 
-def write_table(path: str | Path, columns: list[tuple[str, Callable, np.ndarray]]) -> None:
-    """Write (name, format, values) columns as an unquoted, LF-terminated CSV
-    table, formatting ``BLOCK_ROWS`` rows at once one column at a time."""
+
+def write_table(
+    path: str | Path, columns: list[tuple[str, Callable, np.ndarray]], line_end: str = "\n"
+) -> None:
+    """Write (name, format, values) columns as a CSV table whose rows end in
+    ``line_end``, formatting ``BLOCK_ROWS`` rows at once one column at a time.
+
+    Names and formatted cells are written as they are, unquoted; the file
+    is opened with ``newline=""``, so no platform rewrites the line ends.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(name for name, _, _ in columns) + "\n")
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(name for name, _, _ in columns) + line_end)
         for start in range(0, len(columns[0][2]), BLOCK_ROWS):
             block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for _, fmt, col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            fh.write(line_end.join(map(",".join, zip(*block))) + line_end)
+
+
+def _csv_field(value: str, alone: bool) -> str:
+    """``value`` as ``csv.writer``'s default dialect writes it: quoted, with
+    each ``"`` doubled, when it holds a ``,``, a ``"`` or a line break, or
+    when it is empty and the only cell of its row."""
+    if (alone and not value) or not _CSV_SPECIAL.isdisjoint(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 class Kind(enum.Enum):
@@ -327,19 +345,19 @@ def load_dataset(
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a Dataset in the same format :func:`load_dataset` reads (round-trips).
 
-    Numeric cells are written as ``repr`` of their float, so they read back
-    exactly. Rows are formatted one column at a time in blocks of
-    ``BLOCK_ROWS``.
+    The bytes are those of ``csv.writer``'s default dialect: rows end in
+    CR LF, and a cell is quoted only where it must be. Numeric cells are
+    written as ``repr`` of their float, so they read back exactly, and never
+    need quoting. Each distinct category is quoted once and looked up. Rows
+    go through :func:`write_table`.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    numeric = [a.kind is Kind.NUMERICAL for a in ds.schema]
-    cols = [ds.columns[a.name] for a in ds.schema]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.name for a in ds.schema])
-        for start in range(0, ds.row_count, BLOCK_ROWS):
-            block = [col[start : start + BLOCK_ROWS].tolist() for col in cols]
-            writer.writerows(
-                zip(*(map(repr, values) if num else values for num, values in zip(numeric, block)))
-            )
+    alone = len(ds.schema) == 1
+    columns = []
+    for attr in ds.schema:
+        col = ds.columns[attr.name]
+        if attr.kind is Kind.NUMERICAL:
+            fmt = repr
+        else:
+            fmt = {v: _csv_field(v, alone) for v in set(col)}.__getitem__
+        columns.append((_csv_field(attr.name, alone), fmt, col))
+    write_table(path, columns, line_end="\r\n")

@@ -458,7 +458,17 @@ def attack(
 
 
 def save_matches(result: LinkageResult, path: str | Path) -> None:
-    """Export the matches, a column per QI score at 6 fractional digits."""
+    """Export the matches, a column per QI score at 6 fractional digits.
+
+    A score column that holds one value throughout, such as an equality
+    QI's 1.0, is formatted once and looked up.
+    """
     columns = [("original_index", str, result.original), ("synthetic_index", str, result.synthetic)]
-    columns += [(f"score_{n}", "{:.6f}".format, col) for n, col in result.scores.items()]
+    for name, col in result.scores.items():
+        fmt = "{:.6f}".format
+        bits = col.view(np.uint64)  # as bits, so that -0.0 and 0.0 are told apart
+        if len(col) and bits.min() == bits.max():
+            value = float(col[0])
+            fmt = {value: fmt(value)}.__getitem__
+        columns.append((f"score_{name}", fmt, col))
     write_table(path, columns)

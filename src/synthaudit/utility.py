@@ -15,7 +15,6 @@ attributes, CategoryCoverage for categorical ones.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -37,6 +36,23 @@ METRIC_NAMES = (
     STATISTIC_SIMILARITY,
     ATTRIBUTE_COVERAGE,
 )
+
+
+def _middle(ordered) -> float:
+    """The median of a sequence ordered at its middle: the middle value, or
+    (a + b) / 2 of the two middle values, as ``statistics.median`` takes it."""
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
+def _median(col: np.ndarray) -> float:
+    """``np.median`` of a finite column, bit for bit, without the ``numpy.ma``
+    import its first call costs. ``np.median`` averages the middle values
+    with ``np.mean``, whose sum starts at 0.0, so its median of zeros is +0.0."""
+    half = len(col) // 2
+    return _middle(np.partition(col, half if len(col) % 2 else [half - 1, half])) + 0.0
 
 
 def boundary_adherence(real_col: np.ndarray, synth_col: np.ndarray) -> float:
@@ -78,9 +94,11 @@ def statistic_similarity(real_col: np.ndarray, synth_col: np.ndarray) -> float:
 
     A constant real column degenerates to 1 if the medians agree, else 0.
     """
+    if len(synth_col) == 0:
+        raise DataError("statistic_similarity needs a non-empty synthetic column")
     lo, hi = float(np.min(real_col)), float(np.max(real_col))
-    real_med = float(np.median(real_col))
-    synth_med = float(np.median(synth_col))
+    real_med = _median(real_col)
+    synth_med = _median(synth_col)
     if hi == lo:
         return 1.0 if synth_med == real_med else 0.0
     score = 1.0 - abs(synth_med - real_med) / (hi - lo)
@@ -112,7 +130,7 @@ def _reduce(real: Dataset) -> MappingProxyType[str, np.ndarray]:
         if len(col) == 0:  # kept, so each metric raises its own error
             reduced = col
         elif attr.kind is Kind.NUMERICAL:
-            reduced = np.array([np.min(col), np.median(col), np.max(col)])
+            reduced = np.array([np.min(col), _median(col), np.max(col)])
         else:
             # no col.tolist(): a list the length of the column raises the peak RSS
             reduced = np.array(list(set(col)), dtype=object)
@@ -163,6 +181,6 @@ def compute_utility(real: Dataset, synth: Dataset) -> UtilityReport:
         if values:
             aggregate[metric] = {
                 "mean": sum(values) / len(values),
-                "median": float(statistics.median(values)),
+                "median": _middle(sorted(values)),
             }
     return UtilityReport(per_attribute=per_attribute, aggregate=aggregate)

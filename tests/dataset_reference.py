@@ -1,15 +1,21 @@
-"""Row-by-row reference CSV loader for the property test of ``load_dataset``.
+"""Reference CSV reader and writer for the property tests of ``load_dataset``
+and ``save_dataset``.
 
-This is the cell-at-a-time loop that ``load_dataset`` used before it parsed
-blocks of rows column by column, kept verbatim apart from its names and its
-logger: every row is checked for its cell count, then for missing cells,
-then each numeric cell is parsed in schema order, so the first error raised
-is the first bad data row in file order. Only the types and the message
-texts are shared with the package.
+``reference_load`` is the cell-at-a-time loop that ``load_dataset`` used
+before it parsed blocks of rows column by column, kept verbatim apart from
+its names and its logger: every row is checked for its cell count, then for
+missing cells, then each numeric cell is parsed in schema order, so the
+first error raised is the first bad data row in file order. Only the types
+and the message texts are shared with the package.
+
+``reference_save`` is the ``csv.writer`` loop that ``save_dataset`` used
+before it wrote through the shared block writer, kept verbatim apart from
+its name: its bytes define the format of a saved dataset.
 """
 
 from __future__ import annotations
 
+import csv
 import logging
 import sys
 from pathlib import Path
@@ -17,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from synthaudit import AttributeSchema, DataError, Dataset, Kind, MissingPolicy
-from synthaudit.dataset import MISSING_MARKERS, _csv_rows, validate_schema
+from synthaudit.dataset import BLOCK_ROWS, MISSING_MARKERS, _csv_rows, validate_schema
 
 logger = logging.getLogger("dataset_reference")
 
@@ -83,3 +89,18 @@ def reference_load(
     if dropped:
         logger.warning("%s: dropped %d of %d data rows with missing cells", path, dropped, line)
     return Dataset.from_columns(schema, raw)
+
+
+def reference_save(ds: Dataset, path: str | Path) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    numeric = [a.kind is Kind.NUMERICAL for a in ds.schema]
+    cols = [ds.columns[a.name] for a in ds.schema]
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([a.name for a in ds.schema])
+        for start in range(0, ds.row_count, BLOCK_ROWS):
+            block = [col[start : start + BLOCK_ROWS].tolist() for col in cols]
+            writer.writerows(
+                zip(*(map(repr, values) if num else values for num, values in zip(numeric, block)))
+            )

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import synthaudit
 from synthaudit import Dataset, detect_outliers, save_dataset
 from synthaudit.cli import main
 from synthaudit.config import load_config, parse_config
@@ -512,6 +516,59 @@ class TestAuditCommand:
         assert main(["audit", "--plan", str(plan)]) == 0
         report = json.loads((tmp / "out" / "report.json").read_text())
         assert report["run_meta"]["original"]["path"] == str(tmp / "original.csv")
+
+
+class TestOutputBytes:
+    def test_line_ends_do_not_depend_on_the_platform(self, workdir, monkeypatch):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        audit = write(tmp / "audit.ini", PLAN_TEMPLATE.format(out=tmp / "audit"))
+        sweep = write(
+            tmp / "sweep.ini",
+            PLAN_TEMPLATE.format(out=tmp / "sweep") + "\n[sweep]\ngrid = 0.5 1.0\nrepeats = 1\n",
+        )
+        # a text file opened for writing with no newline argument writes each
+        # "\n" as os.linesep; make that "\r\n", as it is on Windows
+        path_open = Path.open
+
+        def windows_open(self, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+            if "w" in mode and newline is None:
+                newline = "\r\n"
+            return path_open(self, mode, buffering, encoding, errors, newline)
+
+        monkeypatch.setattr(Path, "open", windows_open)
+        assert main(["audit", "--plan", str(audit)]) == 0
+        assert main(["sweep", "--plan", str(sweep)]) == 0
+
+        lf = [tmp / "audit" / "outliers.csv", tmp / "sweep" / "sweep_curve.csv"]
+        lf += sorted((tmp / "audit" / "pairs").glob("*.csv"))
+        assert len(lf) == 6
+        for path in lf:
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, path
+        variant = (tmp / "audit" / "variants" / "dp.csv").read_bytes()
+        assert variant.endswith(b"\r\n") and variant.count(b"\n") == variant.count(b"\r\n")
+
+    def test_audit_imports_neither_numpy_ma_nor_statistics(self, workdir):
+        # np.median imports numpy.ma on first use, 10-30 ms of every run
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        code = (
+            "import sys\n"
+            "from synthaudit.cli import main\n"
+            "assert main(['audit', '--plan', sys.argv[1]]) == 0\n"
+            "print([m for m in ('numpy.ma', 'statistics') if m in sys.modules])\n"
+        )
+        src = str(Path(synthaudit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(plan)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert all(v["utility"]["aggregate"] for v in report["variants"])
 
 
 class TestSweepCommand:

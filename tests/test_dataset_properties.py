@@ -1,4 +1,5 @@
-"""Property test: load_dataset against the row-by-row reference loader.
+"""Property tests: load_dataset against the row-by-row reference loader, and
+save_dataset against the reference ``csv.writer`` loop.
 
 Small CSV files mix valid numeric tokens (with surrounding space, an
 exponent, a digit separator, a negative zero), the missing markers ``""``
@@ -9,6 +10,12 @@ policies with ``BLOCK_ROWS`` set to 1, 2, 3 and its default, so errors fall
 at every position in a block and after a block boundary. Both loaders must
 return equal datasets and log the same warning, or raise the same
 ``DataError`` message.
+
+Saved tables mix categories that csv.writer quotes or keeps as they are
+(commas, quotes, each line break, spaces at either end, ``NA``, non-ASCII
+text) with floats at ``repr``'s switch to exponent form, negative zero and
+subnormals, on 0 rows and on either side of a ``BLOCK_ROWS`` boundary. Both
+writers must write the same bytes.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from synthaudit import AttributeSchema, DataError, Kind, MissingPolicy, Role  # noqa: E402
+from synthaudit import AttributeSchema, DataError, Dataset, Kind, MissingPolicy, Role  # noqa: E402
 from synthaudit import dataset  # noqa: E402
 
-from dataset_reference import reference_load  # noqa: E402
+from dataset_reference import reference_load, reference_save  # noqa: E402
 
 SCHEMA = (
     AttributeSchema("a", Kind.NUMERICAL, Role.QI),
@@ -125,3 +132,49 @@ def test_load_dataset_equals_reference_loader(policy, block, table):
             assert col.tobytes() == ref.tobytes()  # -0.0 stays -0.0
         else:
             assert all(sys.intern(v) is v for v in col)
+
+
+SAVED_CATEGORIES = st.one_of(
+    st.sampled_from(["", ",", '"', '""', "\r", "\n", "\r\n", " lead", "trail ", " ", "NA", "é", "日本"]),
+    st.text(alphabet=st.sampled_from(',"\r\n aZ\u00e9\u2028'), max_size=5),
+    st.text(max_size=4),
+)
+SAVED_FLOATS = st.one_of(
+    st.sampled_from([1e16, 9999999999999998.0, 1e-5, 0.0001, -0.0, 0.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ROW_COUNTS = [0, 1, 2, dataset.BLOCK_ROWS - 1, dataset.BLOCK_ROWS, dataset.BLOCK_ROWS + 1]
+
+
+@st.composite
+def datasets(draw):
+    """A table of one to three columns; each column repeats a few drawn values."""
+    names = st.sampled_from(["a", "b c", " d", "é", ""])
+    names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    n = draw(st.sampled_from(ROW_COUNTS))
+    schema, columns = [], {}
+    for name in names:
+        kind = draw(st.sampled_from(list(Kind)))
+        cells = SAVED_FLOATS if kind is Kind.NUMERICAL else SAVED_CATEGORIES
+        pool = draw(st.lists(cells, min_size=1, max_size=6))
+        schema.append(AttributeSchema(name, kind))
+        columns[name] = [pool[i % len(pool)] for i in range(n)]
+    return Dataset.from_columns(tuple(schema), columns)
+
+
+def one_column(kind: Kind, values: list, name: str = "c") -> Dataset:
+    return Dataset.from_columns((AttributeSchema(name, kind),), {name: values})
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(ds=datasets())
+@example(ds=one_column(Kind.CATEGORICAL, ["", "x", ""]))  # csv.writer writes an empty lone cell as ""
+@example(ds=one_column(Kind.CATEGORICAL, ["", " "], name=""))
+@example(ds=one_column(Kind.NUMERICAL, [1e16, 1e-5, -0.0, 5e-324, 1e15, 0.001]))
+@example(ds=one_column(Kind.CATEGORICAL, []))
+def test_save_dataset_writes_what_the_reference_writer_wrote(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset.save_dataset(ds, Path(tmp) / "saved.csv")
+        reference_save(ds, Path(tmp) / "reference.csv")
+        got = (Path(tmp) / "saved.csv").read_bytes()
+        assert got == (Path(tmp) / "reference.csv").read_bytes()

@@ -730,6 +730,23 @@ def test_save_matches_format(tmp_path):
     assert path.read_bytes() == b"original_index,synthetic_index,score_age,score_home\n"
 
 
+def test_constant_score_columns_keep_their_bytes(tmp_path):
+    # a column of one value is formatted once; -0.0 == 0.0, but each is
+    # written with its own sign
+    n = BLOCK_ROWS + 2
+    scores = {
+        "one": np.ones(n),
+        "negative_zero": np.full(n, -0.0),
+        "both_zeros": np.where(np.arange(n) % 3, 0.0, -0.0),
+        "varied": np.linspace(0.5, 1.0, n),
+    }
+    result = linkage.LinkageResult(np.zeros(n, np.int64), np.arange(n), scores, (1, n))
+    save_matches(result, tmp_path / "pairs.csv")
+    expected = reference_pair_file(result, list(scores))
+    assert "-0.000000,0.000000" in expected
+    assert (tmp_path / "pairs.csv").read_bytes() == expected.encode()
+
+
 def test_result_values_are_python_scalars_and_read_only():
     original, _ = random_instance(np.random.default_rng(23), 40, 40)
     via_attack = attack(original, original, OUTLIER_CFG, QI4)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import statistics
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synthaudit import (
     AttributeSchema,
@@ -18,7 +21,7 @@ from synthaudit import (
     statistic_similarity,
     synthesize,
 )
-from synthaudit.utility import METRIC_NAMES, utility_reference
+from synthaudit.utility import METRIC_NAMES, _median, _middle, utility_reference
 
 from test_dataset import twin
 
@@ -111,6 +114,41 @@ class TestStatisticSimilarity:
     def test_constant_real_column(self):
         assert statistic_similarity(arr([5.0, 5.0]), arr([5.0, 5.0])) == 1.0
         assert statistic_similarity(arr([5.0, 5.0]), arr([6.0])) == 0.0
+
+    def test_empty_synth_rejected(self):
+        with pytest.raises(DataError, match="statistic_similarity needs a non-empty synthetic column"):
+            statistic_similarity(arr([1.0, 2.0]), arr([], dtype=float))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# finite float64 values of every magnitude from 1e-300 to 1e300, both zeros
+# and subnormals; each list repeats some of them, so duplicates are common
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@st.composite
+def float_lists(draw):
+    pool = draw(st.lists(MAGNITUDES, min_size=1, max_size=40))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(values=float_lists())
+@example(values=[0.0, -0.0, 1.0])
+@example(values=[-0.0, 0.0, -0.0])
+@example(values=[-0.0, 0.0])
+@example(values=[-0.0, -0.0])
+@example(values=[1e300, 1e300, -1e300, 1e-300])
+def test_medians_equal_numpy_and_statistics_bit_for_bit(values):
+    col = np.array(values, dtype=np.float64)
+    assert bits(_median(col)) == bits(float(np.median(col)))
+    assert bits(_middle(sorted(values))) == bits(float(statistics.median(values)))
 
 
 def test_attribute_coverage_dispatch():
