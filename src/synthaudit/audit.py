@@ -18,7 +18,6 @@ vary).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -74,6 +73,8 @@ class AuditReport:
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib  # loads OpenSSL, which only hashing commands need
+
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -4,6 +4,9 @@ Subcommands wrap the library one-to-one: ``outliers``, ``link``,
 ``utility``, ``synthesize``, ``audit``, ``sweep``. Logs go to stderr and
 results to files or stdout, so the tool composes in pipelines.
 
+Each command imports the layers it runs, so ``link`` and ``outliers`` do not
+load the audit, utility and report modules, ``json`` or ``hashlib``.
+
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
 (including an ``audit`` variant that failed and an output path that cannot
 be written), 4 internal error.
@@ -19,18 +22,19 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audit import AuditPlan, AuditReport, run_audit, sweep_epsilon
 from .config import RunConfig, SynthSettings, config_hash, load_config, render_config
 from .dataset import load_dataset, save_dataset, write_table
 from .dp_synth import DEFAULT_NUM_BINS, check_settings, synthesize
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
-from .report import dumps_report, write_report
-from .utility import compute_utility
+
+if TYPE_CHECKING:
+    from .audit import AuditPlan, AuditReport
 
 logger = logging.getLogger("synthaudit")
 
@@ -91,6 +95,9 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_utility(args: argparse.Namespace) -> int:
+    from .report import dumps_report, write_report
+    from .utility import compute_utility
+
     cfg = load_config(args.config)
     _require(cfg, "utility", schema=cfg.schema)
     original = load_dataset(args.original, cfg.schema)
@@ -132,6 +139,8 @@ def _echo_config(report: AuditReport, cfg: RunConfig) -> None:
 
 
 def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditPlan:
+    from .audit import AuditPlan
+
     _require(cfg, "audit", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
     return AuditPlan(
         original_path=_original_path(cfg, plan_path, "audit plan"),
@@ -148,6 +157,9 @@ def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditP
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .audit import run_audit
+    from .report import write_report
+
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
     plan = _build_plan(cfg, plan_path, args.out)
@@ -173,6 +185,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .audit import sweep_epsilon
+    from .report import write_report
+
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
     _require(cfg, "sweep", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi, sweep=cfg.sweep)

@@ -16,7 +16,6 @@ from those tables; only rules that span keys or sections are written out.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -403,4 +402,6 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # loads OpenSSL, which only hashing commands need
+
     return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()

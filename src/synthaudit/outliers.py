@@ -9,6 +9,7 @@ or ALL (intersection) semantics.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -41,6 +42,8 @@ class OutlierConfig:
     def __post_init__(self) -> None:
         if not self.k > 0:
             raise ConfigError(f"outlier threshold k must be positive, got {self.k}")
+        if self.k == math.inf:  # flags nothing
+            raise ConfigError(f"outlier threshold k must be finite, got {self.k}")
         if not self.attributes:
             raise ConfigError("outlier config needs at least one attribute")
         if len(set(self.attributes)) != len(self.attributes):
@@ -89,6 +92,11 @@ def _detect(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
             raise ConfigError(f"outlier attribute {attr!r} is not numeric")
         if ds.row_count < 1:  # kept verbatim: a failed variant's report entry records this text
             raise DataError("column_stats on an empty dataset")
+        if ds.row_count <= cfg.ddof:
+            raise DataError(
+                f"outlier attribute {attr!r}: stddev with ddof={cfg.ddof} is undefined for "
+                f"{ds.row_count} row(s)"
+            )
         col = ds.columns[attr]
         mean = float(np.mean(col))
         stddev = float(np.std(col, ddof=cfg.ddof))

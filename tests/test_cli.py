@@ -74,6 +74,17 @@ def write(path: Path, text: str) -> Path:
     return path
 
 
+def run_python(code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter that imports this synthaudit; return its stdout."""
+    src = str(Path(synthaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.fixture
 def workdir(tmp_path):
     original = fixture_original(n=80, seed=4)
@@ -100,6 +111,15 @@ class TestOutliersCommand:
         cfg = write(tmp_path / "cfg.ini", BASE_CONFIG.format(k=3))
         assert main(["outliers", "-c", str(cfg), str(tmp_path / "const.csv"), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.strip() == "0 outliers"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_row_under_sample_stddev_is_3(self, tmp_path, caplog):
+        ds = Dataset.from_columns(SCHEMA, {"age": [30.0], "income": [1000.0], "home": ["RENT"]})
+        save_dataset(ds, tmp_path / "one.csv")
+        cfg = write(tmp_path / "cfg.ini", BASE_CONFIG.format(k=1).replace("combine = any\n", "stddev = sample\n"))
+        assert main(["outliers", "-c", str(cfg), str(tmp_path / "one.csv"), "--out", str(tmp_path)]) == 3
+        assert "outlier attribute 'age': stddev with ddof=1 is undefined for 1 row(s)" in caplog.text
+        assert not (tmp_path / "outliers.csv").exists()
 
     def test_raising_k_never_raises_count(self, workdir, capsys):
         tmp, _ = workdir
@@ -454,6 +474,7 @@ class TestAuditCommand:
             ("seed = 5\n", "seed = -1\n"),
             ("offset = 2\n", "offset = nan\n"),
             ("scale = 3\n", "scale = inf\n"),
+            ("k = 1.5\n", "k = inf\n"),
         ],
         ids=[
             "variant-epsilon-negative",
@@ -464,6 +485,7 @@ class TestAuditCommand:
             "synth-seed-negative",
             "gauss-offset-nan",
             "gauss-scale-inf",
+            "outliers-k-inf",
         ],
     )
     def test_bad_generator_or_gauss_setting_is_2_before_any_data_is_read(self, tmp_path, old, new):
@@ -473,6 +495,27 @@ class TestAuditCommand:
         plan = write(tmp_path / "plan.ini", template.replace(old, new, 1))
         assert main(["audit", "--plan", str(plan)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_row_variant_under_sample_stddev_is_a_failed_variant(self, workdir, capsys):
+        # restrict_variant_outliers detects the variant's own outliers
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        one = Dataset.from_columns(SCHEMA, {"age": [30.0], "income": [1000.0], "home": ["RENT"]})
+        save_dataset(one, tmp / "one.csv")
+        text = (
+            PLAN_TEMPLATE.format(out=tmp / "out")
+            .replace("combine = any\n", "combine = any\nstddev = sample\n")
+            .replace("[attack]\n", "[attack]\nrestrict_variant_outliers = true\n")
+            .replace("[variant dp]\nepsilon = 0.5\nseed = 11\n", "[variant one]\nfile = one.csv\n")
+        )
+        plan = write(tmp / "plan.ini", text)
+        assert main(["audit", "--plan", str(plan)]) == 3
+        message = "outlier attribute 'age': stddev with ddof=1 is undefined for 1 row(s)"
+        assert f"one: FAILED ({message})" in capsys.readouterr().out
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert [(v["name"], v["status"]) for v in report["variants"]] == [("copy", "ok"), ("one", "failed")]
+        assert report["variants"][1]["error"] == message
 
     def test_missing_original_is_3(self, tmp_path):
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
@@ -560,15 +603,42 @@ class TestOutputBytes:
             "assert main(['audit', '--plan', sys.argv[1]]) == 0\n"
             "print([m for m in ('numpy.ma', 'statistics') if m in sys.modules])\n"
         )
-        src = str(Path(synthaudit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(plan)], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert run_python(code, plan).splitlines()[-1] == "[]"
         report = json.loads((tmp / "out" / "report.json").read_text())
         assert all(v["utility"]["aggregate"] for v in report["variants"])
+
+
+class TestImports:
+    """Each command imports the layers it runs; ``hashlib`` maps OpenSSL."""
+
+    AUDIT_ONLY = ("synthaudit.audit", "synthaudit.utility", "synthaudit.report", "json", "hashlib", "_hashlib")
+
+    @pytest.mark.parametrize(
+        "run, loaded",
+        [
+            ("assert main(['link', '-c', plan, original, original]) == 0", ()),
+            ("assert main(['outliers', '-c', plan, original]) == 0", ()),
+            ("load_config(plan)", ()),  # bench/run.py's set-up probe
+            ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY),
+        ],
+        ids=["link", "outliers", "setup-probe", "audit"],
+    )
+    def test_modules_loaded_by_each_command(self, workdir, run, loaded):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        code = (
+            "import sys\n"
+            "import synthaudit.cli\n"
+            "from synthaudit.cli import main\n"
+            "from synthaudit.config import load_config\n"
+            "plan, original = sys.argv[1:]\n"
+            f"{run}\n"
+            f"print([m for m in {self.AUDIT_ONLY!r} if m in sys.modules])\n"
+        )
+        stdout = run_python(code, plan, tmp / "original.csv")
+        assert stdout.splitlines()[-1] == repr(list(loaded))
+        assert ("possible matches" in stdout) == ("link" in run)
 
 
 class TestSweepCommand:

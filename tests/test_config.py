@@ -676,6 +676,9 @@ def test_variant_spec_without_file_or_epsilon_text_is_pinned():
             "scale = inf\n",
             "gauss comparator requires a finite offset and scale, got offset 5.0 and scale inf",
         ),
+        ("k = 2.5", "k = inf", "outlier threshold k must be finite, got inf"),
+        ("k = 2.5", "k = 1e400", "outlier threshold k must be finite, got inf"),
+        ("k = 2.5", "k = nan", "outlier threshold k must be positive, got nan"),
     ],
     ids=[
         "synth-epsilon-negative",
@@ -694,6 +697,9 @@ def test_variant_spec_without_file_or_epsilon_text_is_pinned():
         "gauss-offset-nan",
         "gauss-offset-inf",
         "gauss-scale-inf",
+        "outliers-k-inf",
+        "outliers-k-overflow",
+        "outliers-k-nan",
     ],
 )
 def test_generator_settings_and_gauss_parameters_checked_at_load(old, new, message):

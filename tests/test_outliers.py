@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,11 @@ def test_config_validation():
         OutlierConfig(k=0, attributes=("x",))
     with pytest.raises(ConfigError):
         OutlierConfig(k=-1, attributes=("x",))
+    for k in (math.inf, float("1e400")):
+        with pytest.raises(ConfigError, match="must be finite, got inf"):
+            OutlierConfig(k=k, attributes=("x",))
+    with pytest.raises(ConfigError, match="must be positive, got nan"):
+        OutlierConfig(k=math.nan, attributes=("x",))
     with pytest.raises(ConfigError):
         OutlierConfig(k=3, attributes=())
     with pytest.raises(ConfigError, match="duplicate attribute"):
@@ -156,6 +162,16 @@ def test_empty_dataset_rejected():
     for _ in range(2):  # a failed detection is not stored, so it raises again
         with pytest.raises(DataError, match="^column_stats on an empty dataset$"):
             detect_outliers(empty, OutlierConfig(k=1.0, attributes=("x",)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_stddev_of_one_row_rejected():
+    # numpy would warn "Degrees of freedom <= 0" and give nan z-scores that flag nothing
+    one = one_col([5.0])
+    with pytest.raises(DataError, match=r"^outlier attribute 'x': stddev with ddof=1 is undefined for 1 row\(s\)$"):
+        detect_outliers(one, OutlierConfig(k=1.0, attributes=("x",), ddof=1))
+    assert len(detect_outliers(one, OutlierConfig(k=1.0, attributes=("x",)))) == 0  # population: stddev 0
+    assert detect_outliers(one_col([5.0, 9.0]), OutlierConfig(k=0.5, attributes=("x",), ddof=1)).index.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("ddof", [0, 1])
