@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "audit": "AuditPlan AuditReport run_audit sweep_epsilon",
+    "audit": "AuditPlan run_audit sweep_epsilon",
     "comparators": "ComparatorKind ComparatorSpec exact_similarity gauss_similarity levenshtein_similarity",
     "dataset": "AttributeSchema Dataset Kind MissingPolicy Role load_dataset save_dataset",
-    "dp_synth": "NoisyHistogram PrivacyBudget build_noisy_histogram synthesize",
+    "dp_synth": "NoisyHistogram build_noisy_histogram synthesize",
     "errors": "ConfigError DataError SynthAuditError",
     "linkage": "LinkageResult QIConfig QIRule ScoredPair attack filter_matches score_pairs",
     "outliers": "Combine OutlierConfig OutlierSet detect_outliers",

@@ -8,19 +8,18 @@ the original (outlier targets, histogram counts per ``num_bins``, utility
 reference) once per dataset object, so every variant reuses it. Every
 audit leaves its trail under the plan's output directory: the original's
 outlier listing, each generated variant and one pair file per variant and
-subset. A data or
-configuration error on one variant is recorded in its report entry and
-does not abort the others; any other exception is a bug and ends the run.
-Variants run one after another in plan order, so reports are reproducible
-byte for byte (only the run_meta keys in ``report.VOLATILE_RUN_META_KEYS``
-vary).
+subset. A data or configuration error on one variant is recorded in its
+report entry and does not abort the others; any other exception is a bug
+and ends the run. Variants run one after another in plan order, so reports
+are reproducible byte for byte (only the run_meta keys in
+``report.VOLATILE_RUN_META_KEYS`` vary).
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import SynthSettings, VariantSpec
@@ -57,19 +56,21 @@ class AuditPlan:
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variant names in audit plan")
+        writers: dict[Path, str] = {}
+        for name in names:  # names become file names under output_dir
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ConfigError(f"variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'")
+            for subset in self.ladder:
+                path = _pair_file(name, subset)
+                writer = f"variant {name!r} subset {','.join(subset)!r}"
+                if path in writers:
+                    raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
+                writers[path] = writer
 
 
-@dataclass
-class AuditReport:
-    run_meta: dict
-    variants: list[dict]
-    sweep_curve: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out = {"run_meta": self.run_meta, "variants": self.variants}
-        if self.sweep_curve:
-            out["sweep_curve"] = self.sweep_curve
-        return out
+def _pair_file(variant: str, subset: tuple[str, ...]) -> Path:
+    """The pair file of one variant and ladder subset, relative to the output directory."""
+    return Path("pairs", f"{variant}__{'-'.join(subset)}.csv")
 
 
 def _sha256_file(path: Path) -> str:
@@ -93,25 +94,20 @@ def _linkage_summary(result: LinkageResult) -> dict:
     }
 
 
-def _resolve_variant(
-    plan: AuditPlan, spec: VariantSpec, original: Dataset
-) -> tuple[Dataset, dict]:
+def _resolve_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> tuple[Dataset, dict]:
     if spec.file is not None:
         path = Path(spec.file)
         if not path.is_absolute():
             path = plan.base_dir / path
         ds = load_dataset(path, plan.schema)
         generator = {"type": "file", "path": str(path), "sha256": _sha256_file(path)}
-        if spec.tags:
-            generator["tags"] = dict(spec.tags)
-        return ds, generator
-    defaults = plan.synth_defaults or SynthSettings(epsilon=spec.epsilon, n=original.row_count)
-    epsilon = spec.epsilon
-    n = spec.n if spec.n is not None else defaults.n
-    num_bins = spec.num_bins if spec.num_bins is not None else defaults.num_bins
-    seed = spec.seed if spec.seed is not None else defaults.seed
-    ds = synthesize(original, epsilon, n, num_bins, seed)
-    generator = generator_metadata(plan.schema, epsilon, n, num_bins, seed)
+    else:
+        defaults = plan.synth_defaults or SynthSettings(epsilon=spec.epsilon, n=original.row_count)
+        n = spec.n if spec.n is not None else defaults.n
+        num_bins = spec.num_bins if spec.num_bins is not None else defaults.num_bins
+        seed = spec.seed if spec.seed is not None else defaults.seed
+        ds = synthesize(original, spec.epsilon, n, num_bins, seed)
+        generator = generator_metadata(plan.schema, spec.epsilon, n, num_bins, seed)
     if spec.tags:
         generator["tags"] = dict(spec.tags)
     return ds, generator
@@ -120,12 +116,11 @@ def _resolve_variant(
 def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> dict:
     try:
         variant, generator = _resolve_variant(plan, spec, original)
+        # outputs are recorded relative to output_dir so reports stay
+        # portable and identical runs produce identical bytes
         if spec.generated:
-            out_path = plan.output_dir / "variants" / f"{spec.name}.csv"
-            save_dataset(variant, out_path)
-            # outputs are recorded relative to output_dir so reports stay
-            # portable and identical runs produce identical bytes
-            generator["path"] = str(out_path.relative_to(plan.output_dir))
+            generator["path"] = str(Path("variants", f"{spec.name}.csv"))
+            save_dataset(variant, plan.output_dir / generator["path"])
         entry: dict = {
             "name": spec.name,
             "status": "ok",
@@ -142,25 +137,25 @@ def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) ->
                 qi_subset=subset,
                 restrict_variant_outliers=plan.restrict_variant_outliers,
             )
-            key = ",".join(subset)
-            entry["linkage"][key] = _linkage_summary(result)
-            pair_path = plan.output_dir / "pairs" / f"{spec.name}__{'-'.join(subset)}.csv"
-            save_matches(result, pair_path)
-            entry["linkage"][key]["pairs_file"] = str(pair_path.relative_to(plan.output_dir))
+            pair_path = _pair_file(spec.name, subset)
+            save_matches(result, plan.output_dir / pair_path)
+            entry["linkage"][",".join(subset)] = {**_linkage_summary(result), "pairs_file": str(pair_path)}
         return entry
     except SynthAuditError as exc:  # isolate bad variant inputs; a bug propagates
         logger.warning("variant %s failed: %s", spec.name, exc)
         return {"name": spec.name, "status": "failed", "error": str(exc)}
 
 
-def run_audit(plan: AuditPlan) -> AuditReport:
-    """Audit every variant in the plan against the original.
+def run_audit(plan: AuditPlan) -> dict:
+    """Audit every variant in the plan against the original; return the report.
 
-    Writes the audit trail under ``plan.output_dir``: ``outliers.csv`` (the
-    original's outlier listing), ``variants/<name>.csv`` for each generated
-    variant and ``pairs/<name>__<subset>.csv`` for each variant and ladder
-    subset. A variant that fails with a data or configuration error gets a
-    ``failed`` entry; an unreadable original raises ``DataError``.
+    The report holds ``run_meta`` and, under ``variants``, one entry per
+    variant in plan order. Writes the audit trail under ``plan.output_dir``:
+    ``outliers.csv`` (the original's outlier listing), ``variants/<name>.csv``
+    for each generated variant and ``pairs/<name>__<subset>.csv`` for each
+    variant and ladder subset. A variant that fails with a data or
+    configuration error gets a ``failed`` entry; an unreadable original
+    raises ``DataError``.
     """
     started = time.time()
     original = load_dataset(plan.original_path, plan.schema)
@@ -184,7 +179,11 @@ def run_audit(plan: AuditPlan) -> AuditReport:
         },
         "ladder": [",".join(subset) for subset in plan.ladder],
     }
-    return AuditReport(run_meta=run_meta, variants=entries)
+    return {"run_meta": run_meta, "variants": entries}
+
+
+def _spread(values: list) -> dict:
+    return {"mean": sum(values) / len(values), "min": min(values), "max": max(values)}
 
 
 def sweep_epsilon(
@@ -197,14 +196,15 @@ def sweep_epsilon(
     *,
     n: int | None = None,
     num_bins: int = DEFAULT_NUM_BINS,
-) -> AuditReport:
-    """Generate and audit repeats x |grid| variants; emit tradeoff-curve rows.
+) -> dict:
+    """Generate and audit repeats x |grid| variants; return the report with its curve.
 
     Variant index i (epsilon-major over the ascending grid) uses seed
-    base_seed + i. Curve rows aggregate unique-match counts and per-metric
-    utility means per epsilon, sorted by epsilon ascending. Each layer
-    computes its share of the original once, for every variant. A grid that
-    lists an epsilon twice is refused.
+    base_seed + i. Each epsilon's ``sweep_curve`` row, built right after its
+    repeats, gives the mean, min and max of their unique-match counts and of
+    each utility metric's mean; rows are sorted by epsilon ascending. Each
+    layer computes its share of the original once, for every variant. A grid
+    that lists an epsilon twice is refused.
     """
     if not grid:
         raise ConfigError("epsilon grid must not be empty")
@@ -214,48 +214,33 @@ def sweep_epsilon(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     started = time.time()
     rows = n if n is not None else original.row_count
+    subset = ",".join(qi_cfg.names())
     entries = []
-    index = 0
+    curve = []
     for epsilon in sorted(grid):
         for _ in range(repeats):
-            seed = base_seed + index
+            seed = base_seed + len(entries)
             variant = synthesize(original, epsilon, rows, num_bins, seed)
             result = attack(original, variant, outlier_cfg, qi_cfg)
-            utility = compute_utility(original, variant)
             entries.append(
                 {
                     "name": f"eps{epsilon!r}_seed{seed}",
                     "status": "ok",
                     "generator": generator_metadata(original.schema, epsilon, rows, num_bins, seed),
-                    "utility": utility.to_dict(),
-                    "linkage": {",".join(qi_cfg.names()): _linkage_summary(result)},
+                    "utility": compute_utility(original, variant).to_dict(),
+                    "linkage": {subset: _linkage_summary(result)},
                 }
             )
-            index += 1
-
-    curve = []
-    for epsilon in sorted(grid):
-        group = [e for e in entries if e["generator"]["epsilon"] == epsilon]
-        uniques = [next(iter(e["linkage"].values()))["unique_matches"] for e in group]
-        row: dict = {
-            "epsilon": epsilon,
-            "repeats": len(group),
-            "unique_matches": {
-                "mean": sum(uniques) / len(uniques),
-                "min": min(uniques),
-                "max": max(uniques),
-            },
-            "utility": {},
-        }
-        metric_names = group[0]["utility"]["aggregate"].keys()
-        for metric in metric_names:
-            means = [e["utility"]["aggregate"][metric]["mean"] for e in group]
-            row["utility"][metric] = {
-                "mean": sum(means) / len(means),
-                "min": min(means),
-                "max": max(means),
+        group = entries[-repeats:]
+        metrics = [e["utility"]["aggregate"] for e in group]
+        curve.append(
+            {
+                "epsilon": epsilon,
+                "repeats": len(group),
+                "unique_matches": _spread([e["linkage"][subset]["unique_matches"] for e in group]),
+                "utility": {m: _spread([agg[m]["mean"] for agg in metrics]) for m in metrics[0]},
             }
-        curve.append(row)
+        )
 
     run_meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
@@ -264,4 +249,4 @@ def sweep_epsilon(
         "repeats": repeats,
         "base_seed": base_seed,
     }
-    return AuditReport(run_meta=run_meta, variants=entries, sweep_curve=curve)
+    return {"run_meta": run_meta, "variants": entries, "sweep_curve": curve}

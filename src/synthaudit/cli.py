@@ -34,7 +34,7 @@ from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
 
 if TYPE_CHECKING:
-    from .audit import AuditPlan, AuditReport
+    from .audit import AuditPlan
 
 logger = logging.getLogger("synthaudit")
 
@@ -113,7 +113,10 @@ def cmd_utility(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _require(cfg, "synthesize", schema=cfg.schema)
-    base = cfg.synth or SynthSettings(epsilon=0.0, n=0)
+    base = cfg.synth or SynthSettings(epsilon=args.epsilon, n=args.n)
+    for key in ("epsilon", "n"):  # required in [synth], so only a missing flag is None
+        if getattr(base, key) is None:
+            raise ConfigError(f"'synthesize' requires --{key} or [synth] {key}")
     epsilon = args.epsilon if args.epsilon is not None else base.epsilon
     n = args.n if args.n is not None else base.n
     num_bins = args.num_bins if args.num_bins is not None else base.num_bins
@@ -133,9 +136,8 @@ def _original_path(cfg: RunConfig, plan_path: Path, what: str) -> Path:
     return plan_path.parent / cfg.original
 
 
-def _echo_config(report: AuditReport, cfg: RunConfig) -> None:
-    report.run_meta["config_hash"] = config_hash(cfg)
-    report.run_meta["effective_config"] = render_config(cfg)
+def _echo_config(report: dict, cfg: RunConfig) -> None:
+    report["run_meta"].update(config_hash=config_hash(cfg), effective_config=render_config(cfg))
 
 
 def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditPlan:
@@ -165,9 +167,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     plan = _build_plan(cfg, plan_path, args.out)
     report = run_audit(plan)
     _echo_config(report, cfg)
-    path = write_report(report.to_dict(), plan.output_dir / "report.json")
+    path = write_report(report, plan.output_dir / "report.json")
     failed = 0
-    for entry in report.variants:
+    for entry in report["variants"]:
         if entry["status"] != "ok":
             failed += 1
             print(f"{entry['name']}: FAILED ({entry['error']})")
@@ -179,7 +181,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             )
     print(f"report: {path}")
     if failed:
-        logger.error("data error: %d of %d variants failed", failed, len(report.variants))
+        logger.error("data error: %d of %d variants failed", failed, len(report["variants"]))
         return EXIT_DATA
     return EXIT_OK
 
@@ -204,10 +206,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     _echo_config(report, cfg)
     out_dir = _out_dir(args.out, cfg)
-    path = write_report(report.to_dict(), out_dir / "sweep_report.json")
+    path = write_report(report, out_dir / "sweep_report.json")
     curve_path = out_dir / "sweep_curve.csv"
-    _write_curve_csv(report.sweep_curve, curve_path)
-    for row in report.sweep_curve:
+    _write_curve_csv(report["sweep_curve"], curve_path)
+    for row in report["sweep_curve"]:
         print(
             f"epsilon={row['epsilon']}: unique_matches mean={row['unique_matches']['mean']:.2f} "
             f"min={row['unique_matches']['min']} max={row['unique_matches']['max']}"
@@ -218,8 +220,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _write_curve_csv(curve: list[dict], path: Path) -> None:
-    if not curve:
-        return
     columns = [("epsilon", repr, [r["epsilon"] for r in curve])]
     columns.append(("repeats", str, [r["repeats"] for r in curve]))
     for stat, fmt in (("mean", "{:.6f}".format), ("min", str), ("max", str)):

@@ -38,24 +38,6 @@ DEFAULT_NUM_BINS = 32
 
 
 @dataclass(frozen=True)
-class PrivacyBudget:
-    """Total epsilon split equally across attributes (sequential composition)."""
-
-    epsilon: float
-    attribute_count: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon < math.inf:  # also false for nan
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.attribute_count < 1:
-            raise ConfigError("budget needs at least one attribute")
-
-    @property
-    def per_attribute_epsilon(self) -> float:
-        return self.epsilon / self.attribute_count
-
-
-@dataclass(frozen=True)
 class NoisyHistogram:
     """One attribute's Laplace-noised marginal, normalized to a distribution."""
 
@@ -213,8 +195,7 @@ def synthesize(
     if ds.row_count == 0:
         raise DataError("cannot synthesize from an empty dataset")
     check_settings(epsilon, n, num_bins, seed)
-    budget = PrivacyBudget(epsilon=epsilon, attribute_count=len(ds.schema))
-    eps_a = budget.per_attribute_epsilon
+    eps_a = epsilon / len(ds.schema)  # sequential composition over the attributes
     marginals = count_marginals(ds, num_bins)
 
     children = np.random.SeedSequence(seed).spawn(len(ds.schema))
@@ -230,11 +211,10 @@ def generator_metadata(
     schema: tuple[AttributeSchema, ...], epsilon: float, n: int, num_bins: int, seed: int
 ) -> dict:
     """Provenance block recorded in run reports for generated variants."""
-    budget = PrivacyBudget(epsilon=epsilon, attribute_count=len(schema))
     return {
         "type": "dp_independent_marginals",
         "epsilon": epsilon,
-        "per_attribute_epsilon": budget.per_attribute_epsilon,
+        "per_attribute_epsilon": epsilon / len(schema),
         "n": n,
         "num_bins": num_bins,
         "seed": seed,

@@ -94,13 +94,13 @@ def test_identity_variant_full_utility_and_self_linkage(tmp_path, original_csv):
         [VariantSpec(name="copy", file=str(copy_path), tags=(("epochs", "150"),))],
     )
     report = run_audit(plan)
-    assert report.variants[0]["generator"]["tags"] == {"epochs": "150"}
-    entry = report.variants[0]
+    assert report["variants"][0]["generator"]["tags"] == {"epochs": "150"}
+    entry = report["variants"][0]
     assert entry["status"] == "ok"
     for agg in entry["utility"]["aggregate"].values():
         assert agg["mean"] == 1.0
     full = entry["linkage"]["age,income,home"]
-    assert full["targets"] == report.run_meta["outliers"]["count"] > 0
+    assert full["targets"] == report["run_meta"]["outliers"]["count"] > 0
     assert full["possible_matches"] >= full["targets"]  # every target matches itself
 
 
@@ -109,9 +109,9 @@ def test_report_completeness_and_plan_order(tmp_path, original_csv):
     variants = [VariantSpec(name=f"eps{i}", epsilon=eps, seed=i) for i, eps in enumerate([0.01, 0.1, 0.2, 0.5, 1.0, 5.0, 10.0])]
     plan = make_plan(tmp_path, path, variants)
     report = run_audit(plan)
-    assert [e["name"] for e in report.variants] == [v.name for v in variants]
-    assert len(report.variants) == 7
-    for entry in report.variants:
+    assert [e["name"] for e in report["variants"]] == [v.name for v in variants]
+    assert len(report["variants"]) == 7
+    for entry in report["variants"]:
         assert entry["status"] == "ok"
         assert len(entry["linkage"]) == len(LADDER)
         assert entry["generator"]["type"] == "dp_independent_marginals"
@@ -121,7 +121,7 @@ def test_qi_ladder_monotonicity_in_report(tmp_path, original_csv):
     path, _ = original_csv
     plan = make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=5.0, seed=3)])
     report = run_audit(plan)
-    linkage = report.variants[0]["linkage"]
+    linkage = report["variants"][0]["linkage"]
     assert linkage["age,income,home"]["possible_matches"] <= linkage["age,income"]["possible_matches"]
 
 
@@ -141,14 +141,14 @@ def test_failure_isolation(tmp_path, original_csv):
         ],
     )
     report = run_audit(plan)
-    statuses = {e["name"]: e["status"] for e in report.variants}
+    statuses = {e["name"]: e["status"] for e in report["variants"]}
     assert statuses == {"good": "ok", "bad": "failed", "gen": "ok"}
-    assert "error" in report.variants[1]
+    assert "error" in report["variants"][1]
 
     # the failing variant does not perturb the others
     solo = make_plan(tmp_path, path, [VariantSpec(name="good", file=str(good_path))])
     solo_report = run_audit(solo)
-    assert solo_report.variants[0]["linkage"] == report.variants[0]["linkage"]
+    assert solo_report["variants"][0]["linkage"] == report["variants"][0]["linkage"]
 
 
 def test_reports_reproducible_modulo_volatile_meta(tmp_path, original_csv):
@@ -156,7 +156,7 @@ def test_reports_reproducible_modulo_volatile_meta(tmp_path, original_csv):
     plan = make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=0.5, seed=9)])
     a = run_audit(plan)
     b = run_audit(plan)
-    assert dumps_report(strip_volatile(a.to_dict())) == dumps_report(strip_volatile(b.to_dict()))
+    assert dumps_report(strip_volatile(a)) == dumps_report(strip_volatile(b))
 
 
 def test_write_outputs_materializes_files(tmp_path, original_csv):
@@ -166,7 +166,7 @@ def test_write_outputs_materializes_files(tmp_path, original_csv):
     out = plan.output_dir
     assert (out / "outliers.csv").is_file()
     assert (out / "variants" / "gen.csv").is_file()
-    pair_file = out / report.variants[0]["linkage"]["age,income"]["pairs_file"]
+    pair_file = out / report["variants"][0]["linkage"]["age,income"]["pairs_file"]
     assert pair_file.is_file()
     assert pair_file.read_text().splitlines()[0] == "original_index,synthetic_index,score_age,score_income"
 
@@ -195,27 +195,50 @@ class TestSweep:
     def test_single_cell_grid(self):
         original = fixture_original(n=60)
         report = sweep_epsilon(original, (0.01,), 1, 7, OUTLIER_CFG, QI_CFG)
-        assert len(report.variants) == 1
-        assert len(report.sweep_curve) == 1
-        assert report.variants[0]["generator"]["seed"] == 7
+        assert len(report["variants"]) == 1
+        assert len(report["sweep_curve"]) == 1
+        assert report["variants"][0]["generator"]["seed"] == 7
 
     def test_grid_times_repeats_entries_and_sorted_curve(self):
         original = fixture_original(n=50)
         grid = (10.0, 0.01, 1.0, 0.2, 5.0, 0.1, 0.5)
         report = sweep_epsilon(original, grid, 3, 100, OUTLIER_CFG, QI_CFG, n=50)
-        assert len(report.variants) == 21
-        epsilons = [row["epsilon"] for row in report.sweep_curve]
+        assert len(report["variants"]) == 21
+        epsilons = [row["epsilon"] for row in report["sweep_curve"]]
         assert epsilons == sorted(grid)
-        assert [e["generator"]["seed"] for e in report.variants] == list(range(100, 121))
-        for row in report.sweep_curve:
+        assert [e["generator"]["seed"] for e in report["variants"]] == list(range(100, 121))
+        for row in report["sweep_curve"]:
             assert row["repeats"] == 3
             assert row["unique_matches"]["min"] <= row["unique_matches"]["mean"] <= row["unique_matches"]["max"]
+
+    def test_curve_rows_aggregate_their_own_epsilons_entries(self):
+        original = fixture_original(n=80)
+        grid = (5.0, 0.05, 0.5, 50.0)
+        report = sweep_epsilon(original, grid, 3, 11, OUTLIER_CFG, QI_CFG)
+        subset = "age,income,home"
+        assert [row["epsilon"] for row in report["sweep_curve"]] == sorted(grid)
+        for row in report["sweep_curve"]:
+            own = [e for e in report["variants"] if e["generator"]["epsilon"] == row["epsilon"]]
+            assert row["repeats"] == len(own) == 3
+            uniques = [e["linkage"][subset]["unique_matches"] for e in own]
+            assert row["unique_matches"] == {
+                "mean": sum(uniques) / len(uniques),
+                "min": min(uniques),
+                "max": max(uniques),
+            }
+            metrics = own[0]["utility"]["aggregate"]
+            assert sorted(row["utility"]) == sorted(metrics) and len(metrics) > 0
+            for metric in metrics:
+                means = [e["utility"]["aggregate"][metric]["mean"] for e in own]
+                assert row["utility"][metric] == {"mean": sum(means) / len(means), "min": min(means), "max": max(means)}
+        # the rows differ between epsilons, so a row built from the wrong entries shows
+        assert len({repr(row["utility"]) for row in report["sweep_curve"]}) == len(grid)
 
     def test_deterministic(self):
         original = fixture_original(n=40)
         a = sweep_epsilon(original, (0.1, 1.0), 2, 5, OUTLIER_CFG, QI_CFG)
         b = sweep_epsilon(original, (0.1, 1.0), 2, 5, OUTLIER_CFG, QI_CFG)
-        assert dumps_report(strip_volatile(a.to_dict())) == dumps_report(strip_volatile(b.to_dict()))
+        assert dumps_report(strip_volatile(a)) == dumps_report(strip_volatile(b))
 
     def test_validation(self):
         original = fixture_original(n=30)
@@ -259,8 +282,8 @@ class TestOriginalPreparedOncePerRun:
             tmp_path, path, [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
         )
         report = run_audit(plan)
-        assert [e["status"] for e in report.variants] == ["ok", "ok"]
-        assert sum(len(e["linkage"]) for e in report.variants) == 4
+        assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
+        assert sum(len(e["linkage"]) for e in report["variants"]) == 4
         assert len(detects) == 1
         assert len(reductions) == 1
 
@@ -284,7 +307,7 @@ class TestOriginalPreparedOncePerRun:
         reductions = count_calls(monkeypatch, utility._reduce, "synthaudit.utility")
         original = fixture_original(n=80)
         report = sweep_epsilon(original, (0.1, 1.0, 5.0), 2, 0, OUTLIER_CFG, QI_CFG, num_bins=12)
-        assert len(report.variants) == 6
+        assert len(report["variants"]) == 6
         assert [args[0] for args in detects] == [original]
         assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
         assert [args[0] for args in reductions] == [original]
@@ -299,7 +322,7 @@ class TestOriginalPreparedOncePerRun:
             restrict_variant_outliers=True,
         )
         report = run_audit(plan)
-        assert sum(len(e["linkage"]) for e in report.variants) == 4
+        assert sum(len(e["linkage"]) for e in report["variants"]) == 4
         assert len(detects) == 3  # the original, then each variant once for both subsets
         assert [args[0] == original for args in detects] == [True, False, False]
 
@@ -319,7 +342,7 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
     plan = make_plan(
         tmp_path, path, variants, synth_defaults=defaults, restrict_variant_outliers=True
     )
-    report = dumps_report(strip_volatile(run_audit(plan).to_dict()))
+    report = dumps_report(strip_volatile(run_audit(plan)))
 
     original = load_dataset(path, SCHEMA)
     expected_dir = tmp_path / "expected"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import synthaudit
-from synthaudit import Dataset, detect_outliers, save_dataset
+from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, save_dataset
 from synthaudit.cli import main
 from synthaudit.config import load_config, parse_config
 
@@ -327,6 +327,35 @@ class TestSynthesizeCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "'synthesize' requires --epsilon or [synth] epsilon"),
+            (["--n", "5"], "'synthesize' requires --epsilon or [synth] epsilon"),
+            (["--epsilon", "1.0"], "'synthesize' requires --n or [synth] n"),
+            (["--epsilon", "0", "--n", "5"], "epsilon must be positive and finite, got 0.0"),
+            (["--epsilon", "1.0", "--n", "0"], "row count n must be >= 1, got 0"),
+        ],
+        ids=["no-flags", "no-epsilon", "no-n", "zero-epsilon", "zero-n"],
+    )
+    def test_without_synth_section_a_missing_flag_is_named(self, tmp_path, caplog, flags, message):
+        # there is no original: reading it would exit 3
+        cfg = write(tmp_path / "cfg.ini", BASE_CONFIG.format(k=3))
+        out = tmp_path / "x.csv"
+        code = main(["synthesize", "-c", str(cfg), str(tmp_path / "absent.csv"), "--out", str(out), *flags])
+        assert code == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"configuration error: {message}"
+        ]
+        assert not out.exists()
+
+    def test_without_synth_section_the_flags_suffice(self, workdir, capsys):
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
+        args = ["synthesize", "-c", str(cfg), str(tmp / "original.csv"), "--out", str(tmp / "x.csv")]
+        assert main([*args, "--epsilon", "1.0", "--n", "10"]) == 0
+        assert "wrote 10 rows" in capsys.readouterr().out
+
     @pytest.mark.parametrize("epsilon", ["0.01", "0.1", "0.2", "0.5", "1.0", "5.0", "10.0"])
     def test_epsilon_grid_accepted(self, workdir, epsilon):
         tmp, _ = workdir
@@ -545,6 +574,42 @@ class TestAuditCommand:
         [record] = [r for r in caplog.records if r.getMessage() == "internal error: boom"]
         assert record.exc_info is not None
         assert not (tmp / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["../../escaped", "..", ".", "a/b", "a\\b", ""])
+    def test_variant_name_that_leaves_the_output_dir_is_2_and_writes_nothing(self, workdir, caplog, name):
+        tmp, original = workdir
+        text = PLAN_TEMPLATE.format(out=tmp / "a" / "out").replace("[variant dp]", f"[variant {name}]")
+        save_dataset(original, tmp / "copy.csv")
+        plan = write(tmp / "plan.ini", text)
+        before = sorted(tmp.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"configuration error: variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'"
+        ]
+
+    @pytest.mark.parametrize(
+        "ladder, other", [("a b | a-b", "a-b"), ("a b | a b", "a,b")], ids=["same-file-name", "subset-twice"]
+    )
+    def test_subsets_whose_pair_files_collide_are_2_and_write_nothing(self, tmp_path, caplog, ladder, other):
+        rng = np.random.default_rng(3)
+        schema = tuple(AttributeSchema(name, Kind.NUMERICAL, Role.QI) for name in ("a", "b", "a-b"))
+        save_dataset(Dataset.from_columns(schema, {a.name: rng.normal(0, 1, 60) for a in schema}), tmp_path / "o.csv")
+        qi = "".join(f"\n[qi {a.name}]\ncomparator = gauss\noffset = 1\nscale = 1\n" for a in schema)
+        plan = write(
+            tmp_path / "plan.ini",
+            "[schema]\na = numerical qi\nb = numerical qi\na-b = numerical qi\n"
+            "\n[outliers]\nk = 1\nattributes = a b\n"
+            f"{qi}\n[paths]\noriginal = o.csv\noutput_dir = out\n"
+            f"\n[attack]\nladder = {ladder}\n\n[variant v]\nepsilon = 1.0\nseed = 1\n",
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"configuration error: variant 'v' subset 'a,b' and variant 'v' subset '{other}' "
+            "would both write pairs/v__a-b.csv"
+        ]
 
     def test_absolute_original_path(self, workdir, tmp_path_factory):
         tmp, original = workdir

@@ -13,14 +13,19 @@ from synthaudit import (
     Dataset,
     Kind,
     NoisyHistogram,
-    PrivacyBudget,
     Role,
     boundary_adherence,
     build_noisy_histogram,
     save_dataset,
     synthesize,
 )
-from synthaudit.dp_synth import _laplace_noise, _normalize, _sample_from_histogram, count_marginals
+from synthaudit.dp_synth import (
+    _laplace_noise,
+    _normalize,
+    _sample_from_histogram,
+    count_marginals,
+    generator_metadata,
+)
 
 from test_dataset import twin
 
@@ -59,22 +64,28 @@ class TestLaplaceNoise:
 
 class TestBudget:
     def test_equal_split_accounts_for_total(self):
+        # the split the report records; TestPreparedMarginals checks that
+        # synthesize noises every attribute at the same epsilon / m
         for m in (1, 2, 3, 7, 12):
-            budget = PrivacyBudget(epsilon=1.3, attribute_count=m)
-            assert budget.per_attribute_epsilon * m == pytest.approx(1.3, rel=1e-12)
+            schema = tuple(AttributeSchema(f"a{i}", Kind.NUMERICAL, Role.QI) for i in range(m))
+            eps_a = generator_metadata(schema, 1.3, 10, 8, 0)["per_attribute_epsilon"]
+            assert eps_a == 1.3 / m
+            assert eps_a * m == pytest.approx(1.3, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            PrivacyBudget(epsilon=0.0, attribute_count=2)
-        with pytest.raises(ConfigError):
-            PrivacyBudget(epsilon=1.0, attribute_count=0)
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite, got 0.0"):
+            synthesize(mixed_ds(n=20), epsilon=0.0, n=5)
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite, got -1.0"):
+            synthesize(mixed_ds(n=20), epsilon=-1.0, n=5)
+        with pytest.raises(ConfigError, match="at least one attribute"):  # so epsilon / m is defined
+            Dataset.from_columns((), {})
 
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
     def test_non_finite_epsilon_rejected(self, epsilon):
         with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
-            PrivacyBudget(epsilon=epsilon, attribute_count=2)
-        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
             synthesize(mixed_ds(n=20), epsilon=epsilon, n=5)
+        with pytest.raises(ConfigError, match="per-attribute epsilon must be positive and finite"):
+            build_noisy_histogram(mixed_ds(n=20), "age", epsilon)
 
 
 class TestNormalize:
@@ -259,7 +270,7 @@ def edge_ds(n=300, seed=8):
 def per_histogram_synthesize(ds, epsilon, n, num_bins, seed):
     """Sampling through the public per-attribute histogram, each attribute on
     its own PCG64 substream, and the output built by ``from_columns``."""
-    eps_a = PrivacyBudget(epsilon, len(ds.schema)).per_attribute_epsilon
+    eps_a = epsilon / len(ds.schema)
     children = np.random.SeedSequence(seed).spawn(len(ds.schema))
     columns = {}
     for child, attr in zip(children, ds.schema):
