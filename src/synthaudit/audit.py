@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
-from .config import SynthSettings, VariantSpec
+from .config import SynthSettings, VariantSpec, check_ladder
 from .dataset import AttributeSchema, Dataset, load_dataset, save_dataset
 from .dp_synth import DEFAULT_NUM_BINS, generator_metadata, synthesize
-from .errors import ConfigError, SynthAuditError
+from .errors import ConfigError, Record, SynthAuditError
 from .linkage import LinkageResult, QIConfig, attack, save_matches
 from .outliers import OutlierConfig, detect_outliers, save_outlier_set
 from .utility import compute_utility
@@ -33,26 +32,21 @@ from .utility import compute_utility
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class AuditPlan:
-    original_path: Path
-    schema: tuple[AttributeSchema, ...]
-    outlier_cfg: OutlierConfig
-    qi_cfg: QIConfig
-    variants: tuple[VariantSpec, ...]
-    ladder: tuple[tuple[str, ...], ...]
-    output_dir: Path
-    synth_defaults: SynthSettings | None = None
-    restrict_variant_outliers: bool = False
-    base_dir: Path = Path(".")  # anchor for relative variant file paths
+class AuditPlan(Record):
+    __slots__ = {
+        "original_path": "Path", "schema": "tuple[AttributeSchema, ...]", "outlier_cfg": "OutlierConfig",
+        "qi_cfg": "QIConfig", "variants": "tuple[VariantSpec, ...]", "ladder": "tuple[tuple[str, ...], ...]",
+        "output_dir": "Path", "synth_defaults": "SynthSettings | None", "restrict_variant_outliers": "bool",
+        "base_dir": "Path: the anchor for relative variant file paths",
+    }
+    _defaults = {"synth_defaults": None, "restrict_variant_outliers": False, "base_dir": Path(".")}
 
     def __post_init__(self) -> None:
         if not self.variants:
             raise ConfigError("audit plan needs at least one variant")
         if not self.ladder:
             raise ConfigError("audit plan needs at least one QI subset in the ladder")
-        for subset in self.ladder:
-            self.qi_cfg.subset(subset)
+        check_ladder(self.qi_cfg, self.ladder)
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variant names in audit plan")

@@ -5,7 +5,8 @@ Subcommands wrap the library one-to-one: ``outliers``, ``link``,
 results to files or stdout, so the tool composes in pipelines.
 
 Each command imports the layers it runs, so ``link`` and ``outliers`` do not
-load the audit, utility and report modules, ``json`` or ``hashlib``.
+load the synthesis, audit, utility and report modules, ``json`` or
+``hashlib``; no module loads ``dataclasses``.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
 (including an ``audit`` variant that failed and an output path that cannot
@@ -27,8 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig, SynthSettings, config_hash, load_config, render_config
-from .dataset import load_dataset, save_dataset, write_table
-from .dp_synth import DEFAULT_NUM_BINS, check_settings, synthesize
+from .dataset import DEFAULT_NUM_BINS, load_dataset, save_dataset, write_table
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
@@ -72,17 +72,10 @@ def cmd_outliers(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _require(cfg, "link", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
+    qi = cfg.qi.subset(args.qis.split(",")) if args.qis else cfg.qi  # before any data is read
     original = load_dataset(args.original, cfg.schema)
     variant = load_dataset(args.variant, cfg.schema)
-    subset = tuple(args.qis.split(",")) if args.qis else None
-    result = attack(
-        original,
-        variant,
-        cfg.outliers,
-        cfg.qi,
-        qi_subset=subset,
-        restrict_variant_outliers=cfg.restrict_variant_outliers,
-    )
+    result = attack(original, variant, cfg.outliers, qi, restrict_variant_outliers=cfg.restrict_variant_outliers)
     out = _out_dir(args.out, cfg) / "pairs.csv"
     save_matches(result, out)
     logger.info("match pairs written to %s", out)
@@ -111,6 +104,8 @@ def cmd_utility(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
+    from .dp_synth import check_settings, synthesize
+
     cfg = load_config(args.config)
     _require(cfg, "synthesize", schema=cfg.schema)
     base = cfg.synth or SynthSettings(epsilon=args.epsilon, n=args.n)

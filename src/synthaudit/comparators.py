@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-from .errors import ConfigError
+from .errors import ConfigError, Record
 
 
 class ComparatorKind(enum.Enum):
@@ -29,13 +27,11 @@ class ComparatorKind(enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class ComparatorSpec:
+class ComparatorSpec(Record):
     """Comparator choice plus parameters; only gauss takes offset/scale, both finite."""
 
-    kind: ComparatorKind
-    offset: float | None = None
-    scale: float | None = None
+    __slots__ = {"kind": "ComparatorKind", "offset": "float | None", "scale": "float | None"}
+    _defaults = {"offset": None, "scale": None}
 
     def __post_init__(self) -> None:
         if self.kind is ComparatorKind.GAUSS:

@@ -17,36 +17,28 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
 
 from .comparators import ComparatorKind, ComparatorSpec
-from .dataset import AttributeSchema, Kind, Role, validate_schema
-from .dp_synth import DEFAULT_NUM_BINS
-from .errors import ConfigError
+from .dataset import DEFAULT_NUM_BINS, AttributeSchema, Kind, Role, validate_schema
+from .errors import ConfigError, Record
 from .linkage import QIConfig, QIRule, validate_blocking
 from .outliers import Combine, OutlierConfig
 
 
-@dataclass(frozen=True)
-class SynthSettings:
-    epsilon: float
-    n: int
-    num_bins: int = DEFAULT_NUM_BINS
-    seed: int = 0
+class SynthSettings(Record):
+    __slots__ = {"epsilon": "float", "n": "int", "num_bins": "int", "seed": "int"}
+    _defaults = {"num_bins": DEFAULT_NUM_BINS, "seed": 0}
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    grid: tuple[float, ...]
-    repeats: int = 1
-    base_seed: int = 0
+class SweepSettings(Record):
+    __slots__ = {"grid": "tuple[float, ...]", "repeats": "int", "base_seed": "int"}
+    _defaults = {"repeats": 1, "base_seed": 0}
 
 
-@dataclass(frozen=True)
-class VariantSpec:
+class VariantSpec(Record):
     """A variant to audit: an external file, or parameters to generate one.
 
     ``tags`` carries free-form hyperparameter labels for externally
@@ -54,13 +46,11 @@ class VariantSpec:
     curves over foreign hyperparameters can be assembled from audit output.
     """
 
-    name: str
-    file: str | None = None
-    epsilon: float | None = None
-    seed: int | None = None
-    n: int | None = None
-    num_bins: int | None = None
-    tags: tuple[tuple[str, str], ...] = ()
+    __slots__ = {
+        "name": "str", "file": "str | None", "epsilon": "float | None", "seed": "int | None", "n": "int | None",
+        "num_bins": "int | None", "tags": "tuple[tuple[str, str], ...]",
+    }
+    _defaults = {"file": None, "epsilon": None, "seed": None, "n": None, "num_bins": None, "tags": ()}
 
     def __post_init__(self) -> None:
         if self.file is None and self.epsilon is None:
@@ -71,27 +61,24 @@ class VariantSpec:
         return self.file is None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    schema: tuple[AttributeSchema, ...]
-    outliers: OutlierConfig | None = None
-    qi: QIConfig | None = None
-    synth: SynthSettings | None = None
-    original: str | None = None
-    output_dir: str | None = None
-    ladder: tuple[tuple[str, ...], ...] = ()
-    blocking: str | None = None
-    restrict_variant_outliers: bool = False
-    variants: tuple[VariantSpec, ...] = ()
-    sweep: SweepSettings | None = None
+class RunConfig(Record):
+    __slots__ = {
+        "schema": "tuple[AttributeSchema, ...]", "outliers": "OutlierConfig | None", "qi": "QIConfig | None",
+        "synth": "SynthSettings | None", "original": "str | None", "output_dir": "str | None",
+        "ladder": "tuple[tuple[str, ...], ...]", "blocking": "str | None", "restrict_variant_outliers": "bool",
+        "variants": "tuple[VariantSpec, ...]", "sweep": "SweepSettings | None",
+    }
+    _defaults = {
+        "outliers": None, "qi": None, "synth": None, "original": None, "output_dir": None, "ladder": (),
+        "blocking": None, "restrict_variant_outliers": False, "variants": (), "sweep": None,
+    }
 
 
 def _fail(section: str, key: str, value: str, expected: str) -> ConfigError:
     return ConfigError(f"[{section}] {key} = {value!r}: expected {expected}")
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(Record):
     """How one key reads its text and writes its value back.
 
     ``parse(section, key, text)`` returns the value or raises ConfigError.
@@ -99,10 +86,11 @@ class _Key:
     not the key itself.
     """
 
-    parse: Callable[[str, str, str], Any]
-    render: Callable[[Any], str] = str
-    required: bool = False
-    attr: str | None = None
+    __slots__ = {
+        "parse": "Callable[[str, str, str], Any]", "render": "Callable[[Any], str]", "required": "bool",
+        "attr": "str | None",
+    }
+    _defaults = {"render": str, "required": False, "attr": None}
 
 
 def _words(section: str, key: str, text: str) -> tuple[str, ...]:
@@ -173,7 +161,6 @@ def _grid(section: str, key: str, text: str) -> tuple[float, ...]:
     return grid
 
 
-_COMPARATOR = _choice({c.value: c for c in ComparatorKind}, "gauss, levenshtein or exact")
 _NUMBER = _Key(_number, repr)
 _EPSILON = _Key(_epsilon, repr)
 _COUNT = _Key(_integer(1))
@@ -187,20 +174,22 @@ _FLAG = _choice(
 # One ordered table per keyed section: parse order, render order and the
 # allowed keys all come from here.
 _OUTLIERS = {
-    "k": replace(_NUMBER, required=True),
+    "k": _Key(_number, repr, required=True),
     "attributes": _Key(_words, " ".join, required=True),
     "combine": _choice({c.value: c for c in Combine}, "'any' or 'all'"),
     "stddev": _choice({"population": 0, "sample": 1}, "'population' or 'sample'", attr="ddof"),
 }
 _QI = {
-    "comparator": replace(_COMPARATOR, required=True, attr="comparator.kind"),
-    "offset": replace(_NUMBER, attr="comparator.offset"),
-    "scale": replace(_NUMBER, attr="comparator.scale"),
+    "comparator": _choice(
+        {c.value: c for c in ComparatorKind}, "gauss, levenshtein or exact", required=True, attr="comparator.kind"
+    ),
+    "offset": _Key(_number, repr, attr="comparator.offset"),
+    "scale": _Key(_number, repr, attr="comparator.scale"),
     "threshold": _NUMBER,
 }
 _SYNTH = {
-    "epsilon": replace(_EPSILON, required=True),
-    "n": replace(_COUNT, required=True),
+    "epsilon": _Key(_epsilon, repr, required=True),
+    "n": _Key(_integer(1), required=True),
     "num_bins": _COUNT,
     "seed": _SEED,
 }
@@ -301,14 +290,25 @@ def _parse_qi_rule(attr_name: str, section, schema) -> QIRule:
     return QIRule(name=attr_name, comparator=comparator, threshold=values.get("threshold"))
 
 
+def check_ladder(qi: QIConfig, ladder: tuple[tuple[str, ...], ...]) -> None:
+    """Check the subsets one at a time, in order: each names configured QIs,
+    each QI once, and names another set of QIs than every earlier subset."""
+    earlier: dict[frozenset[str], tuple[str, ...]] = {}
+    for names in ladder:
+        if not names:
+            raise ConfigError("[attack] ladder contains an empty QI subset")
+        qi.subset(names)  # raises on unknown or repeated names
+        if frozenset(names) in earlier:
+            first = ",".join(earlier[frozenset(names)])
+            raise ConfigError(f"[attack] ladder subsets {first!r} and {','.join(names)!r} name the same QIs")
+        earlier[frozenset(names)] = names
+
+
 def _parse_attack(section, qi: QIConfig | None) -> dict:
     values = _read("attack", section, _ATTACK)
     if qi is None:
         raise ConfigError("[attack] requires at least one [qi ...] section")
-    for names in values.get("ladder", ()):  # one subset at a time, in order
-        if not names:
-            raise ConfigError("[attack] ladder contains an empty QI subset")
-        qi.subset(names)  # raises on unknown names
+    check_ladder(qi, values.get("ladder", ()))
     if "blocking" in values:
         validate_blocking(values["blocking"], qi)
     return values

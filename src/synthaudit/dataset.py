@@ -14,14 +14,13 @@ import csv
 import enum
 import logging
 import sys
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from pathlib import Path
 from typing import Any, Callable, NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, Record
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +33,10 @@ MISSING_MARKERS = frozenset({"", "NA"})
 NAME_FORBIDDEN = frozenset(',"|\r\n')
 
 BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
+
+# Histogram bins per numeric attribute in the synthesizer (dp_synth), kept
+# here so the config reads it without loading the synthesizer.
+DEFAULT_NUM_BINS = 32
 
 # Characters that make csv.writer's default dialect quote a cell.
 _CSV_SPECIAL = frozenset(',"\r\n')
@@ -81,13 +84,11 @@ class MissingPolicy(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
+class AttributeSchema(Record):
     """One attribute: its name, value kind, and quasi-identifier role."""
 
-    name: str
-    kind: Kind
-    role: Role = Role.NON_QI
+    __slots__ = {"name": "str", "kind": "Kind", "role": "Role"}
+    _defaults = {"role": Role.NON_QI}
 
 
 def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
@@ -102,16 +103,17 @@ def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
         raise ConfigError(f"attribute names must not contain ',', '\"', '|' or a line break: {bad}")
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Record):
     """Immutable columnar table; safe to share across concurrent readers."""
 
-    schema: tuple[AttributeSchema, ...]
-    columns: dict[str, np.ndarray] = field(repr=False)
-    row_count: int
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = {
+        "schema": "tuple[AttributeSchema, ...]", "columns": "dict[str, np.ndarray]", "row_count": "int",
+        "_derived": "dict: values derived from the columns, computed once (see ``derived``)",
+    }
+    _hidden = frozenset({"columns"})
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_derived", {})
         validate_schema(self.schema)
         if set(self.columns) != {a.name for a in self.schema}:
             raise DataError("columns do not match schema attribute names")

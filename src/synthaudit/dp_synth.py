@@ -26,26 +26,22 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import AttributeSchema, Dataset, Kind
-from .errors import ConfigError, DataError
-
-DEFAULT_NUM_BINS = 32
+from .dataset import DEFAULT_NUM_BINS, AttributeSchema, Dataset, Kind
+from .errors import ConfigError, DataError, Record
 
 
-@dataclass(frozen=True)
-class NoisyHistogram:
+class NoisyHistogram(Record):
     """One attribute's Laplace-noised marginal, normalized to a distribution."""
 
-    attribute: str
-    kind: Kind
-    bins: tuple  # category tuple, or ndarray of bin edges (len = bins + 1)
-    noisy_counts: np.ndarray = field(repr=False)
-    probabilities: np.ndarray = field(repr=False)
+    __slots__ = {
+        "attribute": "str", "kind": "Kind", "bins": "category tuple, or ndarray of bin edges (len = bins + 1)",
+        "noisy_counts": "np.ndarray", "probabilities": "np.ndarray",
+    }
+    _hidden = frozenset({"noisy_counts", "probabilities"})
 
 
 def _laplace_noise(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:

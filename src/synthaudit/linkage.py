@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import Dataset, Kind, write_table
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, Record
 from .outliers import OutlierConfig, detect_outliers
 
 logger = logging.getLogger(__name__)
@@ -51,13 +50,11 @@ NUMERIC_THRESHOLD = 0.5
 CATEGORICAL_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True)
-class QIRule:
+class QIRule(Record):
     """One quasi-identifier: attribute, comparator, and match threshold."""
 
-    name: str
-    comparator: ComparatorSpec
-    threshold: float | None = None
+    __slots__ = {"name": "str", "comparator": "ComparatorSpec", "threshold": "float | None"}
+    _defaults = {"threshold": None}
 
     def __post_init__(self) -> None:
         if self.threshold is None:
@@ -71,11 +68,10 @@ class QIRule:
             raise ConfigError(f"threshold for {self.name!r} must be in (0, 1], got {self.threshold}")
 
 
-@dataclass(frozen=True)
-class QIConfig:
+class QIConfig(Record):
     """The attacker's background-knowledge model: an ordered set of QI rules."""
 
-    rules: tuple[QIRule, ...]
+    __slots__ = {"rules": "tuple[QIRule, ...]"}
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.rules]
@@ -94,11 +90,14 @@ class QIConfig:
         raise ConfigError(f"no QI rule for {name!r}")
 
     def subset(self, names: Iterable[str]) -> "QIConfig":
-        """Restrict to the given QIs, keeping configured order."""
+        """Restrict to the given QIs, each named once, keeping configured order."""
         wanted = list(names)
         unknown = sorted(set(wanted) - set(self.names()))
         if unknown:
             raise ConfigError(f"QI subset names not configured: {unknown}")
+        repeated = [name for name in wanted if wanted.count(name) > 1]
+        if repeated:
+            raise ConfigError(f"QI subset {','.join(wanted)!r} names {repeated[0]!r} more than once")
         return QIConfig(rules=tuple(r for r in self.rules if r.name in wanted))
 
     def validate_against(self, ds: Dataset) -> None:
@@ -115,30 +114,34 @@ class QIConfig:
                 )
 
 
-@dataclass(frozen=True)
-class ScoredPair:
-    original: int
-    synthetic: int
-    scores: dict[str, float] = field(repr=False)
+class ScoredPair(Record):
+    __slots__ = {"original": "int", "synthetic": "int", "scores": "dict[str, float]"}
+    _hidden = frozenset({"scores"})
 
 
-@dataclass(frozen=True, eq=False)
-class LinkageResult:
+class LinkageResult(Record):
     """Matches as read-only columns ordered by (original, synthetic), and one score
     column per QI in configured order (1.0 on an equality QI). :attr:`pairs` is
     built on demand; results are equal when their pairs and surfaces are."""
 
-    original: np.ndarray
-    synthetic: np.ndarray
-    scores: dict[str, np.ndarray] = field(repr=False)
-    attack_surface: tuple[int, int]  # (targets, variant rows considered)
-    per_original_match_count: dict[int, int] = field(init=False, repr=False)
+    __slots__ = {
+        "original": "np.ndarray", "synthetic": "np.ndarray", "scores": "dict[str, np.ndarray]",
+        "attack_surface": "tuple[int, int]: (targets, variant rows considered)",
+        "_counts": "dict[int, int]: matches per original index, in ascending order",
+    }
+    _hidden = frozenset({"scores"})
 
     def __post_init__(self) -> None:
         for col in (self.original, self.synthetic, *self.scores.values()):
             col.flags.writeable = False
-        counts = dict(zip(*(a.tolist() for a in np.unique(self.original, return_counts=True))))
-        object.__setattr__(self, "per_original_match_count", counts)
+        # each original's matches are one run of the sorted column: count run lengths, no sort
+        o = self.original
+        starts = [0, *((o[1:] != o[:-1]).nonzero()[0] + 1).tolist()][: len(o)]
+        originals = o[starts].tolist()
+        if originals != sorted(originals):
+            raise ValueError("LinkageResult matches must be ordered by original index")
+        sizes = [end - start for start, end in zip(starts, [*starts[1:], len(o)])]
+        object.__setattr__(self, "_counts", dict(zip(originals, sizes)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkageResult):
@@ -150,6 +153,10 @@ class LinkageResult:
         names, columns = list(self.scores), [col.tolist() for col in self.scores.values()]
         rows = zip(self.original.tolist(), self.synthetic.tolist(), *columns)
         return tuple(ScoredPair(i, j, dict(zip(names, values))) for i, j, *values in rows)
+
+    @property
+    def per_original_match_count(self) -> dict[int, int]:
+        return self._counts
 
     @property
     def unique_match_count(self) -> int:

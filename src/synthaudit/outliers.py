@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
@@ -18,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset, Kind, write_table
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, Record
 
 
 class Combine(enum.Enum):
@@ -26,18 +25,15 @@ class Combine(enum.Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
-class OutlierConfig:
+class OutlierConfig(Record):
     """Threshold k, the numeric attributes to scan, and the combine rule.
 
     ``ddof`` selects the standard deviation convention used for the z-scores
     (0 = population, 1 = sample).
     """
 
-    k: float
-    attributes: tuple[str, ...]
-    combine: Combine = Combine.ANY
-    ddof: int = 0
+    __slots__ = {"k": "float", "attributes": "tuple[str, ...]", "combine": "Combine", "ddof": "int"}
+    _defaults = {"combine": Combine.ANY, "ddof": 0}
 
     def __post_init__(self) -> None:
         if not self.k > 0:
@@ -50,12 +46,11 @@ class OutlierConfig:
             raise ConfigError("duplicate attribute in outlier config")
 
 
-@dataclass(frozen=True, eq=False)
-class OutlierSet:
+class OutlierSet(Record):
     """Flagged rows as read-only columns: sorted int64 ``index``, float64 ``z`` per attribute."""
 
-    index: np.ndarray
-    z: MappingProxyType[str, np.ndarray] = field(repr=False)
+    __slots__ = {"index": "np.ndarray", "z": "MappingProxyType[str, np.ndarray]"}
+    _hidden = frozenset({"z"})
 
     def __post_init__(self) -> None:
         for col in (self.index, *self.z.values()):

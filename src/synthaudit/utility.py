@@ -15,13 +15,12 @@ attributes, CategoryCoverage for categorical ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .dataset import Dataset, Kind
-from .errors import DataError
+from .errors import DataError, Record
 
 BOUNDARY_ADHERENCE = "BoundaryAdherence"
 CATEGORY_COVERAGE = "CategoryCoverage"
@@ -139,12 +138,11 @@ def _reduce(real: Dataset) -> MappingProxyType[str, np.ndarray]:
     return MappingProxyType(columns)
 
 
-@dataclass(frozen=True)
-class UtilityReport:
+class UtilityReport(Record):
     """Per-attribute metric scores plus per-metric mean/median aggregates."""
 
-    per_attribute: dict[str, dict[str, float]] = field(repr=False)
-    aggregate: dict[str, dict[str, float]]
+    __slots__ = {"per_attribute": "dict[str, dict[str, float]]", "aggregate": "dict[str, dict[str, float]]"}
+    _hidden = frozenset({"per_attribute"})
 
     def to_dict(self) -> dict:
         return {"per_attribute": self.per_attribute, "aggregate": self.aggregate}

@@ -185,6 +185,10 @@ def test_plan_validation(tmp_path, original_csv):
         make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=())
     with pytest.raises(ConfigError, match="not configured"):
         make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("nope",),))
+    with pytest.raises(ConfigError, match="^QI subset 'age,age' names 'age' more than once$"):
+        make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age", "age"),))
+    with pytest.raises(ConfigError, match="subsets 'age,income' and 'income,age' name the same QIs$"):
+        make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age", "income"), ("income", "age")))
     with pytest.raises(ConfigError, match="duplicate variant"):
         make_plan(
             tmp_path, path, [VariantSpec(name="v", epsilon=1.0), VariantSpec(name="v", epsilon=2.0)]

@@ -216,6 +216,22 @@ class TestLinkCommand:
         assert header == "original_index,synthetic_index,score_age,score_income"
         assert capsys.readouterr().out  # summary printed
 
+    @pytest.mark.parametrize(
+        "qis, message",
+        [
+            ("age,age", "QI subset 'age,age' names 'age' more than once"),
+            ("income,age,income", "QI subset 'income,age,income' names 'income' more than once"),
+            ("age,nope", "QI subset names not configured: ['nope']"),
+        ],
+    )
+    def test_bad_qi_subset_is_2_before_any_data_is_read(self, tmp_path, caplog, qis, message):
+        cfg = write(tmp_path / "cfg.ini", BASE_CONFIG.format(k=1.5))
+        before = sorted(tmp_path.rglob("*"))
+        missing = str(tmp_path / "missing.csv")  # read first, this would be a data error, 3
+        assert main(["link", "-c", str(cfg), missing, missing, "--qis", qis, "--out", str(tmp_path / "out")]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"configuration error: {message}"]
+
     def test_outliers_detected_once_per_run(self, workdir, monkeypatch, capsys):
         tmp, _ = workdir
         detects = count_calls(monkeypatch, detect_outliers, "synthaudit.cli", "synthaudit.linkage")
@@ -589,9 +605,15 @@ class TestAuditCommand:
         ]
 
     @pytest.mark.parametrize(
-        "ladder, other", [("a b | a-b", "a-b"), ("a b | a b", "a,b")], ids=["same-file-name", "subset-twice"]
+        "ladder, message",
+        [
+            ("a b | a-b", "variant 'v' subset 'a,b' and variant 'v' subset 'a-b' would both write pairs/v__a-b.csv"),
+            # refused as one set of QIs listed twice, before the pair files are named
+            ("a b | a b", "[attack] ladder subsets 'a,b' and 'a,b' name the same QIs"),
+        ],
+        ids=["same-file-name", "subset-twice"],
     )
-    def test_subsets_whose_pair_files_collide_are_2_and_write_nothing(self, tmp_path, caplog, ladder, other):
+    def test_subsets_whose_pair_files_collide_are_2_and_write_nothing(self, tmp_path, caplog, ladder, message):
         rng = np.random.default_rng(3)
         schema = tuple(AttributeSchema(name, Kind.NUMERICAL, Role.QI) for name in ("a", "b", "a-b"))
         save_dataset(Dataset.from_columns(schema, {a.name: rng.normal(0, 1, 60) for a in schema}), tmp_path / "o.csv")
@@ -606,10 +628,40 @@ class TestAuditCommand:
         before = sorted(tmp_path.rglob("*"))
         assert main(["audit", "--plan", str(plan)]) == 2
         assert sorted(tmp_path.rglob("*")) == before
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            f"configuration error: variant 'v' subset 'a,b' and variant 'v' subset '{other}' "
-            "would both write pairs/v__a-b.csv"
-        ]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"configuration error: {message}"]
+
+    @pytest.mark.parametrize(
+        "ladder, message",
+        [
+            ("age income | income age", "[attack] ladder subsets 'age,income' and 'income,age' name the same QIs"),
+            ("age | home | home age | age home", "[attack] ladder subsets 'home,age' and 'age,home' name the same QIs"),
+            ("age income | age age", "QI subset 'age,age' names 'age' more than once"),
+            ("home age home", "QI subset 'home,age,home' names 'home' more than once"),
+        ],
+    )
+    def test_ladder_subsets_that_are_not_distinct_sets_are_2_and_write_nothing(self, workdir, caplog, ladder, message):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("ladder = age income | age income home", f"ladder = {ladder}")
+        plan = write(tmp / "plan.ini", text)
+        before = sorted(tmp.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"configuration error: {message}"]
+
+    def test_ladder_subsets_keep_their_listed_order_in_keys_and_file_names(self, workdir, capsys):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("ladder = age income | age income home", "ladder = income age | home")
+        assert main(["audit", "--plan", str(write(tmp / "plan.ini", text))]) == 0
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert report["run_meta"]["ladder"] == ["income,age", "home"]
+        for entry in report["variants"]:
+            assert sorted(entry["linkage"]) == ["home", "income,age"]  # the report sorts its keys
+            assert entry["linkage"]["income,age"]["pairs_file"] == f"pairs/{entry['name']}__income-age.csv"
+            # the score columns keep the configured order
+            header = (tmp / "out" / "pairs" / f"{entry['name']}__income-age.csv").read_text().splitlines()[0]
+            assert header == "original_index,synthetic_index,score_age,score_income"
 
     def test_absolute_original_path(self, workdir, tmp_path_factory):
         tmp, original = workdir
@@ -674,9 +726,12 @@ class TestOutputBytes:
 
 
 class TestImports:
-    """Each command imports the layers it runs; ``hashlib`` maps OpenSSL."""
+    """Each command imports the layers it runs; ``hashlib`` maps OpenSSL. No
+    command defines a record class through ``dataclasses``, which compiles
+    generated methods at every start and imports ``copy``."""
 
     AUDIT_ONLY = ("synthaudit.audit", "synthaudit.utility", "synthaudit.report", "json", "hashlib", "_hashlib")
+    WATCHED = AUDIT_ONLY + ("synthaudit.dp_synth", "dataclasses", "copy")
 
     @pytest.mark.parametrize(
         "run, loaded",
@@ -684,7 +739,7 @@ class TestImports:
             ("assert main(['link', '-c', plan, original, original]) == 0", ()),
             ("assert main(['outliers', '-c', plan, original]) == 0", ()),
             ("load_config(plan)", ()),  # bench/run.py's set-up probe
-            ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY),
+            ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY + ("synthaudit.dp_synth",)),
         ],
         ids=["link", "outliers", "setup-probe", "audit"],
     )
@@ -699,7 +754,7 @@ class TestImports:
             "from synthaudit.config import load_config\n"
             "plan, original = sys.argv[1:]\n"
             f"{run}\n"
-            f"print([m for m in {self.AUDIT_ONLY!r} if m in sys.modules])\n"
+            f"print([m for m in {self.WATCHED!r} if m in sys.modules])\n"
         )
         stdout = run_python(code, plan, tmp / "original.csv")
         assert stdout.splitlines()[-1] == repr(list(loaded))

@@ -561,6 +561,15 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
         # two faults in one ladder: the subsets are checked in order
         ("ladder = age income |", "ladder = nope | |", "QI subset names not configured: ['nope']"),
         ("ladder = age income |", "ladder = | nope |", "[attack] ladder contains an empty QI subset"),
+        # a subset is a set: each QI once, and no set twice, in any order
+        ("ladder = age income |", "ladder = age income age |", "QI subset 'age,income,age' names 'age' more than once"),
+        (
+            "ladder = age income |",
+            "ladder = age income | home | income age |",
+            "[attack] ladder subsets 'age,income' and 'income,age' name the same QIs",
+        ),
+        ("ladder = age income |", "ladder = home | home |", "[attack] ladder subsets 'home' and 'home' name the same QIs"),
+        ("ladder = age income |", "ladder = age age | nope |", "QI subset 'age,age' names 'age' more than once"),
         ("blocking = home", "blocking = age", "blocking attribute 'age' is not categorical"),
         ("blocking = home", "blocking = amount", "no QI rule for 'amount'"),
         ("threshold = 1\n", "threshold = 0.8\n", "blocking on 'home' requires threshold 1, configured 0.8"),

@@ -103,8 +103,9 @@ def run_configs(draw) -> RunConfig:
     blocking = None
     restrict = False
     if qi is not None:
-        subset = st.lists(st.sampled_from(qi.names()), min_size=1, max_size=4).map(tuple)
-        ladder = tuple(draw(st.lists(subset, min_size=1, max_size=3)))
+        # a subset names each QI once, and no two subsets name the same set
+        subset = st.lists(st.sampled_from(qi.names()), min_size=1, max_size=4, unique=True).map(tuple)
+        ladder = tuple(draw(st.lists(subset, min_size=1, max_size=3, unique_by=frozenset)))
         exact = [r.name for r in qi.rules if r.comparator.kind is not ComparatorKind.GAUSS and r.threshold == 1]
         blocking = draw(st.none() | st.sampled_from(exact)) if exact else None
         restrict = draw(st.booleans())
