@@ -18,7 +18,9 @@ the radius (a sorted-neighbourhood join: Hernández & Stolfo, SIGMOD 1995). In
 each partition the rule whose windows hold the fewest pairs drives; with no
 Gauss rule, or none narrower, a window is the partition's full row range.
 The windows of all targets sharing a driver are expanded ``PAIR_BUDGET`` pairs
-at a time, so memory does not grow with targets x rows. The radii, computed at
+at a time, so memory does not grow with targets x rows: 16,384 pairs, whose
+working set (int64 target and row positions, and a Gauss rule's float64 gaps
+and gathered values) is 32 bytes a pair, 512 KiB a chunk. The radii, computed at
 a threshold lowered by ``GAUSS_SLACK``, only nominate candidates: each
 equality QI scores 1.0 on every pair it lets through, a Levenshtein QI below
 threshold 1 scores each distinct category pair once, and each Gauss QI scores
@@ -122,7 +124,8 @@ class ScoredPair(Record):
 class LinkageResult(Record):
     """Matches as read-only columns ordered by (original, synthetic), and one score
     column per QI in configured order (1.0 on an equality QI). :attr:`pairs` is
-    built on demand; results are equal when their pairs and surfaces are."""
+    built on demand; results are equal when their surfaces, match columns and
+    score columns are, whatever the order of the score names."""
 
     __slots__ = {
         "original": "np.ndarray", "synthetic": "np.ndarray", "scores": "dict[str, np.ndarray]",
@@ -146,7 +149,11 @@ class LinkageResult(Record):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkageResult):
             return NotImplemented
-        return (self.pairs, self.attack_surface) == (other.pairs, other.attack_surface)
+        if self.attack_surface != other.attack_surface or self.scores.keys() != other.scores.keys():
+            return False
+        columns = [(self.original, other.original), (self.synthetic, other.synthetic)]
+        columns += [(col, other.scores[name]) for name, col in self.scores.items()]
+        return all(np.array_equal(mine, theirs) for mine, theirs in columns)
 
     @property
     def pairs(self) -> tuple[ScoredPair, ...]:
@@ -227,7 +234,7 @@ def filter_matches(
 # The engine behind attack(). Inside it, targets and variant rows are
 # addressed by position in the attack's sorted target and row arrays.
 
-PAIR_BUDGET = 1 << 16  # candidate pairs generated and scored at once
+PAIR_BUDGET = 1 << 14  # candidate pairs generated and scored at once
 # Relative slack of the threshold a Gauss radius is computed at: rounding in
 # the radius and in the scalar comparator is about 1e-16.
 GAUSS_SLACK = 1e-9
@@ -254,6 +261,13 @@ def _keys(columns: list[tuple], n_targets: int, n_rows: int) -> tuple[np.ndarray
     return key[:n_targets], key[n_targets:]
 
 
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """``real + 1j * imag``, filled in place of building a complex temporary per term."""
+    out = np.empty(len(real), dtype=np.complex128)
+    out.real, out.imag = real, imag
+    return out
+
+
 class _GaussRule:
     """A Gauss QI: a radius for windows and candidates, and the scalar decision."""
 
@@ -277,13 +291,15 @@ class _GaussRule:
         order = np.argsort(self._v)
         order = order[np.argsort(r_key[order], kind="stable")]
         # numpy orders complex numbers lexicographically; key + 1j * x is exact
-        rows = r_key[order] + 1j * self._v[order]
-        lo = np.searchsorted(rows, t_key + 1j * (self._o - self.radius), side="left")
-        return order, lo, np.searchsorted(rows, t_key + 1j * (self._o + self.radius), side="right")
+        rows = _complex(r_key[order], self._v[order])
+        lo = np.searchsorted(rows, _complex(t_key, self._o - self.radius), side="left")
+        return order, lo, np.searchsorted(rows, _complex(t_key, self._o + self.radius), side="right")
 
     def candidates(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
         """Mask of the pairs (t_sel[k], r_sel[k]) within the radius; a superset of the matches."""
-        return np.abs(self._o[t_sel] - self._v[r_sel]) <= self.radius
+        gap = self._o[t_sel]
+        gap -= self._v[r_sel]
+        return np.abs(gap, out=gap) <= self.radius
 
     def scores(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
         """Exact scores of the pairs (t_sel[k], r_sel[k])."""
@@ -348,14 +364,22 @@ def _pair_chunks(
     t_pos: np.ndarray, order: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(target, row) positions of every pair in the windows, ``PAIR_BUDGET``
-    pairs at a time; a window longer than the budget spans chunks."""
+    pairs at a time; a window longer than the budget spans chunks. Only the
+    caller holds a chunk, so it is freed before the next one is built."""
     ends = np.cumsum(hi - lo)
-    starts = ends - (hi - lo)
-    total = int(ends[-1])
-    for first in range(0, total, PAIR_BUDGET):
-        k = np.arange(first, min(first + PAIR_BUDGET, total))
-        owner = np.searchsorted(ends, k, side="right")
-        yield t_pos[owner], order[lo[owner] + k - starts[owner]]
+    starts, total = ends - (hi - lo), int(ends[-1])
+    shift = lo - starts  # pair k, counted across the windows, is row order[k + shift] of its window
+
+    def chunk(first: int) -> tuple[np.ndarray, np.ndarray]:
+        last = min(first + PAIR_BUDGET, total)
+        # the windows from that of the chunk's first pair to that of its last, and their pairs in it
+        a, b = np.searchsorted(ends, [first, last - 1], side="right").tolist()
+        sizes = np.minimum(ends[a : b + 1], last) - np.maximum(starts[a : b + 1], first)
+        k = np.arange(first, last)
+        k += np.repeat(shift[a : b + 1], sizes)
+        return np.repeat(t_pos[a : b + 1], sizes), order[k]
+
+    return map(chunk, range(0, total, PAIR_BUDGET))
 
 
 def _decide(
@@ -367,10 +391,11 @@ def _decide(
     then scores the survivors' category pairs, and each Gauss rule their
     scalar scores, every match decided on those scores.
     """
-    keep = np.ones(len(t_sel), dtype=bool)
-    for rule in gauss:
-        keep &= rule.candidates(t_sel, r_sel)
-    t_sel, r_sel = t_sel[keep], r_sel[keep]
+    if gauss:
+        keep = gauss[0].candidates(t_sel, r_sel)
+        for rule in gauss[1:]:
+            keep &= rule.candidates(t_sel, r_sel)
+        t_sel, r_sel = t_sel[keep], r_sel[keep]
     scores: dict[str, np.ndarray] = {}
     for rule in [*categorical, *gauss]:
         s = rule.scores(t_sel, r_sel)
@@ -416,17 +441,16 @@ def attack(
         validate_blocking(blocking, cfg)
 
     targets = detect_outliers(original, outlier_cfg).index
-    if restrict_variant_outliers:
-        rows = detect_outliers(variant, outlier_cfg).index
-    else:
-        rows = np.arange(variant.row_count, dtype=np.int64)
-    surface = (len(targets), len(rows))
+    # None stands for every variant row: a row's position is its index, and its columns are not copied
+    rows = detect_outliers(variant, outlier_cfg).index if restrict_variant_outliers else None
+    surface = (len(targets), variant.row_count if rows is None else len(rows))
     names, none = cfg.names(), np.empty(0, dtype=np.int64)
-    if len(targets) == 0 or len(rows) == 0:
+    if 0 in surface:
         return LinkageResult(none, none, {n: np.empty(0) for n in names}, surface)
 
     def sides(rule: QIRule) -> tuple[np.ndarray, np.ndarray]:
-        return original.columns[rule.name][targets], variant.columns[rule.name][rows]
+        v = variant.columns[rule.name]
+        return original.columns[rule.name][targets], v if rows is None else v[rows]
 
     equal = [_demands_exact_agreement(r) for r in cfg.rules]
     gauss, categorical = [], []
@@ -435,7 +459,7 @@ def attack(
             gauss.append(_GaussRule(r, *sides(r)))
         elif not eq:
             categorical.append(_CategoryRule(r, *sides(r)))
-    keys = _keys([sides(r) for r, eq in zip(cfg.rules, equal) if eq], len(targets), len(rows))
+    keys = _keys([sides(r) for r, eq in zip(cfg.rules, equal) if eq], *surface)
 
     found = [_decide(gauss, categorical, none, none)]  # an empty part, so the columns concatenate
     drivers: dict[str, int] = {}
@@ -443,9 +467,10 @@ def attack(
     for driver, partitions, t_pos, order, lo, hi in _join_plan(gauss, *keys):
         drivers[driver] = partitions
         candidates += int((hi - lo).sum())
-        for chunk in _pair_chunks(t_pos, order, lo, hi):
-            t_sel, r_sel, scores = _decide(gauss, categorical, *chunk)
-            found.append((targets[t_sel], rows[r_sel], scores))
+        for t_sel, r_sel in _pair_chunks(t_pos, order, lo, hi):
+            t_sel, r_sel, scores = _decide(gauss, categorical, t_sel, r_sel)  # drops the chunk
+            if len(t_sel):  # a chunk without matches keeps nothing
+                found.append((targets[t_sel], r_sel if rows is None else rows[r_sel], scores))
     o, v = (np.concatenate([f[k] for f in found]) for k in (0, 1))
     scored = {n: np.concatenate([f[2][n] for f in found]) for n in found[0][2]}
     del found  # before sorting, so the chunks and their sorted copy never coexist

@@ -53,8 +53,12 @@ class OutlierSet(Record):
     _hidden = frozenset({"z"})
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "z", MappingProxyType(dict(self.z)))  # any mapping, held read-only
         for col in (self.index, *self.z.values()):
             col.flags.writeable = False
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied; a dict can
+        return type(self), (self.index, dict(self.z))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutlierSet):
@@ -103,7 +107,7 @@ def _detect(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
     extreme = np.stack([np.abs(z) > cfg.k for z in z_cols.values()])
     hits = extreme.any(axis=0) if cfg.combine is Combine.ANY else extreme.all(axis=0)
     index = np.flatnonzero(hits)
-    return OutlierSet(index, MappingProxyType({a: z[index] for a, z in z_cols.items()}))
+    return OutlierSet(index, {a: z[index] for a, z in z_cols.items()})
 
 
 def save_outlier_set(outliers: OutlierSet, cfg: OutlierConfig, path: str | Path) -> None:

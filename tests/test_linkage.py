@@ -469,6 +469,53 @@ class TestJoinCost:
         assert matches == 300 * n_var // 4 >= 200_000
         assert peak <= 56 * matches, f"{peak / matches:.1f} bytes per match"
 
+    def test_chunk_working_set_per_budget_pair_is_bounded(self, caplog, monkeypatch):
+        # 1,000 targets at age 90 against 2,000 rows over ages 0-100 whose income
+        # is 1,000 x age. The age rule drives, its windows holding the rows
+        # within 10 years of 90; the income rule, whose radius of 20,000 reaches
+        # only rows below age 30, rejects every candidate. With no match kept,
+        # the traced peak above the one at a budget of 256 pairs (the per-row
+        # arrays) is one chunk's working set: its two position columns and a
+        # Gauss rule's gaps and gathered values, about 34 bytes a budget pair;
+        # about 39 when positions and gaps are built through temporaries and a
+        # chunk is held while the next one is built.
+        n_t, n_v = 1000, 2000
+        ages = np.linspace(0.0, 100.0, n_v)
+        n = 3 * n_t
+        original = make_ds([90.0] * n_t + [30.0] * 2 * n_t, [10_000.0] * n, ["RENT"] * n, ["MEDICAL"] * n)
+        variant = make_ds(ages, ages * 1000, ["RENT"] * n_v, ["MEDICAL"] * n_v)
+        cfg = QIConfig(rules=(QIRule("age", GAUSS(5.0, 5.0)), QIRule("income", GAUSS(1e4, 1e4))))
+        outliers = OutlierConfig(k=1.0, attributes=("age",))
+        budget = linkage.PAIR_BUDGET
+        with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
+            result, peak = traced_peak(lambda: attack(original, variant, outliers, cfg))
+        monkeypatch.setattr(linkage, "PAIR_BUDGET", 256)
+        _, per_row = traced_peak(lambda: attack(original, variant, outliers, cfg))
+        _, _, drivers, scored, matches = PLAN_LINE.fullmatch(caplog.records[-1].getMessage()).groups()
+        assert result.attack_surface == (n_t, n_v) and (drivers, matches) == ("age (1)", "0")
+        assert int(scored) >= 4 * budget
+        assert peak - per_row < 36 * budget, f"{(peak - per_row) / budget:.1f} bytes a budget pair"
+
+    def test_all_rows_attack_does_not_copy_variant_columns(self):
+        # 3 targets against all of 100,000 rows, on 1 and on 3 Gauss QIs.
+        # Each Gauss QI keeps its sort order of the rows, 8 bytes a row,
+        # through the join; a copy of its variant column would add 8 more.
+        def peak_per_row(qis: int) -> float:
+            names = [f"x{i}" for i in range(qis)]
+            schema = tuple(AttributeSchema(name, Kind.NUMERICAL, Role.QI) for name in names)
+            rng = np.random.default_rng(26)
+            original = Dataset.from_columns(schema, {name: [1e6] * 3 + [0.0] * 30 for name in names})
+            variant = Dataset.from_columns(schema, {name: rng.uniform(0, 1e5, n_v) for name in names})
+            cfg = QIConfig(rules=tuple(QIRule(name, GAUSS(1.0, 1.0)) for name in names))
+            outliers = OutlierConfig(k=1.0, attributes=(names[0],))
+            result, peak = traced_peak(lambda: attack(original, variant, outliers, cfg))
+            assert result.attack_surface == (3, n_v) and len(result.original) == 0
+            return peak / n_v
+
+        n_v = 100_000
+        per_qi = (peak_per_row(3) - peak_per_row(1)) / 2
+        assert per_qi < 12, f"{per_qi:.1f} bytes a row per Gauss QI"
+
     def test_join_plan_logged_at_debug(self, caplog):
         original, variant = random_instance(np.random.default_rng(23), 40, 60)
         with caplog.at_level(logging.DEBUG, logger="synthaudit.linkage"):
@@ -484,6 +531,16 @@ class TestJoinCost:
         names, parts, drivers, scored, matches = re.fullmatch(pattern, second).groups()
         assert (names, drivers) == ("home,intent", f"full range ({parts})")
         assert int(matches) == len(equality.pairs) == int(scored)
+
+
+def traced_peak(run):
+    """run()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 PLAN_LINE = re.compile(
@@ -762,6 +819,32 @@ def test_result_values_are_python_scalars_and_read_only():
         for column in (result.original, result.synthetic, *result.scores.values()):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
+
+
+def test_result_equality_compares_columns_without_building_pairs(monkeypatch):
+    def result(synthetic=(1, 2, 0), age=(0.5, 0.0, 1.0), surface=(2, 5), names=("age", "home")):
+        columns = {"age": np.array(age), "home": np.ones(3)}
+        scores = {n: columns[n] for n in names}
+        return linkage.LinkageResult(np.array([0, 0, 3]), np.array(synthetic), scores, surface)
+
+    base = result()
+    equal = [result(names=("home", "age")), result(age=(0.5, -0.0, 1.0))]
+    unequal = [
+        result(synthetic=(1, 2, 1)),
+        result(age=(0.5, 0.0, 0.75)),
+        result(surface=(2, 6)),
+        result(names=("age",)),
+        linkage.LinkageResult(
+            np.array([0, 0]), np.array([1, 2]), {"age": np.array([0.5, 0.0]), "home": np.ones(2)}, (2, 5)
+        ),
+    ]
+    # the meaning is that of comparing the pairs: 0.0 == -0.0, and score names in any order
+    for other in equal + unequal:
+        assert (base == other) is ((base.pairs, base.attack_surface) == (other.pairs, other.attack_surface))
+    monkeypatch.setattr(linkage.LinkageResult, "pairs", property(lambda self: pytest.fail("pairs built")))
+    assert all(base == other and other == base for other in equal)
+    assert not any(base == other or other == base for other in unequal)
+    assert base != (base.original, base.synthetic)
 
 
 def test_qi_config_validation(toy_dataset):

@@ -1,10 +1,11 @@
 """The record contract: what every public record class promises its callers.
 
-Each record compares by value (or, for the column-holding ``Dataset``,
-``LinkageResult`` and ``OutlierSet``, by its own ``__eq__``), hashes when its
-fields do, prints a dataclass-style ``repr`` without its bulky fields, refuses
-assignment and deletion, can be weakly referenced, takes its fields by
-position or keyword with the same defaults, and validates on construction.
+Each record compares by value (or, for the array-holding ``Dataset``,
+``LinkageResult``, ``NoisyHistogram`` and ``OutlierSet``, by its own
+``__eq__``), hashes when its fields do, prints a dataclass-style ``repr``
+without its bulky fields, refuses assignment and deletion, can be weakly
+referenced, copies and pickles, takes its fields by position or keyword with
+the same defaults, and validates on construction.
 The expected ``repr`` strings are those the records printed as dataclasses.
 """
 
@@ -300,15 +301,39 @@ class TestRecordContract:
 
     def test_copy_and_pickle_rebuild_an_equal_record(self, name):
         record = CASES[name][0]()
-        assert copy.copy(record) == record
-        if CASES[name][5]:  # a value record; the others hold arrays or read-only mappings
-            assert pickle.loads(pickle.dumps(record)) == record
+        for rebuilt in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert rebuilt == record and type(rebuilt) is type(record)
+
+    def test_equal_fields_in_distinct_objects_compare_equal(self, name):
+        # a deep copy holds equal but distinct arrays and mappings
+        record = CASES[name][0]()
+        assert record == copy.deepcopy(record) and not record != copy.deepcopy(record)
 
 
 @pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[6] is not None])
 def test_validation_still_raises_config_error(name):
     with pytest.raises(ConfigError):
         CASES[name][6]()
+
+
+def test_a_rebuilt_outlier_set_stays_read_only():
+    for rebuilt in (pickle.loads(pickle.dumps(outlier_set())), copy.deepcopy(outlier_set())):
+        assert isinstance(rebuilt.z, MappingProxyType)
+        with pytest.raises(TypeError):
+            rebuilt.z["income"] = np.zeros(1)
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.z["age"][0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.index[0] = 1
+
+
+def test_histograms_with_bin_edges_compare_by_value():
+    def numeric(edges=(0.0, 1.0, 2.0)):
+        return NoisyHistogram("age", Kind.NUMERICAL, np.array(edges), COUNTS.copy(), PROBABILITIES.copy())
+
+    assert numeric() == numeric()
+    assert numeric() != numeric((0.0, 1.0, 3.0))
+    assert numeric() != NoisyHistogram("age", Kind.NUMERICAL, (0.0, 1.0, 2.0), COUNTS, PROBABILITIES * 2)
 
 
 def test_constructor_refuses_wrong_arguments():
