@@ -38,6 +38,7 @@ class AuditPlan(Record):
         "qi_cfg": "QIConfig", "variants": "tuple[VariantSpec, ...]", "ladder": "tuple[tuple[str, ...], ...]",
         "output_dir": "Path", "synth_defaults": "SynthSettings | None", "restrict_variant_outliers": "bool",
         "base_dir": "Path: the anchor for relative variant file paths",
+        "_subsets": "tuple[QIConfig, ...]: each ladder subset's QI config, in ladder order",
     }
     _defaults = {"synth_defaults": None, "restrict_variant_outliers": False, "base_dir": Path(".")}
 
@@ -46,7 +47,7 @@ class AuditPlan(Record):
             raise ConfigError("audit plan needs at least one variant")
         if not self.ladder:
             raise ConfigError("audit plan needs at least one QI subset in the ladder")
-        check_ladder(self.qi_cfg, self.ladder)
+        object.__setattr__(self, "_subsets", check_ladder(self.qi_cfg, self.ladder))
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variant names in audit plan")
@@ -90,9 +91,7 @@ def _linkage_summary(result: LinkageResult) -> dict:
 
 def _resolve_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> tuple[Dataset, dict]:
     if spec.file is not None:
-        path = Path(spec.file)
-        if not path.is_absolute():
-            path = plan.base_dir / path
+        path = plan.base_dir / spec.file  # an absolute file stays as it is
         ds = load_dataset(path, plan.schema)
         generator = {"type": "file", "path": str(path), "sha256": _sha256_file(path)}
     else:
@@ -122,13 +121,12 @@ def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) ->
             "utility": compute_utility(original, variant).to_dict(),
             "linkage": {},
         }
-        for subset in plan.ladder:
+        for subset, qi_cfg in zip(plan.ladder, plan._subsets):
             result = attack(
                 original,
                 variant,
                 plan.outlier_cfg,
-                plan.qi_cfg,
-                qi_subset=subset,
+                qi_cfg,
                 restrict_variant_outliers=plan.restrict_variant_outliers,
             )
             pair_path = _pair_file(spec.name, subset)

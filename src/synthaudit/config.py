@@ -290,18 +290,21 @@ def _parse_qi_rule(attr_name: str, section, schema) -> QIRule:
     return QIRule(name=attr_name, comparator=comparator, threshold=values.get("threshold"))
 
 
-def check_ladder(qi: QIConfig, ladder: tuple[tuple[str, ...], ...]) -> None:
+def check_ladder(qi: QIConfig, ladder: tuple[tuple[str, ...], ...]) -> tuple[QIConfig, ...]:
     """Check the subsets one at a time, in order: each names configured QIs,
-    each QI once, and names another set of QIs than every earlier subset."""
+    each QI once, and names another set of QIs than every earlier subset.
+    Return each subset's :class:`QIConfig`, in ladder order."""
     earlier: dict[frozenset[str], tuple[str, ...]] = {}
+    subsets = []
     for names in ladder:
         if not names:
             raise ConfigError("[attack] ladder contains an empty QI subset")
-        qi.subset(names)  # raises on unknown or repeated names
+        subsets.append(qi.subset(names))  # raises on unknown or repeated names
         if frozenset(names) in earlier:
             first = ",".join(earlier[frozenset(names)])
             raise ConfigError(f"[attack] ladder subsets {first!r} and {','.join(names)!r} name the same QIs")
         earlier[frozenset(names)] = names
+    return tuple(subsets)
 
 
 def _parse_attack(section, qi: QIConfig | None) -> dict:

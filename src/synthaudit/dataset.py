@@ -16,6 +16,7 @@ import logging
 import sys
 from itertools import compress, islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, NoReturn
 
 import numpy as np
@@ -53,11 +54,15 @@ def write_table(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(name for name, _, _ in columns) + line_end)
-        for start in range(0, len(columns[0][2]), BLOCK_ROWS):
-            block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for _, fmt, col in columns]
-            fh.write(line_end.join(map(",".join, zip(*block))) + line_end)
+    try:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(name for name, _, _ in columns) + line_end)
+            for start in range(0, len(columns[0][2]), BLOCK_ROWS):
+                block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for _, fmt, col in columns]
+                fh.write(line_end.join(map(",".join, zip(*block))) + line_end)
+    except OSError as exc:
+        exc.filename = exc.filename or path  # a failed buffered write names no file
+        raise
 
 
 def _csv_field(value: str, alone: bool) -> str:
@@ -107,13 +112,14 @@ class Dataset(Record):
     """Immutable columnar table; safe to share across concurrent readers."""
 
     __slots__ = {
-        "schema": "tuple[AttributeSchema, ...]", "columns": "dict[str, np.ndarray]", "row_count": "int",
+        "schema": "tuple[AttributeSchema, ...]", "columns": "MappingProxyType[str, np.ndarray]", "row_count": "int",
         "_derived": "dict: values derived from the columns, computed once (see ``derived``)",
     }
     _hidden = frozenset({"columns"})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_derived", {})
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))  # any mapping, held read-only
         validate_schema(self.schema)
         if set(self.columns) != {a.name for a in self.schema}:
             raise DataError("columns do not match schema attribute names")
@@ -126,15 +132,6 @@ class Dataset(Record):
             if attr.kind is Kind.NUMERICAL and len(col) and not np.all(np.isfinite(col)):
                 raise DataError(f"non-finite value in numeric column {attr.name!r}")
             col.flags.writeable = False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        if self.schema != other.schema or self.row_count != other.row_count:
-            return False
-        return all(
-            np.array_equal(self.columns[a.name], other.columns[a.name]) for a in self.schema
-        )
 
     def derived(self, build: Callable[..., Any], *args: Any) -> Any:
         """``build(self, *args)``, computed once per dataset object and argument tuple.

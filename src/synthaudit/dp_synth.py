@@ -43,14 +43,6 @@ class NoisyHistogram(Record):
     }
     _hidden = frozenset({"noisy_counts", "probabilities"})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NoisyHistogram):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
-            for a, b in zip(self._values(), other._values())
-        )
-
 
 def _laplace_noise(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """Laplace(0, scale) via inverse CDF over uniforms from the raw 64-bit stream.

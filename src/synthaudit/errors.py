@@ -1,5 +1,10 @@
 """Exception hierarchy and the immutable record base shared across the toolkit."""
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
+import numpy as np
+
 
 class SynthAuditError(Exception):
     """Base class for all toolkit errors."""
@@ -22,9 +27,10 @@ class Record:
     the optional fields their values and ``_hidden`` names the fields
     ``repr`` leaves out. A record is built from its fields by position or
     keyword, then ``__post_init__`` validates it. Records of one class are
-    equal, and hash alike, when their fields are; no attribute can be
-    assigned or deleted, and a record can be weakly referenced. Unlike
-    ``dataclasses``, defining a record generates no methods to compile.
+    equal when their fields are (:func:`_same`), and hash alike when they
+    hash; no attribute can be assigned or deleted, and a record can be
+    weakly referenced. Unlike ``dataclasses``, defining a record generates
+    no methods to compile.
     """
 
     __slots__ = ("__weakref__",)
@@ -68,14 +74,24 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_same, self._values(), other._values()))
 
     def __hash__(self) -> int:
         return hash(self._values())
 
-    def __reduce__(self):  # copy and pickle rebuild a record through its constructor
-        return type(self), self._values()
+    def __reduce__(self):  # rebuild through the constructor; a mappingproxy cannot be pickled, a dict can
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in self._values())
 
     def __repr__(self) -> str:
         shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden)
         return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def _same(a, b) -> bool:
+    """Field equality: arrays by ``np.array_equal``, mappings by key set and
+    then value by value, anything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return a is b or a == b

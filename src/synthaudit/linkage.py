@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -122,19 +123,21 @@ class ScoredPair(Record):
 
 
 class LinkageResult(Record):
-    """Matches as read-only columns ordered by (original, synthetic), and one score
-    column per QI in configured order (1.0 on an equality QI). :attr:`pairs` is
-    built on demand; results are equal when their surfaces, match columns and
-    score columns are, whatever the order of the score names."""
+    """Matches as read-only columns ordered by (original, synthetic), and a
+    read-only mapping of one score column per QI in configured order (1.0 on
+    an equality QI). :attr:`pairs` is built on demand. Like every record,
+    results compare field by field: columns by value, and the score mapping
+    by its names, in any order, then column by column."""
 
     __slots__ = {
-        "original": "np.ndarray", "synthetic": "np.ndarray", "scores": "dict[str, np.ndarray]",
+        "original": "np.ndarray", "synthetic": "np.ndarray", "scores": "MappingProxyType[str, np.ndarray]",
         "attack_surface": "tuple[int, int]: (targets, variant rows considered)",
         "_counts": "dict[int, int]: matches per original index, in ascending order",
     }
     _hidden = frozenset({"scores"})
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))  # any mapping, held read-only
         for col in (self.original, self.synthetic, *self.scores.values()):
             col.flags.writeable = False
         # each original's matches are one run of the sorted column: count run lengths, no sort
@@ -145,15 +148,6 @@ class LinkageResult(Record):
             raise ValueError("LinkageResult matches must be ordered by original index")
         sizes = [end - start for start, end in zip(starts, [*starts[1:], len(o)])]
         object.__setattr__(self, "_counts", dict(zip(originals, sizes)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinkageResult):
-            return NotImplemented
-        if self.attack_surface != other.attack_surface or self.scores.keys() != other.scores.keys():
-            return False
-        columns = [(self.original, other.original), (self.synthetic, other.synthetic)]
-        columns += [(col, other.scores[name]) for name, col in self.scores.items()]
-        return all(np.array_equal(mine, theirs) for mine, theirs in columns)
 
     @property
     def pairs(self) -> tuple[ScoredPair, ...]:

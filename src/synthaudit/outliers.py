@@ -57,15 +57,6 @@ class OutlierSet(Record):
         for col in (self.index, *self.z.values()):
             col.flags.writeable = False
 
-    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied; a dict can
-        return type(self), (self.index, dict(self.z))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OutlierSet):
-            return NotImplemented
-        same = np.array_equal(self.index, other.index) and self.z.keys() == other.z.keys()
-        return same and all(np.array_equal(z, other.z[a]) for a, z in self.z.items())
-
     def __len__(self) -> int:
         return len(self.index)
 

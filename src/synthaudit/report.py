@@ -31,7 +31,11 @@ def dumps_report(report: dict) -> str:
 def write_report(report: dict, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_report(report), encoding="utf-8")
+    try:
+        path.write_text(dumps_report(report), encoding="utf-8")
+    except OSError as exc:
+        exc.filename = exc.filename or path  # a failed buffered write names no file
+        raise
     return path
 
 

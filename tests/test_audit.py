@@ -316,6 +316,26 @@ class TestOriginalPreparedOncePerRun:
         assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
         assert [args[0] for args in reductions] == [original]
 
+    def test_ladder_subsets_are_built_once_per_plan(self, tmp_path, original_csv, monkeypatch):
+        path, _ = original_csv
+        ladder = (("income", "age"), ("home", "age", "income"))
+        variants = [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
+        plan = make_plan(tmp_path, path, variants, ladder=ladder)
+
+        def refuse(self, names):
+            raise AssertionError("QIConfig.subset ran after the plan was built")
+
+        monkeypatch.setattr(QIConfig, "subset", refuse)
+        report = run_audit(plan)
+        assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
+        for entry in report["variants"]:
+            # keys and pair files follow the ladder's order; score columns the configured order
+            assert list(entry["linkage"]) == ["income,age", "home,age,income"]
+            for subset, scores in (("income-age", "age,income"), ("home-age-income", "age,income,home")):
+                pairs = plan.output_dir / "pairs" / f"{entry['name']}__{subset}.csv"
+                header = pairs.read_text().splitlines()[0].split(",")
+                assert header == ["original_index", "synthetic_index", *(f"score_{q}" for q in scores.split(","))]
+
     def test_variant_outliers_detected_once_per_variant(self, tmp_path, original_csv, monkeypatch):
         path, original = original_csv
         detects = count_calls(monkeypatch, outliers._detect, "synthaudit.outliers")

@@ -14,6 +14,7 @@ import synthaudit
 from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, save_dataset
 from synthaudit.cli import main
 from synthaudit.config import load_config, parse_config
+from synthaudit.report import write_report
 
 from test_audit import SCHEMA, count_calls, fixture_original
 
@@ -446,6 +447,19 @@ class TestExitCodes:
             [record] = [r for r in caplog.records if "cannot write" in r.getMessage()]
             assert record.getMessage().startswith(f"data error: cannot write {tmp / 'afile'}")
             assert record.exc_info is None
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_a_write_that_fails_on_flush_names_its_file(self, tmp_path, caplog):
+        # a full device fails only when the buffered write is flushed, and that OSError has no filename
+        cfg = write(tmp_path / "c.ini", "[schema]\na = numerical qi\nb = categorical\n")
+        original = write(tmp_path / "o.csv", "a,b\n1,x\n2,y\n3,x\n")
+        argv = ["synthesize", "-c", str(cfg), str(original), "--out", "/dev/full", "--epsilon", "1", "--n", "5"]
+        assert main(argv) == 3
+        [record] = [r for r in caplog.records if "cannot write" in r.getMessage()]
+        assert record.getMessage().startswith("data error: cannot write /dev/full: ")
+        with pytest.raises(OSError) as error:
+            write_report({}, "/dev/full")
+        assert str(error.value.filename) == "/dev/full"
 
     def test_unexpected_failure_is_4(self, workdir, monkeypatch):
         tmp, _ = workdir

@@ -126,6 +126,19 @@ def test_round_trip_is_equivalent():
     assert render_config(parse_config(rendered)) == rendered
 
 
+def test_readme_example_config_loads_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format", 1)[1]
+    text = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(text)
+    assert cfg.qi.rule("person_age").comparator.kind is ComparatorKind.GAUSS
+    assert cfg.qi.rule("person_home_ownership").comparator.kind is ComparatorKind.LEVENSHTEIN
+    assert cfg.outliers.combine is Combine.ANY
+    assert (cfg.original, cfg.output_dir) == ("original.csv", "out")
+    assert cfg.variants[0].tags == (("epochs", "150"),)
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_config_hash_stability():
     cfg1 = parse_config(FULL_CONFIG)
     cfg2 = parse_config(FULL_CONFIG + "\n# trailing comment\n")

@@ -1,8 +1,8 @@
 """The record contract: what every public record class promises its callers.
 
-Each record compares by value (or, for the array-holding ``Dataset``,
-``LinkageResult``, ``NoisyHistogram`` and ``OutlierSet``, by its own
-``__eq__``), hashes when its fields do, prints a dataclass-style ``repr``
+Each record compares by value, field by field (arrays by their elements,
+mappings by their keys and then value by value), hashes when its fields do,
+prints a dataclass-style ``repr``
 without its bulky fields, refuses assignment and deletion, can be weakly
 referenced, copies and pickles, takes its fields by position or keyword with
 the same defaults, and validates on construction.
@@ -39,6 +39,7 @@ from synthaudit import (
     Role,
     ScoredPair,
     UtilityReport,
+    detect_outliers,
 )
 from synthaudit.config import RunConfig, SweepSettings, SynthSettings, VariantSpec
 from synthaudit.errors import Record
@@ -316,15 +317,36 @@ def test_validation_still_raises_config_error(name):
         CASES[name][6]()
 
 
-def test_a_rebuilt_outlier_set_stays_read_only():
-    for rebuilt in (pickle.loads(pickle.dumps(outlier_set())), copy.deepcopy(outlier_set())):
-        assert isinstance(rebuilt.z, MappingProxyType)
+@pytest.mark.parametrize("name, field", [("Dataset", "columns"), ("LinkageResult", "scores"), ("OutlierSet", "z")])
+def test_a_rebuilt_columnar_record_stays_read_only(name, field):
+    record = CASES[name][0]()
+    for rebuilt in (record, pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        mapping = getattr(rebuilt, field)
+        assert isinstance(mapping, MappingProxyType)
         with pytest.raises(TypeError):
-            rebuilt.z["income"] = np.zeros(1)
-        with pytest.raises(ValueError, match="read-only"):
-            rebuilt.z["age"][0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            rebuilt.index[0] = 1
+            mapping["income"] = np.zeros(1)
+        with pytest.raises(TypeError):
+            del mapping["age"]
+        arrays = [*mapping.values(), *(v for v in rebuilt._values() if isinstance(v, np.ndarray))]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+    assert record == CASES[name][1]()  # nothing changed
+
+
+def test_a_dataset_cannot_change_under_its_cached_outliers():
+    # a stored derived value stays valid only while the dataset cannot change
+    schema = (AttributeSchema("x", Kind.NUMERICAL, Role.QI),)
+    ds = Dataset.from_columns(schema, {"x": [0.0] * 9 + [100.0]})
+    cfg = OutlierConfig(2.0, ("x",))
+    assert detect_outliers(ds, cfg).index.tolist() == [9]
+    with pytest.raises(TypeError):
+        ds.columns["x"] = np.array([100.0] + [0.0] * 9)
+    assert detect_outliers(ds, cfg).index.tolist() == [9]
+    result = linkage_result()
+    with pytest.raises(TypeError):
+        result.scores["age"] = np.zeros(3)
+    assert result.scores["age"].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_histograms_with_bin_edges_compare_by_value():
