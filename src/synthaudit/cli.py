@@ -43,8 +43,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-WORKERS_HELP = "accepted for compatibility and ignored; attacks run serially"
-
 
 def _require(cfg: RunConfig, command: str, **parts) -> None:
     for label, value in parts.items():
@@ -244,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variant")
     p.add_argument("--qis", help="comma-separated QI subset (default: all configured)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("utility", help="utility metrics of a variant vs the original")
@@ -267,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run a full multi-variant audit plan")
     p.add_argument("--plan", required=True, help="plan config file")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored; attacks run serially")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("sweep", help="epsilon sweep with generated variants")
     p.add_argument("--plan", required=True, help="plan config file")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -24,7 +24,7 @@ from typing import Any, Callable
 from .comparators import ComparatorKind, ComparatorSpec
 from .dataset import DEFAULT_NUM_BINS, AttributeSchema, Kind, Role, validate_schema
 from .errors import ConfigError, Record
-from .linkage import QIConfig, QIRule, validate_blocking
+from .linkage import QIConfig, QIRule
 from .outliers import Combine, OutlierConfig
 
 
@@ -65,12 +65,12 @@ class RunConfig(Record):
     __slots__ = {
         "schema": "tuple[AttributeSchema, ...]", "outliers": "OutlierConfig | None", "qi": "QIConfig | None",
         "synth": "SynthSettings | None", "original": "str | None", "output_dir": "str | None",
-        "ladder": "tuple[tuple[str, ...], ...]", "blocking": "str | None", "restrict_variant_outliers": "bool",
+        "ladder": "tuple[tuple[str, ...], ...]", "restrict_variant_outliers": "bool",
         "variants": "tuple[VariantSpec, ...]", "sweep": "SweepSettings | None",
     }
     _defaults = {
         "outliers": None, "qi": None, "synth": None, "original": None, "output_dir": None, "ladder": (),
-        "blocking": None, "restrict_variant_outliers": False, "variants": (), "sweep": None,
+        "restrict_variant_outliers": False, "variants": (), "sweep": None,
     }
 
 
@@ -146,7 +146,10 @@ def _tags(section: str, key: str, text: str) -> tuple[tuple[str, str], ...]:
     tokens = text.split()
     if not all("=" in token for token in tokens):
         raise _fail(section, key, text, "space-separated key=value pairs")
-    return tuple(tuple(token.split("=", 1)) for token in tokens)
+    tags = tuple(tuple(token.split("=", 1)) for token in tokens)
+    if len(dict(tags)) != len(tags):
+        raise _fail(section, key, text, "each tag key once")
+    return tags
 
 
 def _grid(section: str, key: str, text: str) -> tuple[float, ...]:
@@ -196,7 +199,6 @@ _SYNTH = {
 _PATHS = {"original": _TEXT, "output_dir": _TEXT}
 _ATTACK = {
     "ladder": _Key(_ladder, lambda ladder: " | ".join(" ".join(names) for names in ladder)),
-    "blocking": _TEXT,
     "restrict_variant_outliers": _FLAG,
 }
 _VARIANT = {
@@ -312,8 +314,6 @@ def _parse_attack(section, qi: QIConfig | None) -> dict:
     if qi is None:
         raise ConfigError("[attack] requires at least one [qi ...] section")
     check_ladder(qi, values.get("ladder", ()))
-    if "blocking" in values:
-        validate_blocking(values["blocking"], qi)
     return values
 
 

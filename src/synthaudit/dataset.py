@@ -109,7 +109,12 @@ def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
 
 
 class Dataset(Record):
-    """Immutable columnar table; safe to share across concurrent readers."""
+    """Immutable columnar table; safe to share across concurrent readers.
+
+    Each column is a 1-D ndarray: float64 for a numerical attribute, object
+    for a categorical one. The constructor freezes the arrays it is given and does
+    not copy them, so a caller must not keep a writable view of one.
+    """
 
     __slots__ = {
         "schema": "tuple[AttributeSchema, ...]", "columns": "MappingProxyType[str, np.ndarray]", "row_count": "int",
@@ -125,6 +130,9 @@ class Dataset(Record):
             raise DataError("columns do not match schema attribute names")
         for attr in self.schema:
             col = self.columns[attr.name]
+            dtype = np.float64 if attr.kind is Kind.NUMERICAL else object
+            if not isinstance(col, np.ndarray) or col.dtype != dtype or col.ndim != 1:
+                raise DataError(f"column {attr.name!r} is not a 1-D ndarray of dtype {np.dtype(dtype)}")
             if len(col) != self.row_count:
                 raise DataError(
                     f"column {attr.name!r} has {len(col)} values, expected {self.row_count}"
@@ -169,7 +177,7 @@ class Dataset(Record):
             if attr.name not in columns:
                 raise DataError(f"missing column {attr.name!r}")
             if attr.kind is Kind.NUMERICAL:
-                col = np.asarray(columns[attr.name], dtype=np.float64)
+                col = np.array(columns[attr.name], dtype=np.float64)  # a copy: the dataset freezes it
             else:
                 col = np.array([sys.intern(str(v)) for v in columns[attr.name]], dtype=object)
             if n is None:

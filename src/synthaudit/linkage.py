@@ -175,21 +175,6 @@ def _demands_exact_agreement(rule: QIRule) -> bool:
     return exact or (kind is ComparatorKind.LEVENSHTEIN and rule.threshold == 1)
 
 
-def validate_blocking(blocking: str, cfg: QIConfig) -> None:
-    """Check that ``blocking`` names a categorical QI rule at threshold 1.
-
-    The engine already partitions on every such QI, so blocking selects
-    nothing; a configured value is only checked.
-    """
-    rule = cfg.rule(blocking)
-    if rule.comparator.kind is ComparatorKind.GAUSS:
-        raise ConfigError(f"blocking attribute {blocking!r} is not categorical")
-    if rule.threshold != 1:
-        raise ConfigError(
-            f"blocking on {blocking!r} requires threshold 1, configured {rule.threshold}"
-        )
-
-
 def score_pairs(
     pairs: Iterable[tuple[int, int]],
     original: Dataset,
@@ -421,18 +406,16 @@ def attack(
     pairs drives, and candidates are decided ``PAIR_BUDGET`` pairs at a time
     on the scalar comparator's scores. The plan is logged at DEBUG level,
     drivers listed as the full range, then the Gauss QIs in configured order.
-    ``blocking`` is only checked to name such a QI of the subset
-    (:func:`validate_blocking`); it changes nothing. Targets, and restricted
-    variant rows, are the sorted ``index`` of :func:`detect_outliers` as it is;
-    a dataset object's outliers are detected once. The matches of every chunk
-    are sorted once, into the columns of a :class:`LinkageResult`.
+    ``blocking`` is accepted and ignored: the partitions already cover every
+    such QI. Targets, and restricted variant rows, are the sorted ``index`` of
+    :func:`detect_outliers` as it is; a dataset object's outliers are detected
+    once. The matches of every chunk are sorted once, into the columns of a
+    :class:`LinkageResult`.
     """
     if original.schema != variant.schema:
         raise DataError("variant does not share the original's schema")
     cfg = qi_cfg if qi_subset is None else qi_cfg.subset(qi_subset)
     cfg.validate_against(original)
-    if blocking is not None:
-        validate_blocking(blocking, cfg)
 
     targets = detect_outliers(original, outlier_cfg).index
     # None stands for every variant row: a row's position is its index, and its columns are not copied

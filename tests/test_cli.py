@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import synthaudit
 from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, save_dataset
-from synthaudit.cli import main
+from synthaudit.cli import build_parser, main
 from synthaudit.config import load_config, parse_config
 from synthaudit.report import write_report
 
@@ -391,6 +392,22 @@ class TestExitCodes:
         cfg = write(tmp / "bad.ini", BASE_CONFIG.format(k=3) + "\n[outliers2]\nk = 1\n")
         assert main(["outliers", "-c", str(cfg), str(tmp / "original.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["link", "sweep"])
+    def test_workers_is_2_where_no_attack_reads_it(self, workdir, command):
+        tmp, _ = workdir
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out") + "\n[sweep]\ngrid = 1.0\n")
+        original = tmp / "original.csv"
+        args = {
+            "link": ["link", "-c", plan, original, original, "--out", tmp / "out"],
+            "sweep": ["sweep", "--plan", plan],
+        }[command]
+        before = sorted(tmp.rglob("*"))
+        with pytest.raises(SystemExit) as caught:
+            main([*map(str, args), "--workers", "2"])
+        assert caught.value.code == 2
+        assert sorted(tmp.rglob("*")) == before
+        assert main(list(map(str, args))) == 0  # the same command runs without the flag
+
     @pytest.mark.parametrize("command", ["outliers", "link"])
     def test_attribute_name_that_breaks_the_trail_is_2(self, workdir, caplog, command):
         # the data file quotes the name, so it would load; the unquoted
@@ -513,7 +530,7 @@ class TestAuditCommand:
         echoed = parse_config(report["run_meta"]["effective_config"])
         assert echoed == load_config(plan)
 
-    def test_invalid_blocking_is_2_before_any_work(self, workdir):
+    def test_invalid_blocking_is_2_before_any_work(self, workdir, caplog):
         tmp, original = workdir
         save_dataset(original, tmp / "copy.csv")
         text = PLAN_TEMPLATE.format(out=tmp / "out").replace("[attack]\n", "[attack]\nblocking = age\n")
@@ -521,6 +538,9 @@ class TestAuditCommand:
         assert main(["audit", "--plan", str(plan)]) == 2
         assert not (tmp / "out" / "report.json").exists()
         assert not (tmp / "out" / "outliers.csv").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: unknown keys in [attack]: ['blocking']"
+        ]
 
     @pytest.mark.parametrize(
         "old, new",
@@ -737,6 +757,23 @@ class TestOutputBytes:
         assert run_python(code, plan).splitlines()[-1] == "[]"
         report = json.loads((tmp / "out" / "report.json").read_text())
         assert all(v["utility"]["aggregate"] for v in report["variants"])
+
+
+def test_every_command_option_is_pinned():
+    # a knob added or removed shows up here; audit keeps --workers only because its callers pass it
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [o for a in sub._actions for o in a.option_strings] for name, sub in commands.choices.items()}
+    options[""] = [o for a in parser._actions for o in a.option_strings]
+    assert options == {
+        "": ["-h", "--help", "-v", "--verbose"],
+        "outliers": ["-h", "--help", "-c", "--config", "--out"],
+        "link": ["-h", "--help", "-c", "--config", "--qis", "--out"],
+        "utility": ["-h", "--help", "-c", "--config", "--out"],
+        "synthesize": ["-h", "--help", "-c", "--config", "--out", "--epsilon", "--seed", "--n", "--num-bins"],
+        "audit": ["-h", "--help", "--plan", "--out", "--workers"],
+        "sweep": ["-h", "--help", "--plan", "--out"],
+    }
 
 
 class TestImports:

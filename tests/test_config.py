@@ -183,30 +183,6 @@ def test_gauss_on_categorical_rejected():
         parse_config(text)
 
 
-@pytest.mark.parametrize(
-    "blocking, extra, message",
-    [
-        ("age", "", "not categorical"),
-        ("home", "\nthreshold = 0.8", "threshold 1"),
-        ("amount", "", "no QI rule"),
-    ],
-    ids=["gauss", "threshold-0.8", "not-a-qi"],
-)
-def test_blocking_checked_at_load(blocking, extra, message):
-    text = FULL_CONFIG.replace(
-        "[qi home]\ncomparator = levenshtein", "[qi home]\ncomparator = levenshtein" + extra
-    ).replace("[attack]\n", f"[attack]\nblocking = {blocking}\n")
-    with pytest.raises(ConfigError, match=message):
-        parse_config(text)
-
-
-def test_valid_blocking_is_kept_and_rendered():
-    cfg = parse_config(FULL_CONFIG.replace("[attack]\n", "[attack]\nblocking = home\n"))
-    assert cfg.blocking == "home"
-    assert "blocking = home" in render_config(cfg)
-    assert parse_config(render_config(cfg)) == cfg
-
-
 def test_qi_rule_on_non_qi_attribute_rejected():
     text = FULL_CONFIG + "\n[qi amount]\ncomparator = gauss\noffset = 1\nscale = 1\n"
     with pytest.raises(ConfigError, match="not marked 'qi'"):
@@ -345,7 +321,6 @@ output_dir = out
 
 [attack]
 ladder = age income | age income home intent
-blocking = home
 restrict_variant_outliers = true
 
 [variant external]
@@ -411,7 +386,6 @@ output_dir = out
 
 [attack]
 ladder = age income | age income home intent
-blocking = home
 restrict_variant_outliers = true
 
 [variant external]
@@ -505,7 +479,7 @@ base_seed = 0
         (
             EVERY_KEY_CONFIG,
             EVERY_KEY_RENDERED,
-            "cf64ac95768a2c5b119fc676881ccb6acc8d58e772fdd02f93cc0f616ac247b7",
+            "2260a0c67e6f2114ea32aa0895b19b6ab36b3fe7a75aa02807b7570b36ad0ae3",
         ),
         (
             CREDIT_RISK_INI.read_text(encoding="utf-8"),
@@ -583,9 +557,7 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
         ),
         ("ladder = age income |", "ladder = home | home |", "[attack] ladder subsets 'home' and 'home' name the same QIs"),
         ("ladder = age income |", "ladder = age age | nope |", "QI subset 'age,age' names 'age' more than once"),
-        ("blocking = home", "blocking = age", "blocking attribute 'age' is not categorical"),
-        ("blocking = home", "blocking = amount", "no QI rule for 'amount'"),
-        ("threshold = 1\n", "threshold = 0.8\n", "blocking on 'home' requires threshold 1, configured 0.8"),
+        ("[attack]\n", "[attack]\nblocking = home\n", "unknown keys in [attack]: ['blocking']"),
         (
             "restrict_variant_outliers = true",
             "restrict_variant_outliers = maybe",
@@ -597,6 +569,7 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
             "tags = epochs",
             "[variant external] tags = 'epochs': expected space-separated key=value pairs",
         ),
+        ("tags = epochs=150 embedding_dim=12", "tags = a=1 a=2", "[variant external] tags = 'a=1 a=2': expected each tag key once"),
         (
             "file = variants/external.csv",
             "file = x.csv\nepsilon = 1\nseed = 2",

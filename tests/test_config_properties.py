@@ -44,6 +44,7 @@ TAGS = st.lists(
         st.from_regex(r"[a-z0-9_.=]{0,6}", fullmatch=True),
     ),
     max_size=3,
+    unique_by=lambda tag: tag[0],  # a config names each tag key once
 ).map(tuple)
 
 
@@ -100,14 +101,11 @@ def run_configs(draw) -> RunConfig:
         )
 
     ladder: tuple[tuple[str, ...], ...] = ()
-    blocking = None
     restrict = False
     if qi is not None:
         # a subset names each QI once, and no two subsets name the same set
         subset = st.lists(st.sampled_from(qi.names()), min_size=1, max_size=4, unique=True).map(tuple)
         ladder = tuple(draw(st.lists(subset, min_size=1, max_size=3, unique_by=frozenset)))
-        exact = [r.name for r in qi.rules if r.comparator.kind is not ComparatorKind.GAUSS and r.threshold == 1]
-        blocking = draw(st.none() | st.sampled_from(exact)) if exact else None
         restrict = draw(st.booleans())
 
     synth = None
@@ -127,7 +125,6 @@ def run_configs(draw) -> RunConfig:
         original=draw(st.none() | PATHS),
         output_dir=draw(st.none() | PATHS),
         ladder=ladder,
-        blocking=blocking,
         restrict_variant_outliers=restrict,
         variants=tuple(_variant(draw, name) for name in variant_names),
         sweep=sweep,

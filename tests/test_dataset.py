@@ -172,6 +172,35 @@ def test_columns_are_read_only(toy_dataset):
         toy_dataset.column("age")[0] = 99
 
 
+@pytest.mark.parametrize(
+    "kind, column, dtype",
+    [
+        (Kind.NUMERICAL, [1.0, 2.0], "float64"),
+        (Kind.NUMERICAL, np.array([1.0, 2.0], dtype=object), "float64"),
+        # accepted once, and then save_dataset failed on it
+        (Kind.CATEGORICAL, np.array([1.0, 2.0]), "object"),
+        # accepted once, and then save_dataset wrote each row as one "[0.0, 0.0]" cell
+        (Kind.NUMERICAL, np.zeros((2, 2)), "float64"),
+    ],
+    ids=["list", "object-under-numerical", "float64-under-categorical", "two-dimensional"],
+)
+def test_constructor_refuses_a_column_of_the_wrong_type(kind, column, dtype):
+    with pytest.raises(DataError) as caught:
+        Dataset((AttributeSchema("x", kind),), {"x": column}, 2)
+    assert str(caught.value) == f"column 'x' is not a 1-D ndarray of dtype {dtype}"
+
+
+def test_from_columns_leaves_the_callers_array_alone():
+    base = np.array([0.0] * 9 + [100.0])
+    ds = Dataset.from_columns((AttributeSchema("x", Kind.NUMERICAL, Role.QI),), {"x": base})
+    cfg = OutlierConfig(k=2.0, attributes=("x",))
+    assert detect_outliers(ds, cfg).index.tolist() == [9]
+    assert base.flags.writeable
+    base[:] = base[::-1].copy()
+    assert ds.column("x").tolist() == [0.0] * 9 + [100.0]
+    assert detect_outliers(ds, cfg).index.tolist() == [9]
+
+
 def num_ds(values):
     return Dataset.from_columns((AttributeSchema("x", Kind.NUMERICAL, Role.QI),), {"x": values})
 

@@ -164,15 +164,15 @@ CASES = {
         lambda: VariantSpec(name="neither"),
     ),
     "RunConfig": (
-        lambda: RunConfig(SCHEMA, None, None, None, None, None, (), None, False, (), None),
+        lambda: RunConfig(SCHEMA, None, None, None, None, None, (), False, (), None),
         lambda: RunConfig(schema=SCHEMA),
         dict(
             outliers=None, qi=None, synth=None, original=None, output_dir=None, ladder=(),
-            blocking=None, restrict_variant_outliers=False, variants=(), sweep=None,
+            restrict_variant_outliers=False, variants=(), sweep=None,
         ),
         lambda: RunConfig(SCHEMA, ladder=(("age",),)),
         f"RunConfig(schema={SCHEMA_REPR}, outliers=None, qi=None, synth=None, original=None, output_dir=None, "
-        "ladder=(), blocking=None, restrict_variant_outliers=False, variants=(), sweep=None)",
+        "ladder=(), restrict_variant_outliers=False, variants=(), sweep=None)",
         True,
         None,
     ),
