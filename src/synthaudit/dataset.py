@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import logging
 import sys
-from itertools import compress, islice
+from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, NoReturn
@@ -34,6 +35,7 @@ MISSING_MARKERS = frozenset({"", "NA"})
 NAME_FORBIDDEN = frozenset(',"|\r\n')
 
 BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
+READ_CHARS = 1 << 16  # characters of a CSV file the loader reads at once
 
 # Histogram bins per numeric attribute in the synthesizer (dp_synth), kept
 # here so the config reads it without loading the synthesizer.
@@ -206,9 +208,11 @@ def _csv_rows(fh, path: Path):
         raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from exc
 
 
-def _row_blocks(reader):
-    """Lists of up to ``BLOCK_ROWS`` rows. A reader error is raised only after
-    the rows read before it, so an earlier bad data row is still reported first."""
+def _csv_blocks(fh, path: Path):
+    """Lists of up to ``BLOCK_ROWS`` rows that ``csv.reader`` reads from
+    ``fh`` line by line. A reader error is raised only after the rows read
+    before it, so an earlier bad data row is still reported first."""
+    reader = _csv_rows(fh, path)
     while True:
         block: list[list[str]] = []
         try:
@@ -222,6 +226,41 @@ def _row_blocks(reader):
         yield block
 
 
+def _split_blocks(fh, path: Path):
+    """Blocks of the rows ``csv.reader`` would read from ``fh``.
+
+    The text is read ``READ_CHARS`` characters at a time and cut after its
+    last line feed. A piece is split on line ends and commas while it holds
+    no quote, NUL, blank line or carriage return outside a CR LF line end,
+    and no line longer than ``csv.field_size_limit()``: there ``csv.reader``
+    finds the same cells. From the first other piece, ``csv.reader`` reads
+    the rest of the file, since a quoted field may span lines. It also takes
+    over at a last line with no line end, and where the text runs past the
+    field limit with no line feed, so the text held at once stays bounded.
+    """
+    limit = csv.field_size_limit()
+    rest = ""
+    while True:
+        chunk = fh.read(READ_CHARS)
+        text = rest + chunk
+        end = text.rfind("\n") + 1
+        text, rest = text[:end], text[end:]
+        plain = text.replace("\r\n", "\n") if "\r" in text else text
+        lines = plain[:-1].split("\n") if plain else []
+        if (
+            (rest and not chunk) or len(rest) > limit or "" in lines
+            or '"' in plain or "\0" in plain or "\r" in plain
+            or (len(plain) > limit and max(map(len, lines)) > limit)
+        ):
+            break
+        for start in range(0, len(lines), BLOCK_ROWS):
+            yield [line.split(",") for line in lines[start : start + BLOCK_ROWS]]
+        if not chunk:
+            return
+    # the rest of a cut line completes the text, so csv.reader sees whole lines
+    yield from _csv_blocks(chain(io.StringIO(text + rest + fh.readline(), newline=""), fh), path)
+
+
 def _parse_block(
     block: list[list[str]],
     schema: tuple[AttributeSchema, ...],
@@ -233,21 +272,13 @@ def _parse_block(
     bad numeric token in a kept row."""
     if set(map(len, block)) != {len(pos)}:
         return None
-    cells = list(zip(*block))
-    keep = None
-    for col in cells:
-        if not MISSING_MARKERS.isdisjoint(col):
-            if missing_policy is MissingPolicy.ERROR:
-                return None
-            present = ~np.fromiter(map(MISSING_MARKERS.__contains__, col), bool, len(col))
-            keep = present if keep is None else keep & present
-    if keep is not None:
-        keep = keep.tolist()
+    rows = list(filter(MISSING_MARKERS.isdisjoint, block))
+    if len(rows) < len(block) and missing_policy is MissingPolicy.ERROR:
+        return None
+    cells = list(zip(*rows)) or [()] * len(pos)
     out = []
     for attr in schema:
         col = cells[pos[attr.name]]
-        if keep is not None:
-            col = list(compress(col, keep))
         if attr.kind is Kind.NUMERICAL:
             try:
                 values = np.fromiter(map(float, col), np.float64, len(col))
@@ -258,7 +289,7 @@ def _parse_block(
         else:
             values = np.fromiter(map(sys.intern, col), object, len(col))
         out.append(values)
-    return out, len(block) - len(out[0])
+    return out, len(block) - len(rows)
 
 
 def _raise_first_error(
@@ -299,22 +330,42 @@ def load_dataset(
     so a bad token in it is not an error. A file that cannot be opened, is
     not UTF-8 or is not well-formed CSV raises ``DataError`` naming the path.
 
-    Rows are read and parsed one column at a time in blocks of
-    ``BLOCK_ROWS``; numeric cells go through Python's ``float()`` and
-    categorical cells are interned. A block that fails is rescanned row by
-    row, so the ``DataError`` names the first bad data row in file order.
+    The text after the header is read ``READ_CHARS`` characters at a time.
+    A piece with no quote, NUL, blank line or lone carriage return is split
+    on line ends and commas; from the first piece holding one, ``csv.reader``
+    reads the rest of the file. Both give the rows ``csv.reader`` gives.
+    Rows are parsed in blocks of ``BLOCK_ROWS``: a block's incomplete rows
+    are dropped at once, then numeric cells go through Python's ``float()``
+    one column at a time and categorical cells are interned. A block that
+    fails is rescanned row by row, so the ``DataError`` names the first bad
+    data row in file order. A load that fails is run again with
+    ``csv.reader`` reading every line, as it decodes the file in smaller
+    chunks: the reported error is the first it meets, and a decoding error
+    names the byte's position in its chunk.
     """
     validate_schema(schema)
     path = Path(path)
+    try:
+        return _load(path, schema, missing_policy, _split_blocks)
+    except (DataError, UnicodeDecodeError):
+        return _load(path, schema, missing_policy, _csv_blocks)
+
+
+def _load(
+    path: Path,
+    schema: tuple[AttributeSchema, ...],
+    missing_policy: MissingPolicy,
+    data_blocks: Callable[[Any, Path], Any],
+) -> Dataset:
+    """:func:`load_dataset`, with the rows after the header read by ``data_blocks``."""
     try:
         fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:
-        reader = _csv_rows(fh, path)
         try:
-            header = next(reader)
+            header = next(_csv_rows(fh, path))
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         if len(set(header)) != len(header):
@@ -330,7 +381,7 @@ def load_dataset(
 
         parts = [[np.empty(0, np.float64 if a.kind is Kind.NUMERICAL else object)] for a in schema]
         line = dropped = 0
-        for block in _row_blocks(reader):
+        for block in data_blocks(fh, path):
             parsed = _parse_block(block, schema, pos, missing_policy)
             if parsed is None:
                 _raise_first_error(path, block, line + 1, schema, pos, missing_policy)
@@ -356,7 +407,9 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     CR LF, and a cell is quoted only where it must be. Numeric cells are
     written as ``repr`` of their float, so they read back exactly, and never
     need quoting. Each distinct category is quoted once and looked up. Rows
-    go through :func:`write_table`.
+    go through :func:`write_table`. A category that :func:`load_dataset`
+    reads as missing (``""`` or ``NA``) raises ``DataError`` before the
+    file is opened.
     """
     alone = len(ds.schema) == 1
     columns = []
@@ -365,6 +418,10 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         if attr.kind is Kind.NUMERICAL:
             fmt = repr
         else:
-            fmt = {v: _csv_field(v, alone) for v in set(col)}.__getitem__
+            cells = {v: _csv_field(v, alone) for v in set(col)}
+            if not MISSING_MARKERS.isdisjoint(cells):
+                value = min(MISSING_MARKERS.intersection(cells))
+                raise DataError(f"column {attr.name!r} holds {value!r}, which loads as a missing cell")
+            fmt = cells.__getitem__
         columns.append((_csv_field(attr.name, alone), fmt, col))
     write_table(path, columns, line_end="\r\n")

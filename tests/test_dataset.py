@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import re
 import sys
 import tracemalloc
@@ -27,6 +28,8 @@ from synthaudit import (
 from synthaudit import dataset
 from synthaudit.dp_synth import count_marginals
 from synthaudit.utility import compute_utility, utility_reference
+
+from dataset_reference import reference_load
 
 SCHEMA3 = (
     AttributeSchema("a", Kind.NUMERICAL, Role.QI),
@@ -431,6 +434,101 @@ def test_bad_row_before_malformed_csv_in_one_block_is_reported_first(tmp_path):
     lines[LATE] = "1,2,c"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert load_error(path).startswith(f"{path}: not readable as UTF-8 CSV: field larger")
+
+
+def quote_free_text(n: int, line_end: str) -> str:
+    """A header and n rows that need no quotes, one row in eight missing a cell."""
+    rows = [[f"{i}", f"{i * 2.5}", f"cat {i % 7}"] for i in range(n)]
+    for row in rows[3::8]:
+        row[1] = "NA"
+    return line_end.join(",".join(row) for row in [["a", "b", "c"], *rows]) + line_end
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_quote_free_file_is_split_without_csv_reader(tmp_path, monkeypatch, line_end):
+    path = tmp_path / "plain.csv"
+    path.write_bytes(quote_free_text(1000, line_end).encode())
+    want = reference_load(path, SCHEMA3)
+    reader = csv.reader
+
+    def header_only(lines):
+        rows = reader(lines)
+        yield next(rows)
+        raise AssertionError("csv.reader read a data row")
+
+    monkeypatch.setattr(dataset.csv, "reader", header_only)
+    got = load_dataset(path, SCHEMA3)
+    assert got == want
+    assert got.row_count == 875
+
+
+@pytest.mark.parametrize("chars", [1024, dataset.READ_CHARS])
+def test_quoted_cell_hands_the_rest_of_the_file_to_csv_reader(tmp_path, monkeypatch, chars):
+    text = quote_free_text(1000, "\n").split("\n")
+    text[300] = '299,747.5,"cat, ""5""\r\nsecond line"'
+    path = tmp_path / "quoted.csv"
+    path.write_bytes("\n".join(text).encode())
+    monkeypatch.setattr(dataset, "READ_CHARS", chars)
+    got = load_dataset(path, SCHEMA3)
+    assert got == reference_load(path, SCHEMA3)
+    assert 'cat, "5"\r\nsecond line' in got.column("c").tolist()
+
+
+def test_text_with_no_line_feed_is_handed_to_csv_reader_within_the_field_limit(tmp_path, monkeypatch):
+    # Lone CR line ends: the split path holds no more than the field limit,
+    # one read and one line of such text before csv.reader reads the file.
+    path = tmp_path / "cr.csv"
+    path.write_bytes(("a,b,c\r" + "1,2,x\r" * 50_000).encode())
+    handed = []
+    string_io = io.StringIO
+
+    def spy(text, *args, **kwargs):
+        handed.append(len(text))
+        return string_io(text, *args, **kwargs)
+
+    monkeypatch.setattr(dataset.io, "StringIO", spy)
+    got = load_dataset(path, SCHEMA3)
+    monkeypatch.undo()
+    assert got == reference_load(path, SCHEMA3)
+    assert len(handed) == 1
+    assert handed[0] <= csv.field_size_limit() + dataset.READ_CHARS + len("1,2,x\r")
+
+
+def test_the_error_reported_is_the_one_csv_reader_meets_first(tmp_path):
+    # csv.reader decodes 8 KiB at a time. The chunk from byte 65,536 holds an
+    # undecodable byte at 69,209, so csv.reader never reaches the bad row at
+    # byte 67,203. The split path's first read, after the 3,003-byte header,
+    # decodes up to byte 68,539 and parses that row. The error must be
+    # csv.reader's, down to the byte position in its chunk.
+    schema = tuple(AttributeSchema(a.name * 1000, a.kind) for a in SCHEMA3)
+    header = ",".join(a.name for a in schema).encode() + b"\n"
+    tail = b"1,2,x\n" * 500
+    path = tmp_path / "late.csv"
+    path.write_bytes(header + b"1,2,x\n" * 10_700 + b"1,x,x\n" + tail[:2_000] + b"\xff" + tail[2_000:])
+    with pytest.raises(DataError) as excinfo:
+        load_dataset(path, schema)
+    with pytest.raises(DataError) as expected:
+        reference_load(path, schema)
+    assert str(excinfo.value) == str(expected.value)
+    assert "can't decode byte 0xff" in str(excinfo.value)
+
+
+def test_nul_byte_is_read_as_the_csv_module_reads_it(tmp_path):
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"a,b,c\n1,2,x\x00y\n")
+    if sys.version_info < (3, 11):  # csv.reader refuses NUL before Python 3.11
+        with pytest.raises(DataError, match=re.escape(f"{path}: not readable as UTF-8 CSV: line contains NUL")):
+            load_dataset(path, SCHEMA3)
+    else:
+        assert load_dataset(path, SCHEMA3).column("c").tolist() == ["x\x00y"]
+
+
+@pytest.mark.parametrize("value", ["NA", ""])
+def test_save_refuses_a_category_read_back_as_missing(tmp_path, value):
+    ds = Dataset.from_columns(SCHEMA3, {"a": [1, 2, 3], "b": [4, 5, 6], "c": [value, "x", "y"]})
+    with pytest.raises(DataError, match=re.escape(f"column 'c' holds {value!r}, which loads as a missing cell")):
+        save_dataset(ds, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_header_only_file_round_trips(write_csv, tmp_path):
