@@ -208,24 +208,6 @@ def _csv_rows(fh, path: Path):
         raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from exc
 
 
-def _csv_blocks(fh, path: Path):
-    """Lists of up to ``BLOCK_ROWS`` rows that ``csv.reader`` reads from
-    ``fh`` line by line. A reader error is raised only after the rows read
-    before it, so an earlier bad data row is still reported first."""
-    reader = _csv_rows(fh, path)
-    while True:
-        block: list[list[str]] = []
-        try:
-            block.extend(islice(reader, BLOCK_ROWS))
-        except DataError:
-            if block:
-                yield block
-            raise
-        if not block:
-            return
-        yield block
-
-
 def _split_blocks(fh, path: Path):
     """Blocks of the rows ``csv.reader`` would read from ``fh``.
 
@@ -258,7 +240,8 @@ def _split_blocks(fh, path: Path):
         if not chunk:
             return
     # the rest of a cut line completes the text, so csv.reader sees whole lines
-    yield from _csv_blocks(chain(io.StringIO(text + rest + fh.readline(), newline=""), fh), path)
+    rows = _csv_rows(chain(io.StringIO(text + rest + fh.readline(), newline=""), fh), path)
+    yield from iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
 
 
 def _parse_block(
@@ -293,16 +276,22 @@ def _parse_block(
 
 
 def _raise_first_error(
+    fh,
     path: Path,
-    block: list[list[str]],
-    first_line: int,
     schema: tuple[AttributeSchema, ...],
     pos: dict[str, int],
     missing_policy: MissingPolicy,
 ) -> NoReturn:
-    """Rescan a block that failed :func:`_parse_block` row by row and raise
-    its first error in file order."""
-    for line, row in enumerate(block, start=first_line):
+    """Read ``fh`` again from its start with ``csv.reader`` alone, row by
+    row, and raise the first error in file order; a handle that cannot
+    seek, such as a pipe's, raises one that names no row."""
+    try:
+        fh.seek(0)
+    except OSError as exc:
+        raise DataError(f"{path}: failed to load, and cannot be read again to name the bad row: {exc}") from exc
+    rows = _csv_rows(fh, path)
+    next(rows)  # the header, checked before
+    for line, row in enumerate(rows, start=1):
         if len(row) != len(pos):
             raise DataError(f"{path}: data row {line} has {len(row)} cells, expected {len(pos)}")
         if any(row[pos[a.name]] in MISSING_MARKERS for a in schema):
@@ -312,7 +301,7 @@ def _raise_first_error(
         for attr in schema:
             if attr.kind is Kind.NUMERICAL:
                 _parse_numeric(row[pos[attr.name]], attr.name, line)
-    raise AssertionError(f"{path}: data rows from {first_line} failed to parse but hold no error")
+    raise AssertionError(f"{path}: failed to load, but csv.reader finds no error in it")
 
 
 def load_dataset(
@@ -330,34 +319,16 @@ def load_dataset(
     so a bad token in it is not an error. A file that cannot be opened, is
     not UTF-8 or is not well-formed CSV raises ``DataError`` naming the path.
 
-    The text after the header is read ``READ_CHARS`` characters at a time.
-    A piece with no quote, NUL, blank line or lone carriage return is split
-    on line ends and commas; from the first piece holding one, ``csv.reader``
-    reads the rest of the file. Both give the rows ``csv.reader`` gives.
-    Rows are parsed in blocks of ``BLOCK_ROWS``: a block's incomplete rows
-    are dropped at once, then numeric cells go through Python's ``float()``
-    one column at a time and categorical cells are interned. A block that
-    fails is rescanned row by row, so the ``DataError`` names the first bad
-    data row in file order. A load that fails is run again with
-    ``csv.reader`` reading every line, as it decodes the file in smaller
-    chunks: the reported error is the first it meets, and a decoding error
-    names the byte's position in its chunk.
+    The rows after the header come from :func:`_split_blocks` and are parsed
+    ``BLOCK_ROWS`` at a time: a block's incomplete rows are dropped at once,
+    then numeric cells go through Python's ``float()`` one column at a time
+    and categorical cells are interned. A load that fails is read again,
+    from its start, by ``csv.reader`` alone, row by row, so the ``DataError``
+    is the first one ``csv.reader`` meets and names its data row. A pipe,
+    which cannot be read again, raises a ``DataError`` that names no row.
     """
     validate_schema(schema)
     path = Path(path)
-    try:
-        return _load(path, schema, missing_policy, _split_blocks)
-    except (DataError, UnicodeDecodeError):
-        return _load(path, schema, missing_policy, _csv_blocks)
-
-
-def _load(
-    path: Path,
-    schema: tuple[AttributeSchema, ...],
-    missing_policy: MissingPolicy,
-    data_blocks: Callable[[Any, Path], Any],
-) -> Dataset:
-    """:func:`load_dataset`, with the rows after the header read by ``data_blocks``."""
     try:
         fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -381,15 +352,22 @@ def _load(
 
         parts = [[np.empty(0, np.float64 if a.kind is Kind.NUMERICAL else object)] for a in schema]
         line = dropped = 0
-        for block in data_blocks(fh, path):
-            parsed = _parse_block(block, schema, pos, missing_policy)
-            if parsed is None:
-                _raise_first_error(path, block, line + 1, schema, pos, missing_policy)
-            columns, block_dropped = parsed
-            for part, values in zip(parts, columns):
-                part.append(values)
-            line += len(block)
-            dropped += block_dropped
+        failed = False
+        try:
+            for block in _split_blocks(fh, path):
+                parsed = _parse_block(block, schema, pos, missing_policy)
+                if parsed is None:
+                    failed = True
+                    break
+                columns, block_dropped = parsed
+                for part, values in zip(parts, columns):
+                    part.append(values)
+                line += len(block)
+                dropped += block_dropped
+        except (DataError, UnicodeDecodeError):
+            failed = True
+        if failed:
+            _raise_first_error(fh, path, schema, pos, missing_policy)
 
     if dropped:
         logger.warning("%s: dropped %d of %d data rows with missing cells", path, dropped, line)

@@ -49,12 +49,14 @@ def _laplace_noise(rng: np.random.Generator, scale: float, size: int) -> np.ndar
 
     Uniforms are built as (raw >> 11 + 0.5) * 2^-53, open at both ends, so
     the log never sees 0 and the draws are an exact function of the PCG64
-    stream.
+    stream. The log is libm's ``math.log1p``, not numpy's, whose SIMD loops
+    may round differently from one CPU to another.
     """
     raw = rng.bit_generator.random_raw(size)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     centered = u - 0.5
-    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(centered)).tolist()), np.float64, size)
+    return -scale * np.sign(centered) * logs
 
 
 def _normalize(noisy: np.ndarray) -> np.ndarray:

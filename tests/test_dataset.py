@@ -3,10 +3,12 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import os
 import re
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,6 +513,48 @@ def test_the_error_reported_is_the_one_csv_reader_meets_first(tmp_path):
         reference_load(path, schema)
     assert str(excinfo.value) == str(expected.value)
     assert "can't decode byte 0xff" in str(excinfo.value)
+
+
+def load_from_pipe(data: bytes, schema) -> Dataset:
+    """``load_dataset`` on ``/dev/fd/N`` for the read end of a pipe holding
+    ``data``, which must fit in the pipe's buffer."""
+    read, write = os.pipe()
+    try:
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+        return load_dataset(f"/dev/fd/{read}", schema)
+    finally:
+        os.close(read)
+
+
+needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize(
+    "data",
+    # the undecodable byte lies past the 8 KiB the header's read decodes
+    [b"a,b,c\n1,2,x\n1,x,x\n", b'a,b,c\n1,2,"x"\n1,2\n', b"a,b,c\n" + b"1,2,x\n" * 2000 + b"\xff\n"],
+    ids=["bad-token", "ragged-after-quote", "undecodable"],
+)
+def test_a_failing_load_from_a_pipe_is_a_data_error_naming_the_pipe(data):
+    # A pipe cannot be read again to find the first bad row; the load must
+    # neither read the drained pipe as an empty file nor wait for a writer.
+    with pytest.raises(DataError) as excinfo:
+        load_from_pipe(data, SCHEMA3)
+    message = str(excinfo.value)
+    assert re.fullmatch(r"/dev/fd/\d+: failed to load, and cannot be read again to name the bad row: .+", message)
+
+
+@needs_dev_fd
+def test_a_pipe_loads_as_the_file_it_carries(tmp_path, monkeypatch):
+    lines = quote_free_text(1000, "\n").split("\n")
+    lines[500] = '499,1247.5,"cat, ""5"""'
+    data = "\n".join(lines).encode()
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(dataset, "READ_CHARS", 1024)  # many reads, then csv.reader takes over
+    assert load_from_pipe(data, SCHEMA3) == reference_load(path, SCHEMA3)
 
 
 def test_nul_byte_is_read_as_the_csv_module_reads_it(tmp_path):

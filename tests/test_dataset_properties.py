@@ -9,7 +9,10 @@ no quotes, and rows with one cell too few or too many, under a header in any
 column order, with rows ending in LF or CR LF. Examples add what
 ``csv.writer`` never writes: a blank line, a last line with no line end, a
 lone carriage return, a NUL byte, a first quote late in the file and a field
-longer than the csv module's limit (lowered here, so that it stays small).
+longer than the csv module's limit (lowered here, so that it stays small),
+and bytes that are not UTF-8: in the header, in a data row, after a bad row
+in the 8 KiB that ``csv.reader`` decodes at once, and a multi-byte sequence
+cut short at the end of the file.
 Each file is loaded under both missing policies with ``BLOCK_ROWS`` set to
 1, 2, 3 and its default, each with its own ``READ_CHARS``, so errors fall at
 every position in a block and the text is cut at every position in a line.
@@ -112,6 +115,13 @@ NUL_BYTE = (SCHEMA, "a,b,c\n1,2,A\n3,4,B\x00\n")  # refused by csv.reader before
 LONG_FIELD = (SCHEMA, f"a,b,c\n1,2,A\n3,4,{'B' * (FIELD_LIMIT + 1)}\n5,6,C\n")
 LONG_LINE = (SCHEMA, f"a,b,c\n1,2,A\n3,4,{'B' * (FIELD_LIMIT - 4)}\n5,6,C\n")
 
+# Files given as bytes; csv.reader decodes 8,192 bytes at a time.
+ROWS_PAST_FIRST_CHUNK = b"a,b,c\n" + b"1,2,A\n" * 1400
+UNDECODABLE_HEADER = (SCHEMA, b"a,b,\xff\n1,2,A\n")
+UNDECODABLE_ROW = (SCHEMA, ROWS_PAST_FIRST_CHUNK + b"3,4,\xff\n5,6,C\n")
+UNDECODABLE_AFTER_BAD_ROW = (SCHEMA, ROWS_PAST_FIRST_CHUNK + b"1,x,A\n3,4,B\xff\n")
+TRUNCATED_AT_END = (SCHEMA, b"a,b,c\n1,2,A\n3,4,\xc3")  # the first byte of a two-byte sequence
+
 
 class _Messages(logging.Handler):
     def __init__(self) -> None:
@@ -156,11 +166,15 @@ def outcome(load, path: Path, schema: tuple[AttributeSchema, ...], policy: Missi
 @example(table=NUL_BYTE)
 @example(table=LONG_FIELD)
 @example(table=LONG_LINE)
+@example(table=UNDECODABLE_HEADER)
+@example(table=UNDECODABLE_ROW)
+@example(table=UNDECODABLE_AFTER_BAD_ROW)
+@example(table=TRUNCATED_AT_END)
 def test_load_dataset_equals_reference_loader(policy, block, chars, table):
     schema, text = table
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "table.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         limit = csv.field_size_limit(FIELD_LIMIT)
         try:
             expected = outcome(reference_load, path, schema, policy)
