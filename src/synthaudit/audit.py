@@ -8,23 +8,26 @@ the original (outlier targets, histogram counts per ``num_bins``, utility
 reference) once per dataset object, so every variant reuses it. Every
 audit leaves its trail under the plan's output directory: the original's
 outlier listing, each generated variant and one pair file per variant and
-subset. A data or configuration error on one variant is recorded in its
-report entry and does not abort the others; any other exception is a bug
-and ends the run. Variants run one after another in plan order, so reports
-are reproducible byte for byte (only the run_meta keys in
-``report.VOLATILE_RUN_META_KEYS`` vary).
+subset. ``run_audit`` and ``sweep_epsilon`` build a generated variant, a
+report entry and the run_meta stamp through the same helpers. A data or
+configuration error on one variant is recorded in its report entry and does
+not abort the others; any other exception is a bug and ends the run.
+Variants run one after another in plan order, so reports are reproducible
+byte for byte (only the run_meta keys in ``report.VOLATILE_RUN_META_KEYS``
+vary).
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time
 from pathlib import Path
 
-from .config import SynthSettings, VariantSpec, check_ladder
+from .config import SynthSettings, VariantSpec, check_ladder, variant_settings
 from .dataset import AttributeSchema, Dataset, load_dataset, save_dataset
 from .dp_synth import DEFAULT_NUM_BINS, generator_metadata, synthesize
-from .errors import ConfigError, Record, SynthAuditError
+from .errors import ConfigError, DataError, Record, SynthAuditError
 from .linkage import LinkageResult, QIConfig, attack, save_matches
 from .outliers import OutlierConfig, detect_outliers, save_outlier_set
 from .utility import compute_utility
@@ -58,6 +61,8 @@ class AuditPlan(Record):
             for subset in self.ladder:
                 path = _pair_file(name, subset)
                 writer = f"variant {name!r} subset {','.join(subset)!r}"
+                if path.parent != Path("pairs"):  # QI names become part of the file name too
+                    raise ConfigError(f"{writer} would write {path.as_posix()}, which is not a file in pairs/")
                 if path in writers:
                     raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
                 writers[path] = writer
@@ -68,13 +73,24 @@ def _pair_file(variant: str, subset: tuple[str, ...]) -> Path:
     return Path("pairs", f"{variant}__{'-'.join(subset)}.csv")
 
 
+def _regular_file(path: Path) -> Path:
+    """``path``, unless it exists and is not a regular file (a FIFO, say):
+    an audit reads each input twice, to load it and to hash it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise DataError(f"{path} is not a regular file: an audit reads it twice, to load it and to hash it")
+    return path
+
+
 def _sha256_file(path: Path) -> str:
     import hashlib  # loads OpenSSL, which only hashing commands need
 
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
+    try:
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
 
 
@@ -89,38 +105,43 @@ def _linkage_summary(result: LinkageResult) -> dict:
     }
 
 
-def _resolve_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> tuple[Dataset, dict]:
-    if spec.file is not None:
-        path = plan.base_dir / spec.file  # an absolute file stays as it is
-        ds = load_dataset(path, plan.schema)
-        generator = {"type": "file", "path": str(path), "sha256": _sha256_file(path)}
-    else:
-        defaults = plan.synth_defaults or SynthSettings(epsilon=spec.epsilon, n=original.row_count)
-        n = spec.n if spec.n is not None else defaults.n
-        num_bins = spec.num_bins if spec.num_bins is not None else defaults.num_bins
-        seed = spec.seed if spec.seed is not None else defaults.seed
-        ds = synthesize(original, spec.epsilon, n, num_bins, seed)
-        generator = generator_metadata(plan.schema, spec.epsilon, n, num_bins, seed)
-    if spec.tags:
-        generator["tags"] = dict(spec.tags)
-    return ds, generator
+def _generate(original: Dataset, settings: SynthSettings) -> tuple[Dataset, dict]:
+    """A generated variant and its provenance block; an n of None is the original's row count."""
+    n = original.row_count if settings.n is None else settings.n
+    values = (settings.epsilon, n, settings.num_bins, settings.seed)
+    return synthesize(original, *values), generator_metadata(original.schema, *values)
+
+
+def _ok_entry(name: str, generator: dict, original: Dataset, variant: Dataset) -> dict:
+    """A variant's report entry, its utility computed; the caller adds each subset's linkage."""
+    utility = compute_utility(original, variant).to_dict()
+    return {"name": name, "status": "ok", "generator": generator, "utility": utility, "linkage": {}}
+
+
+def _run_meta(started: float, **meta) -> dict:
+    """``meta`` stamped with the run's start time and its wall time so far."""
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started))
+    return {"timestamp": stamp, "wall_time_s": time.time() - started, **meta}
 
 
 def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> dict:
+    """Load or generate (and save) one variant, then audit it against each ladder
+    subset; a data or configuration error gives a ``failed`` entry."""
     try:
-        variant, generator = _resolve_variant(plan, spec, original)
-        # outputs are recorded relative to output_dir so reports stay
-        # portable and identical runs produce identical bytes
-        if spec.generated:
+        if spec.file is not None:
+            path = plan.base_dir / spec.file  # an absolute file stays as it is
+            variant = load_dataset(_regular_file(path), plan.schema)
+            generator = {"type": "file", "path": str(path), "sha256": _sha256_file(path)}
+        else:
+            settings = variant_settings(plan.synth_defaults, spec.epsilon, spec.n, spec.num_bins, spec.seed)
+            variant, generator = _generate(original, settings)
+            # outputs are recorded relative to output_dir so reports stay
+            # portable and identical runs produce identical bytes
             generator["path"] = str(Path("variants", f"{spec.name}.csv"))
             save_dataset(variant, plan.output_dir / generator["path"])
-        entry: dict = {
-            "name": spec.name,
-            "status": "ok",
-            "generator": generator,
-            "utility": compute_utility(original, variant).to_dict(),
-            "linkage": {},
-        }
+        if spec.tags:
+            generator["tags"] = dict(spec.tags)
+        entry = _ok_entry(spec.name, generator, original, variant)
         for subset, qi_cfg in zip(plan.ladder, plan._subsets):
             result = attack(
                 original,
@@ -146,31 +167,22 @@ def run_audit(plan: AuditPlan) -> dict:
     ``outliers.csv`` (the original's outlier listing), ``variants/<name>.csv``
     for each generated variant and ``pairs/<name>__<subset>.csv`` for each
     variant and ladder subset. A variant that fails with a data or
-    configuration error gets a ``failed`` entry; an unreadable original
-    raises ``DataError``.
+    configuration error gets a ``failed`` entry; an unreadable original, or
+    one that is not a regular file (it is read twice, to load and to hash
+    it), raises ``DataError``.
     """
     started = time.time()
-    original = load_dataset(plan.original_path, plan.schema)
-    targets = detect_outliers(original, plan.outlier_cfg)
-    save_outlier_set(targets, plan.outlier_cfg, plan.output_dir / "outliers.csv")
+    path, cfg = _regular_file(plan.original_path), plan.outlier_cfg
+    original = load_dataset(path, plan.schema)
+    targets = detect_outliers(original, cfg)
+    save_outlier_set(targets, cfg, plan.output_dir / "outliers.csv")
     entries = [_audit_one_variant(plan, spec, original) for spec in plan.variants]
-
-    run_meta = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        "wall_time_s": time.time() - started,
-        "original": {
-            "path": str(plan.original_path),
-            "sha256": _sha256_file(plan.original_path),
-            "row_count": original.row_count,
-        },
-        "outliers": {
-            "count": len(targets),
-            "k": plan.outlier_cfg.k,
-            "combine": plan.outlier_cfg.combine.value,
-            "attributes": list(plan.outlier_cfg.attributes),
-        },
-        "ladder": [",".join(subset) for subset in plan.ladder],
-    }
+    run_meta = _run_meta(
+        started,
+        original={"path": str(path), "sha256": _sha256_file(path), "row_count": original.row_count},
+        outliers={"count": len(targets), "k": cfg.k, "combine": cfg.combine.value, "attributes": list(cfg.attributes)},
+        ladder=[",".join(subset) for subset in plan.ladder],
+    )
     return {"run_meta": run_meta, "variants": entries}
 
 
@@ -192,11 +204,12 @@ def sweep_epsilon(
     """Generate and audit repeats x |grid| variants; return the report with its curve.
 
     Variant index i (epsilon-major over the ascending grid) uses seed
-    base_seed + i. Each epsilon's ``sweep_curve`` row, built right after its
-    repeats, gives the mean, min and max of their unique-match counts and of
-    each utility metric's mean; rows are sorted by epsilon ascending. Each
-    layer computes its share of the original once, for every variant. A grid
-    that lists an epsilon twice is refused.
+    base_seed + i; an n of None generates as many rows as the original. Each
+    epsilon's ``sweep_curve`` row, built right after its repeats, gives the
+    mean, min and max of their unique-match counts and of each utility
+    metric's mean; rows are sorted by epsilon ascending. Each layer computes
+    its share of the original once, for every variant. A grid that lists an
+    epsilon twice is refused.
     """
     if not grid:
         raise ConfigError("epsilon grid must not be empty")
@@ -205,24 +218,15 @@ def sweep_epsilon(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     started = time.time()
-    rows = n if n is not None else original.row_count
     subset = ",".join(qi_cfg.names())
     entries = []
     curve = []
     for epsilon in sorted(grid):
         for _ in range(repeats):
             seed = base_seed + len(entries)
-            variant = synthesize(original, epsilon, rows, num_bins, seed)
-            result = attack(original, variant, outlier_cfg, qi_cfg)
-            entries.append(
-                {
-                    "name": f"eps{epsilon!r}_seed{seed}",
-                    "status": "ok",
-                    "generator": generator_metadata(original.schema, epsilon, rows, num_bins, seed),
-                    "utility": compute_utility(original, variant).to_dict(),
-                    "linkage": {subset: _linkage_summary(result)},
-                }
-            )
+            variant, generator = _generate(original, SynthSettings(epsilon, n, num_bins, seed))
+            entries.append(_ok_entry(f"eps{epsilon!r}_seed{seed}", generator, original, variant))
+            entries[-1]["linkage"][subset] = _linkage_summary(attack(original, variant, outlier_cfg, qi_cfg))
         group = entries[-repeats:]
         metrics = [e["utility"]["aggregate"] for e in group]
         curve.append(
@@ -234,11 +238,5 @@ def sweep_epsilon(
             }
         )
 
-    run_meta = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        "wall_time_s": time.time() - started,
-        "grid": sorted(grid),
-        "repeats": repeats,
-        "base_seed": base_seed,
-    }
+    run_meta = _run_meta(started, grid=sorted(grid), repeats=repeats, base_seed=base_seed)
     return {"run_meta": run_meta, "variants": entries, "sweep_curve": curve}

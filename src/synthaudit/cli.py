@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, SynthSettings, config_hash, load_config, render_config
-from .dataset import DEFAULT_NUM_BINS, load_dataset, save_dataset, write_table
+from .config import RunConfig, config_hash, load_config, render_config, variant_settings
+from .dataset import load_dataset, save_dataset, write_table
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
@@ -106,14 +106,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
     cfg = load_config(args.config)
     _require(cfg, "synthesize", schema=cfg.schema)
-    base = cfg.synth or SynthSettings(epsilon=args.epsilon, n=args.n)
+    settings = variant_settings(cfg.synth, args.epsilon, args.n, args.num_bins, args.seed)
     for key in ("epsilon", "n"):  # required in [synth], so only a missing flag is None
-        if getattr(base, key) is None:
+        if getattr(settings, key) is None:
             raise ConfigError(f"'synthesize' requires --{key} or [synth] {key}")
-    epsilon = args.epsilon if args.epsilon is not None else base.epsilon
-    n = args.n if args.n is not None else base.n
-    num_bins = args.num_bins if args.num_bins is not None else base.num_bins
-    seed = args.seed if args.seed is not None else base.seed
+    epsilon, n, num_bins, seed = settings.epsilon, settings.n, settings.num_bins, settings.seed
     check_settings(epsilon, n, num_bins, seed)  # before the original is read
     original = load_dataset(args.original, cfg.schema)
     synth = synthesize(original, epsilon, n, num_bins, seed)
@@ -186,16 +183,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
     _require(cfg, "sweep", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi, sweep=cfg.sweep)
+    sweep, synth = cfg.sweep, variant_settings(cfg.synth)  # [sweep] gives each variant its epsilon and seed
     original = load_dataset(_original_path(cfg, plan_path, "sweep"), cfg.schema)
     report = sweep_epsilon(
-        original,
-        cfg.sweep.grid,
-        cfg.sweep.repeats,
-        cfg.sweep.base_seed,
-        cfg.outliers,
-        cfg.qi,
-        n=cfg.synth.n if cfg.synth else None,
-        num_bins=cfg.synth.num_bins if cfg.synth else DEFAULT_NUM_BINS,
+        original, sweep.grid, sweep.repeats, sweep.base_seed, cfg.outliers, cfg.qi, n=synth.n, num_bins=synth.num_bins
     )
     _echo_config(report, cfg)
     out_dir = _out_dir(args.out, cfg)

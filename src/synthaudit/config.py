@@ -33,6 +33,20 @@ class SynthSettings(Record):
     _defaults = {"num_bins": DEFAULT_NUM_BINS, "seed": 0}
 
 
+def variant_settings(
+    synth: SynthSettings | None,
+    epsilon: float | None = None,
+    n: int | None = None,
+    num_bins: int | None = None,
+    seed: int | None = None,
+) -> SynthSettings:
+    """A generated variant's settings: each value given here (a flag or
+    ``[variant]`` key) that is not None, else ``synth``'s (the ``[synth]``
+    section), else the default. Without ``[synth]``, epsilon and n are None."""
+    base = (synth or SynthSettings(None, None))._values()
+    return SynthSettings(*(old if new is None else new for old, new in zip(base, (epsilon, n, num_bins, seed))))
+
+
 class SweepSettings(Record):
     __slots__ = {"grid": "tuple[float, ...]", "repeats": "int", "base_seed": "int"}
     _defaults = {"repeats": 1, "base_seed": 0}
@@ -55,10 +69,6 @@ class VariantSpec(Record):
     def __post_init__(self) -> None:
         if self.file is None and self.epsilon is None:
             raise ConfigError(f"variant {self.name!r} needs either a file or an epsilon")
-
-    @property
-    def generated(self) -> bool:
-        return self.file is None
 
 
 class RunConfig(Record):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,35 @@ def test_plan_validation(tmp_path, original_csv):
         make_plan(
             tmp_path, path, [VariantSpec(name="v", epsilon=1.0), VariantSpec(name="v", epsilon=2.0)]
         )
+
+
+def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
+    # QI names become part of a pair file's name, as variant names do
+    path, _ = original_csv
+    rule = QIRule("../../../x", ComparatorSpec(ComparatorKind.GAUSS, offset=1.0, scale=1.0))
+    qi_cfg = QIConfig(rules=(*QI_CFG.rules, rule))
+    message = "variant 'v' subset '../../../x' would write pairs/v__../../../x.csv, which is not a file in pairs/"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        AuditPlan(
+            original_path=path, schema=SCHEMA, outlier_cfg=OUTLIER_CFG, qi_cfg=qi_cfg,
+            variants=(VariantSpec(name="v", epsilon=1.0),), ladder=(("age",), ("../../../x",)),
+            output_dir=tmp_path / "out" / "deep",
+        )
+
+
+@pytest.mark.parametrize("settings", [{}, {"n": 50, "num_bins": 8}], ids=["original-rows", "given-n-and-bins"])
+def test_a_sweep_entry_equals_the_audit_entry_of_the_same_generated_variant(tmp_path, original_csv, settings):
+    """A generated variant's entry does not depend on the command that built
+    it; only its name and the files it names differ."""
+    path, _ = original_csv
+    subset = QI_CFG.names()
+    spec = VariantSpec(name="v", epsilon=0.5, seed=7, **settings)
+    [audited] = run_audit(make_plan(tmp_path, path, [spec], ladder=(subset,)))["variants"]
+    [swept] = sweep_epsilon(load_dataset(path, SCHEMA), (0.5,), 1, 7, OUTLIER_CFG, QI_CFG, **settings)["variants"]
+    assert swept["name"] == "eps0.5_seed7"
+    assert audited["generator"].pop("path") == "variants/v.csv"
+    assert audited["linkage"][",".join(subset)].pop("pairs_file") == f"pairs/v__{'-'.join(subset)}.csv"
+    assert {**audited, "name": swept["name"]} == swept
 
 
 class TestSweep:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import synthaudit
-from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, save_dataset
+from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, load_dataset, save_dataset, synthesize
 from synthaudit.cli import build_parser, main
 from synthaudit.config import load_config, parse_config
 from synthaudit.report import write_report
@@ -76,13 +76,19 @@ def write(path: Path, text: str) -> Path:
     return path
 
 
-def run_python(code: str, *args) -> str:
-    """Run ``code`` in a fresh interpreter that imports this synthaudit; return its stdout."""
+def run_child(*args, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this synthaudit with ``args``; a
+    run that outlasts ``timeout`` seconds raises ``TimeoutExpired``."""
     src = str(Path(synthaudit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def run_python(code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter that imports this synthaudit; return its stdout."""
+    done = run_child("-c", code, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -384,6 +390,24 @@ class TestSynthesizeCommand:
                 "--out", str(tmp / f"eps{epsilon}.csv"), "--epsilon", epsilon, "--n", "40",
             ]
         ) == 0
+
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--epsilon", "0.25", "epsilon"), ("--n", "33", "n"), ("--num-bins", "3", "num_bins"), ("--seed", "9", "seed")],
+    )
+    def test_a_flag_replaces_only_its_synth_key(self, workdir, capsys, flag, value, key):
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", SYNTH_CONFIG)
+        out = tmp / "x.csv"
+        assert main(["synthesize", "-c", str(cfg), str(tmp / "original.csv"), "--out", str(out), flag, value]) == 0
+        settings = {"epsilon": 1.0, "n": 120, "num_bins": 8, "seed": 5}  # SYNTH_CONFIG's [synth]
+        settings[key] = type(settings[key])(value)
+        save_dataset(synthesize(load_dataset(tmp / "original.csv", SCHEMA), **settings), tmp / "expected.csv")
+        assert out.read_bytes() == (tmp / "expected.csv").read_bytes()
+        assert f"wrote {settings['n']} rows to {out} (epsilon={settings['epsilon']}, seed={settings['seed']})" in (
+            capsys.readouterr().out
+        )
 
 
 class TestExitCodes:
@@ -697,6 +721,68 @@ class TestAuditCommand:
             header = (tmp / "out" / "pairs" / f"{entry['name']}__income-age.csv").read_text().splitlines()[0]
             assert header == "original_index,synthetic_index,score_age,score_income"
 
+    def test_a_variant_that_sets_only_its_seed_takes_n_and_num_bins_from_synth(self, workdir):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        # [variant dp] sets its epsilon, which it must, and its seed; [synth] gives n = 37 and num_bins = 8
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("n = 80", "n = 37")
+        assert main(["audit", "--plan", str(write(tmp / "plan.ini", text))]) == 0
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        generator = report["variants"][1]["generator"]
+        assert [generator[key] for key in ("epsilon", "n", "num_bins", "seed")] == [0.5, 37, 8, 11]
+        save_dataset(synthesize(load_dataset(tmp / "original.csv", SCHEMA), 0.5, 37, 8, 11), tmp / "expected.csv")
+        assert (tmp / "out" / "variants" / "dp.csv").read_bytes() == (tmp / "expected.csv").read_bytes()
+
+    def test_a_ladder_qi_name_that_leaves_pairs_is_2_and_writes_nothing(self, tmp_path, caplog):
+        rng = np.random.default_rng(3)
+        schema = tuple(AttributeSchema(name, Kind.NUMERICAL, Role.QI) for name in ("a", "../../../x"))
+        save_dataset(Dataset.from_columns(schema, {a.name: rng.normal(0, 1, 60) for a in schema}), tmp_path / "o.csv")
+        qi = "".join(f"\n[qi {a.name}]\ncomparator = gauss\noffset = 1\nscale = 1\n" for a in schema)
+        plan = write(
+            tmp_path / "plan.ini",
+            "[schema]\na = numerical qi\n../../../x = numerical qi\n\n[outliers]\nk = 1\nattributes = a\n"
+            f"{qi}\n[paths]\noriginal = o.csv\noutput_dir = {tmp_path / 'out' / 'deep'}\n"
+            "\n[attack]\nladder = a | ../../../x\n\n[variant v]\nepsilon = 1.0\nseed = 1\n",
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: variant 'v' subset '../../../x' would write pairs/v__../../../x.csv, "
+            "which is not a file in pairs/"
+        ]
+
+    def test_a_missing_original_is_a_read_error(self, tmp_path, caplog):
+        plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
+        assert main(["audit", "--plan", str(plan)]) == 3
+        [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert message.startswith(f"data error: cannot read {tmp_path / 'original.csv'}: ")
+
+    @pytest.mark.parametrize("which", ["original", "copy"])
+    def test_an_input_removed_before_it_is_hashed_is_a_read_error(self, workdir, monkeypatch, caplog, capsys, which):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        removed = tmp / f"{which}.csv"
+        loaded = []
+
+        def load_then_remove(path, schema):
+            loaded.append(load_dataset(path, schema))
+            if Path(path) == removed:
+                removed.unlink()
+            return loaded[-1]
+
+        monkeypatch.setattr("synthaudit.audit.load_dataset", load_then_remove)
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        assert main(["audit", "--plan", str(plan)]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        if which == "original":
+            [message] = errors
+            assert message.startswith(f"data error: cannot read {removed}: ")
+        else:  # a failed variant, and the report is still written
+            assert f"copy: FAILED (cannot read {removed}: " in capsys.readouterr().out
+            report = json.loads((tmp / "out" / "report.json").read_text())
+            assert {v["name"]: v["status"] for v in report["variants"]} == {"copy": "failed", "dp": "ok"}
+
     def test_absolute_original_path(self, workdir, tmp_path_factory):
         tmp, original = workdir
         save_dataset(original, tmp / "copy.csv")
@@ -710,6 +796,73 @@ class TestAuditCommand:
         assert main(["audit", "--plan", str(plan)]) == 0
         report = json.loads((tmp / "out" / "report.json").read_text())
         assert report["run_meta"]["original"]["path"] == str(tmp / "original.csv")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+class TestNamedPipes:
+    """An audit hashes the original and each file variant after loading it, so
+    it refuses an input that is not a regular file; the other commands read
+    each input once, so they still read a pipe."""
+
+    def test_a_fifo_original_is_3_without_waiting_for_a_writer(self, workdir):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        (tmp / "original.csv").unlink()
+        os.mkfifo(tmp / "original.csv")
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        done = run_child("-m", "synthaudit", "audit", "--plan", plan, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.splitlines() == [
+            f"ERROR synthaudit: data error: {tmp / 'original.csv'} is not a regular file: "
+            "an audit reads it twice, to load it and to hash it"
+        ]
+        assert not (tmp / "out").exists()
+
+    def test_a_fifo_file_variant_is_a_failed_variant(self, workdir):
+        tmp, _ = workdir
+        os.mkfifo(tmp / "copy.csv")
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        done = run_child("-m", "synthaudit", "audit", "--plan", plan, timeout=60)
+        assert done.returncode == 3, done.stderr
+        error = f"{tmp / 'copy.csv'} is not a regular file: an audit reads it twice, to load it and to hash it"
+        assert f"copy: FAILED ({error})" in done.stdout.splitlines()
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert [(v["name"], v["status"], v.get("error")) for v in report["variants"]] == [
+            ("copy", "failed", error), ("dp", "ok", None)
+        ]
+
+    @pytest.mark.parametrize("command", ["link", "sweep"])
+    def test_link_and_sweep_still_read_a_fifo_original(self, workdir, command):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        os.mkfifo(tmp / "pipe.csv")
+        sweep = "\n[sweep]\ngrid = 0.5 2.0\nrepeats = 2\n"
+        outputs = {}
+        for source in ("original.csv", "pipe.csv"):
+            out = tmp / f"out-{source}"
+            if command == "link":
+                cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=1.5))
+                args = ["link", "-c", cfg, tmp / source, tmp / "copy.csv", "--out", out]
+                read = [out / "pairs.csv"]
+            else:
+                text = PLAN_TEMPLATE.format(out=out).replace("original.csv", source) + sweep
+                args = ["sweep", "--plan", write(tmp / f"plan-{source}.ini", text)]
+                read = [out / "sweep_curve.csv"]
+            writer = None
+            if source == "pipe.csv":  # a second process feeds the original through the pipe
+                copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+                writer = subprocess.Popen([sys.executable, "-c", copy, tmp / "original.csv", tmp / "pipe.csv"])
+            try:
+                done = run_child("-m", "synthaudit", *args, timeout=60)
+            finally:
+                if writer is not None:
+                    writer.kill()
+                    writer.wait()
+            assert done.returncode == 0, done.stderr
+            outputs[source] = [path.read_bytes() for path in read]
+            if command == "sweep":
+                outputs[source].append(json.loads((out / "sweep_report.json").read_text())["variants"])
+        assert outputs["pipe.csv"] == outputs["original.csv"]
 
 
 class TestOutputBytes:
