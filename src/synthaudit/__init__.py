@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "audit": "AuditPlan run_audit sweep_epsilon",
+    "audit": "run_audit sweep_epsilon",
     "comparators": "ComparatorKind ComparatorSpec exact_similarity gauss_similarity levenshtein_similarity",
     "dataset": "AttributeSchema Dataset Kind MissingPolicy Role load_dataset save_dataset",
     "dp_synth": "NoisyHistogram build_noisy_histogram synthesize",

@@ -1,20 +1,21 @@
 """Multi-variant audit orchestration.
 
-An audit plan names one original dataset and any number of synthetic
-variants (external files or parameters for the built-in generator). For
-every variant the runner computes utility metrics once and runs the linkage
-attack once per QI subset in the ladder. Each layer computes its share of
-the original (outlier targets, histogram counts per ``num_bins``, utility
-reference) once per dataset object, so every variant reuses it. Every
-audit leaves its trail under the plan's output directory: the original's
-outlier listing, each generated variant and one pair file per variant and
-subset. ``run_audit`` and ``sweep_epsilon`` build a generated variant, a
-report entry and the run_meta stamp through the same helpers. A data or
-configuration error on one variant is recorded in its report entry and does
-not abort the others; any other exception is a bug and ends the run.
-Variants run one after another in plan order, so reports are reproducible
-byte for byte (only the run_meta keys in ``report.VOLATILE_RUN_META_KEYS``
-vary).
+The plan is the parsed config, a :class:`~synthaudit.config.RunConfig`: one
+original dataset and any number of synthetic variants (external files or
+parameters for the built-in generator). ``run_audit`` refuses a plan that
+cannot run before it reads any data. For every variant it computes utility
+metrics once and runs the linkage attack once per QI subset in the ladder.
+Each layer computes its share of the original (outlier targets, histogram
+counts per ``num_bins``, utility reference) once per dataset object, so
+every variant reuses it. Every audit leaves its trail under its output
+directory: the original's outlier listing, each generated variant and one
+pair file per variant and subset. ``run_audit`` and ``sweep_epsilon`` build a
+generated variant, a report entry and the run_meta stamp through the same
+helpers. A data or configuration error on one variant is recorded in its
+report entry and does not abort the others; any other exception is a bug and
+ends the run. Variants run one after another in plan order, so reports are
+reproducible byte for byte (only the run_meta keys in
+``report.VOLATILE_RUN_META_KEYS`` vary).
 """
 
 from __future__ import annotations
@@ -24,48 +25,46 @@ import os
 import time
 from pathlib import Path
 
-from .config import SynthSettings, VariantSpec, check_ladder, variant_settings
-from .dataset import AttributeSchema, Dataset, load_dataset, save_dataset
-from .dp_synth import DEFAULT_NUM_BINS, generator_metadata, synthesize
-from .errors import ConfigError, DataError, Record, SynthAuditError
+from .config import RunConfig, SynthSettings, VariantSpec, check_ladder, variant_settings
+from .dataset import Dataset, load_dataset, save_dataset
+from .dp_synth import generator_metadata, synthesize
+from .errors import ConfigError, DataError, SynthAuditError
 from .linkage import LinkageResult, QIConfig, attack, save_matches
-from .outliers import OutlierConfig, detect_outliers, save_outlier_set
+from .outliers import detect_outliers, save_outlier_set
 from .utility import compute_utility
 
 logger = logging.getLogger(__name__)
 
 
-class AuditPlan(Record):
-    __slots__ = {
-        "original_path": "Path", "schema": "tuple[AttributeSchema, ...]", "outlier_cfg": "OutlierConfig",
-        "qi_cfg": "QIConfig", "variants": "tuple[VariantSpec, ...]", "ladder": "tuple[tuple[str, ...], ...]",
-        "output_dir": "Path", "synth_defaults": "SynthSettings | None", "restrict_variant_outliers": "bool",
-        "base_dir": "Path: the anchor for relative variant file paths",
-        "_subsets": "tuple[QIConfig, ...]: each ladder subset's QI config, in ladder order",
-    }
-    _defaults = {"synth_defaults": None, "restrict_variant_outliers": False, "base_dir": Path(".")}
-
-    def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigError("audit plan needs at least one variant")
-        if not self.ladder:
-            raise ConfigError("audit plan needs at least one QI subset in the ladder")
-        object.__setattr__(self, "_subsets", check_ladder(self.qi_cfg, self.ladder))
-        names = [v.name for v in self.variants]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate variant names in audit plan")
-        writers: dict[Path, str] = {}
-        for name in names:  # names become file names under output_dir
-            if name in ("", ".", "..") or "/" in name or "\\" in name:
-                raise ConfigError(f"variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'")
-            for subset in self.ladder:
-                path = _pair_file(name, subset)
-                writer = f"variant {name!r} subset {','.join(subset)!r}"
-                if path.parent != Path("pairs"):  # QI names become part of the file name too
-                    raise ConfigError(f"{writer} would write {path.as_posix()}, which is not a file in pairs/")
-                if path in writers:
-                    raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
-                writers[path] = writer
+def _check_plan(cfg: RunConfig) -> tuple[QIConfig, ...]:
+    """Refuse a plan that cannot run, before any data is read; return each
+    ladder subset's QI config, in ladder order."""
+    if cfg.original is None:
+        raise ConfigError("audit plan requires [paths] original")
+    if not cfg.variants:
+        raise ConfigError("audit plan needs at least one variant")
+    if not cfg.ladder:
+        raise ConfigError("audit plan needs at least one QI subset in the ladder")
+    subsets = check_ladder(cfg.qi, cfg.ladder)
+    names = [v.name for v in cfg.variants]
+    if len(set(names)) != len(names):
+        raise ConfigError("duplicate variant names in audit plan")
+    writers: dict[Path, str] = {}
+    for spec in cfg.variants:  # names become file names under the output directory
+        name = spec.name
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'")
+        if spec.file is None and variant_settings(cfg.synth, spec.epsilon).epsilon is None:
+            raise ConfigError(f"variant {name!r} needs either a file or an epsilon")
+        for subset in cfg.ladder:
+            path = _pair_file(name, subset)
+            writer = f"variant {name!r} subset {','.join(subset)!r}"
+            if path.parent != Path("pairs"):  # QI names become part of the file name too
+                raise ConfigError(f"{writer} would write {path.as_posix()}, which is not a file in pairs/")
+            if path in writers:
+                raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
+            writers[path] = writer
+    return subsets
 
 
 def _pair_file(variant: str, subset: tuple[str, ...]) -> Path:
@@ -124,34 +123,36 @@ def _run_meta(started: float, **meta) -> dict:
     return {"timestamp": stamp, "wall_time_s": time.time() - started, **meta}
 
 
-def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) -> dict:
+def _audit_one_variant(
+    cfg: RunConfig, subsets: tuple[QIConfig, ...], spec: VariantSpec, original: Dataset, output_dir: Path, base_dir: Path
+) -> dict:
     """Load or generate (and save) one variant, then audit it against each ladder
     subset; a data or configuration error gives a ``failed`` entry."""
     try:
         if spec.file is not None:
-            path = plan.base_dir / spec.file  # an absolute file stays as it is
-            variant = load_dataset(_regular_file(path), plan.schema)
+            path = base_dir / spec.file  # an absolute file stays as it is
+            variant = load_dataset(_regular_file(path), cfg.schema)
             generator = {"type": "file", "path": str(path), "sha256": _sha256_file(path)}
         else:
-            settings = variant_settings(plan.synth_defaults, spec.epsilon, spec.n, spec.num_bins, spec.seed)
+            settings = variant_settings(cfg.synth, spec.epsilon, spec.n, spec.num_bins, spec.seed)
             variant, generator = _generate(original, settings)
             # outputs are recorded relative to output_dir so reports stay
             # portable and identical runs produce identical bytes
             generator["path"] = str(Path("variants", f"{spec.name}.csv"))
-            save_dataset(variant, plan.output_dir / generator["path"])
+            save_dataset(variant, output_dir / generator["path"])
         if spec.tags:
             generator["tags"] = dict(spec.tags)
         entry = _ok_entry(spec.name, generator, original, variant)
-        for subset, qi_cfg in zip(plan.ladder, plan._subsets):
+        for subset, qi_cfg in zip(cfg.ladder, subsets):
             result = attack(
                 original,
                 variant,
-                plan.outlier_cfg,
+                cfg.outliers,
                 qi_cfg,
-                restrict_variant_outliers=plan.restrict_variant_outliers,
+                restrict_variant_outliers=cfg.restrict_variant_outliers,
             )
             pair_path = _pair_file(spec.name, subset)
-            save_matches(result, plan.output_dir / pair_path)
+            save_matches(result, output_dir / pair_path)
             entry["linkage"][",".join(subset)] = {**_linkage_summary(result), "pairs_file": str(pair_path)}
         return entry
     except SynthAuditError as exc:  # isolate bad variant inputs; a bug propagates
@@ -159,29 +160,37 @@ def _audit_one_variant(plan: AuditPlan, spec: VariantSpec, original: Dataset) ->
         return {"name": spec.name, "status": "failed", "error": str(exc)}
 
 
-def run_audit(plan: AuditPlan) -> dict:
-    """Audit every variant in the plan against the original; return the report.
+def run_audit(cfg: RunConfig, output_dir: Path, base_dir: Path = Path(".")) -> dict:
+    """Audit every variant of the plan ``cfg`` against its original; return the report.
 
-    The report holds ``run_meta`` and, under ``variants``, one entry per
-    variant in plan order. Writes the audit trail under ``plan.output_dir``:
-    ``outliers.csv`` (the original's outlier listing), ``variants/<name>.csv``
-    for each generated variant and ``pairs/<name>__<subset>.csv`` for each
-    variant and ladder subset. A variant that fails with a data or
-    configuration error gets a ``failed`` entry; an unreadable original, or
-    one that is not a regular file (it is read twice, to load and to hash
-    it), raises ``DataError``.
+    ``[paths] original`` and relative variant files are read relative to
+    ``base_dir``, the plan file's directory. The report holds ``run_meta``
+    and, under ``variants``, one entry per variant in plan order. Writes the
+    audit trail under ``output_dir``: ``outliers.csv`` (the original's outlier
+    listing), ``variants/<name>.csv`` for each generated variant and
+    ``pairs/<name>__<subset>.csv`` for each variant and ladder subset. A plan
+    that cannot run raises ``ConfigError`` before any data is read. A variant
+    that fails with a data or configuration error gets a ``failed`` entry; an
+    unreadable original, or one that is not a regular file (it is read twice,
+    to load and to hash it), raises ``DataError``.
     """
     started = time.time()
-    path, cfg = _regular_file(plan.original_path), plan.outlier_cfg
-    original = load_dataset(path, plan.schema)
-    targets = detect_outliers(original, cfg)
-    save_outlier_set(targets, cfg, plan.output_dir / "outliers.csv")
-    entries = [_audit_one_variant(plan, spec, original) for spec in plan.variants]
+    subsets = _check_plan(cfg)
+    path, outlier_cfg = _regular_file(base_dir / cfg.original), cfg.outliers
+    original = load_dataset(path, cfg.schema)
+    targets = detect_outliers(original, outlier_cfg)
+    save_outlier_set(targets, outlier_cfg, output_dir / "outliers.csv")
+    entries = [_audit_one_variant(cfg, subsets, spec, original, output_dir, base_dir) for spec in cfg.variants]
     run_meta = _run_meta(
         started,
         original={"path": str(path), "sha256": _sha256_file(path), "row_count": original.row_count},
-        outliers={"count": len(targets), "k": cfg.k, "combine": cfg.combine.value, "attributes": list(cfg.attributes)},
-        ladder=[",".join(subset) for subset in plan.ladder],
+        outliers={
+            "count": len(targets),
+            "k": outlier_cfg.k,
+            "combine": outlier_cfg.combine.value,
+            "attributes": list(outlier_cfg.attributes),
+        },
+        ladder=[",".join(subset) for subset in cfg.ladder],
     )
     return {"run_meta": run_meta, "variants": entries}
 
@@ -190,27 +199,18 @@ def _spread(values: list) -> dict:
     return {"mean": sum(values) / len(values), "min": min(values), "max": max(values)}
 
 
-def sweep_epsilon(
-    original: Dataset,
-    grid: tuple[float, ...],
-    repeats: int,
-    base_seed: int,
-    outlier_cfg: OutlierConfig,
-    qi_cfg: QIConfig,
-    *,
-    n: int | None = None,
-    num_bins: int = DEFAULT_NUM_BINS,
-) -> dict:
-    """Generate and audit repeats x |grid| variants; return the report with its curve.
+def sweep_epsilon(original: Dataset, cfg: RunConfig) -> dict:
+    """Generate and audit repeats x |grid| variants of ``cfg.sweep``; return the report with its curve.
 
     Variant index i (epsilon-major over the ascending grid) uses seed
-    base_seed + i; an n of None generates as many rows as the original. Each
-    epsilon's ``sweep_curve`` row, built right after its repeats, gives the
-    mean, min and max of their unique-match counts and of each utility
-    metric's mean; rows are sorted by epsilon ascending. Each layer computes
-    its share of the original once, for every variant. A grid that lists an
-    epsilon twice is refused.
+    base_seed + i; n and num_bins come from ``[synth]``, and an n of None
+    generates as many rows as the original. Each epsilon's ``sweep_curve``
+    row, built right after its repeats, gives the mean, min and max of their
+    unique-match counts and of each utility metric's mean; rows are sorted by
+    epsilon ascending. Each layer computes its share of the original once,
+    for every variant. A grid that lists an epsilon twice is refused.
     """
+    grid, repeats, base_seed = cfg.sweep.grid, cfg.sweep.repeats, cfg.sweep.base_seed
     if not grid:
         raise ConfigError("epsilon grid must not be empty")
     if len(set(grid)) != len(grid):
@@ -218,15 +218,16 @@ def sweep_epsilon(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     started = time.time()
-    subset = ",".join(qi_cfg.names())
+    synth = variant_settings(cfg.synth)  # the sweep gives each variant its epsilon and seed
+    subset = ",".join(cfg.qi.names())
     entries = []
     curve = []
     for epsilon in sorted(grid):
         for _ in range(repeats):
             seed = base_seed + len(entries)
-            variant, generator = _generate(original, SynthSettings(epsilon, n, num_bins, seed))
+            variant, generator = _generate(original, SynthSettings(epsilon, synth.n, synth.num_bins, seed))
             entries.append(_ok_entry(f"eps{epsilon!r}_seed{seed}", generator, original, variant))
-            entries[-1]["linkage"][subset] = _linkage_summary(attack(original, variant, outlier_cfg, qi_cfg))
+            entries[-1]["linkage"][subset] = _linkage_summary(attack(original, variant, cfg.outliers, cfg.qi))
         group = entries[-repeats:]
         metrics = [e["utility"]["aggregate"] for e in group]
         curve.append(

@@ -23,7 +23,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .dataset import load_dataset, save_dataset, write_table
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
-
-if TYPE_CHECKING:
-    from .audit import AuditPlan
 
 logger = logging.getLogger("synthaudit")
 
@@ -107,7 +103,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _require(cfg, "synthesize", schema=cfg.schema)
     settings = variant_settings(cfg.synth, args.epsilon, args.n, args.num_bins, args.seed)
-    for key in ("epsilon", "n"):  # required in [synth], so only a missing flag is None
+    for key in ("epsilon", "n"):  # no default: None when neither the flag nor [synth] gives one
         if getattr(settings, key) is None:
             raise ConfigError(f"'synthesize' requires --{key} or [synth] {key}")
     epsilon, n, num_bins, seed = settings.epsilon, settings.n, settings.num_bins, settings.seed
@@ -119,33 +115,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _original_path(cfg: RunConfig, plan_path: Path, what: str) -> Path:
-    """``[paths] original``, relative to the plan file unless absolute."""
-    if cfg.original is None:
-        raise ConfigError(f"{what} requires [paths] original")
-    return plan_path.parent / cfg.original
-
-
 def _echo_config(report: dict, cfg: RunConfig) -> None:
     report["run_meta"].update(config_hash=config_hash(cfg), effective_config=render_config(cfg))
-
-
-def _build_plan(cfg: RunConfig, plan_path: Path, out_flag: str | None) -> AuditPlan:
-    from .audit import AuditPlan
-
-    _require(cfg, "audit", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
-    return AuditPlan(
-        original_path=_original_path(cfg, plan_path, "audit plan"),
-        schema=cfg.schema,
-        outlier_cfg=cfg.outliers,
-        qi_cfg=cfg.qi,
-        variants=cfg.variants,
-        ladder=cfg.ladder,
-        output_dir=_out_dir(out_flag, cfg),
-        synth_defaults=cfg.synth,
-        restrict_variant_outliers=cfg.restrict_variant_outliers,
-        base_dir=plan_path.parent,
-    )
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -154,10 +125,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
-    plan = _build_plan(cfg, plan_path, args.out)
-    report = run_audit(plan)
+    _require(cfg, "audit", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
+    out_dir = _out_dir(args.out, cfg)
+    report = run_audit(cfg, out_dir, plan_path.parent)
     _echo_config(report, cfg)
-    path = write_report(report, plan.output_dir / "report.json")
+    path = write_report(report, out_dir / "report.json")
     failed = 0
     for entry in report["variants"]:
         if entry["status"] != "ok":
@@ -183,11 +155,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
     _require(cfg, "sweep", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi, sweep=cfg.sweep)
-    sweep, synth = cfg.sweep, variant_settings(cfg.synth)  # [sweep] gives each variant its epsilon and seed
-    original = load_dataset(_original_path(cfg, plan_path, "sweep"), cfg.schema)
-    report = sweep_epsilon(
-        original, sweep.grid, sweep.repeats, sweep.base_seed, cfg.outliers, cfg.qi, n=synth.n, num_bins=synth.num_bins
-    )
+    if cfg.original is None:
+        raise ConfigError("sweep requires [paths] original")
+    original = load_dataset(plan_path.parent / cfg.original, cfg.schema)  # relative to the plan file
+    report = sweep_epsilon(original, cfg)
     _echo_config(report, cfg)
     out_dir = _out_dir(args.out, cfg)
     path = write_report(report, out_dir / "sweep_report.json")

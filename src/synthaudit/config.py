@@ -29,8 +29,8 @@ from .outliers import Combine, OutlierConfig
 
 
 class SynthSettings(Record):
-    __slots__ = {"epsilon": "float", "n": "int", "num_bins": "int", "seed": "int"}
-    _defaults = {"num_bins": DEFAULT_NUM_BINS, "seed": 0}
+    __slots__ = {"epsilon": "float | None", "n": "int | None", "num_bins": "int", "seed": "int"}
+    _defaults = {"epsilon": None, "n": None, "num_bins": DEFAULT_NUM_BINS, "seed": 0}
 
 
 def variant_settings(
@@ -42,8 +42,8 @@ def variant_settings(
 ) -> SynthSettings:
     """A generated variant's settings: each value given here (a flag or
     ``[variant]`` key) that is not None, else ``synth``'s (the ``[synth]``
-    section), else the default. Without ``[synth]``, epsilon and n are None."""
-    base = (synth or SynthSettings(None, None))._values()
+    section), else the default; epsilon and n have none, so they may be None."""
+    base = (synth or SynthSettings())._values()
     return SynthSettings(*(old if new is None else new for old, new in zip(base, (epsilon, n, num_bins, seed))))
 
 
@@ -65,10 +65,6 @@ class VariantSpec(Record):
         "num_bins": "int | None", "tags": "tuple[tuple[str, str], ...]",
     }
     _defaults = {"file": None, "epsilon": None, "seed": None, "n": None, "num_bins": None, "tags": ()}
-
-    def __post_init__(self) -> None:
-        if self.file is None and self.epsilon is None:
-            raise ConfigError(f"variant {self.name!r} needs either a file or an epsilon")
 
 
 class RunConfig(Record):
@@ -201,8 +197,8 @@ _QI = {
     "threshold": _NUMBER,
 }
 _SYNTH = {
-    "epsilon": _Key(_epsilon, repr, required=True),
-    "n": _Key(_integer(1), required=True),
+    "epsilon": _EPSILON,
+    "n": _COUNT,
     "num_bins": _COUNT,
     "seed": _SEED,
 }
@@ -330,16 +326,15 @@ def _parse_attack(section, qi: QIConfig | None) -> dict:
 def _parse_variant(name: str, section) -> VariantSpec:
     section_name = f"variant {name}"
     values = _read(section_name, section, _VARIANT)
-    if "file" in values:
-        extra = sorted(set(values) - {"file", "tags"})
-        if extra:
-            raise ConfigError(f"[{section_name}] mixes 'file' with generator keys {extra}")
-    elif "epsilon" not in values:
-        raise ConfigError(f"[{section_name}] needs either 'file' or 'epsilon'")
+    extra = sorted(set(values) - {"file", "tags"})
+    if "file" in values and extra:
+        raise ConfigError(f"[{section_name}] mixes 'file' with generator keys {extra}")
     return VariantSpec(name=name, **values)
 
 
 def parse_config(text: str) -> RunConfig:
+    if "\0" in text:  # a NUL can reach a file name, which the OS refuses only once a run has begun
+        raise ConfigError("config contains a NUL character")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # attribute names are case-sensitive
     try:

@@ -28,8 +28,7 @@ from synthaudit import (
     synthesize,
 )
 from synthaudit import dp_synth, outliers, utility
-from synthaudit.audit import AuditPlan
-from synthaudit.config import SynthSettings, VariantSpec
+from synthaudit.config import RunConfig, SweepSettings, SynthSettings, VariantSpec, check_ladder
 from synthaudit.dp_synth import DEFAULT_NUM_BINS, generator_metadata
 from synthaudit.linkage import save_matches
 from synthaudit.report import strip_volatile, dumps_report
@@ -71,18 +70,30 @@ def original_csv(tmp_path):
     return path, ds
 
 
-def make_plan(tmp_path, original_path, variants, ladder=LADDER, **kwargs):
-    return AuditPlan(
-        original_path=Path(original_path),
+def make_plan(tmp_path, original_path, variants, ladder=LADDER, qi=QI_CFG, **kwargs):
+    """``run_audit``'s arguments: the plan, its output directory and its base directory."""
+    cfg = RunConfig(
         schema=SCHEMA,
-        outlier_cfg=OUTLIER_CFG,
-        qi_cfg=QI_CFG,
+        outliers=OUTLIER_CFG,
+        qi=qi,
+        original=str(original_path),
         variants=tuple(variants),
         ladder=ladder,
-        output_dir=tmp_path / "out",
-        base_dir=tmp_path,
         **kwargs,
     )
+    return cfg, tmp_path / "out", tmp_path
+
+
+def sweep(original, grid, repeats, base_seed, **synth):
+    """``sweep_epsilon`` on a plan with this sweep and, given settings, this ``[synth]``."""
+    cfg = RunConfig(
+        schema=SCHEMA,
+        outliers=OUTLIER_CFG,
+        qi=QI_CFG,
+        synth=SynthSettings(**synth) if synth else None,
+        sweep=SweepSettings(grid, repeats, base_seed),
+    )
+    return sweep_epsilon(original, cfg)
 
 
 def test_identity_variant_full_utility_and_self_linkage(tmp_path, original_csv):
@@ -94,7 +105,7 @@ def test_identity_variant_full_utility_and_self_linkage(tmp_path, original_csv):
         path,
         [VariantSpec(name="copy", file=str(copy_path), tags=(("epochs", "150"),))],
     )
-    report = run_audit(plan)
+    report = run_audit(*plan)
     assert report["variants"][0]["generator"]["tags"] == {"epochs": "150"}
     entry = report["variants"][0]
     assert entry["status"] == "ok"
@@ -109,7 +120,7 @@ def test_report_completeness_and_plan_order(tmp_path, original_csv):
     path, ds = original_csv
     variants = [VariantSpec(name=f"eps{i}", epsilon=eps, seed=i) for i, eps in enumerate([0.01, 0.1, 0.2, 0.5, 1.0, 5.0, 10.0])]
     plan = make_plan(tmp_path, path, variants)
-    report = run_audit(plan)
+    report = run_audit(*plan)
     assert [e["name"] for e in report["variants"]] == [v.name for v in variants]
     assert len(report["variants"]) == 7
     for entry in report["variants"]:
@@ -121,7 +132,7 @@ def test_report_completeness_and_plan_order(tmp_path, original_csv):
 def test_qi_ladder_monotonicity_in_report(tmp_path, original_csv):
     path, _ = original_csv
     plan = make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=5.0, seed=3)])
-    report = run_audit(plan)
+    report = run_audit(*plan)
     linkage = report["variants"][0]["linkage"]
     assert linkage["age,income,home"]["possible_matches"] <= linkage["age,income"]["possible_matches"]
 
@@ -141,30 +152,30 @@ def test_failure_isolation(tmp_path, original_csv):
             VariantSpec(name="gen", epsilon=1.0, seed=5),
         ],
     )
-    report = run_audit(plan)
+    report = run_audit(*plan)
     statuses = {e["name"]: e["status"] for e in report["variants"]}
     assert statuses == {"good": "ok", "bad": "failed", "gen": "ok"}
     assert "error" in report["variants"][1]
 
     # the failing variant does not perturb the others
     solo = make_plan(tmp_path, path, [VariantSpec(name="good", file=str(good_path))])
-    solo_report = run_audit(solo)
+    solo_report = run_audit(*solo)
     assert solo_report["variants"][0]["linkage"] == report["variants"][0]["linkage"]
 
 
 def test_reports_reproducible_modulo_volatile_meta(tmp_path, original_csv):
     path, _ = original_csv
     plan = make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=0.5, seed=9)])
-    a = run_audit(plan)
-    b = run_audit(plan)
+    a = run_audit(*plan)
+    b = run_audit(*plan)
     assert dumps_report(strip_volatile(a)) == dumps_report(strip_volatile(b))
 
 
 def test_write_outputs_materializes_files(tmp_path, original_csv):
     path, _ = original_csv
     plan = make_plan(tmp_path, path, [VariantSpec(name="gen", epsilon=1.0, seed=2)], ladder=(("age", "income"),))
-    report = run_audit(plan)
-    out = plan.output_dir
+    report = run_audit(*plan)
+    out = plan[1]
     assert (out / "outliers.csv").is_file()
     assert (out / "variants" / "gen.csv").is_file()
     pair_file = out / report["variants"][0]["linkage"]["age,income"]["pairs_file"]
@@ -175,25 +186,29 @@ def test_write_outputs_materializes_files(tmp_path, original_csv):
 def test_unreadable_original_raises(tmp_path):
     plan = make_plan(tmp_path, tmp_path / "missing.csv", [VariantSpec(name="v", epsilon=1.0)])
     with pytest.raises(Exception, match="cannot read"):
-        run_audit(plan)
+        run_audit(*plan)
 
 
 def test_plan_validation(tmp_path, original_csv):
     path, _ = original_csv
+    before = sorted(tmp_path.rglob("*"))
     with pytest.raises(ConfigError, match="at least one variant"):
-        make_plan(tmp_path, path, [])
+        run_audit(*make_plan(tmp_path, path, []))
     with pytest.raises(ConfigError, match="ladder"):
-        make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=())
+        run_audit(*make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=()))
     with pytest.raises(ConfigError, match="not configured"):
-        make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("nope",),))
+        run_audit(*make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("nope",),)))
     with pytest.raises(ConfigError, match="^QI subset 'age,age' names 'age' more than once$"):
-        make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age", "age"),))
+        run_audit(*make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age", "age"),)))
     with pytest.raises(ConfigError, match="subsets 'age,income' and 'income,age' name the same QIs$"):
-        make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age", "income"), ("income", "age")))
-    with pytest.raises(ConfigError, match="duplicate variant"):
-        make_plan(
-            tmp_path, path, [VariantSpec(name="v", epsilon=1.0), VariantSpec(name="v", epsilon=2.0)]
+        run_audit(
+            *make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age", "income"), ("income", "age")))
         )
+    with pytest.raises(ConfigError, match="duplicate variant"):
+        run_audit(
+            *make_plan(tmp_path, path, [VariantSpec(name="v", epsilon=1.0), VariantSpec(name="v", epsilon=2.0)])
+        )
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
@@ -202,12 +217,13 @@ def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
     rule = QIRule("../../../x", ComparatorSpec(ComparatorKind.GAUSS, offset=1.0, scale=1.0))
     qi_cfg = QIConfig(rules=(*QI_CFG.rules, rule))
     message = "variant 'v' subset '../../../x' would write pairs/v__../../../x.csv, which is not a file in pairs/"
+    cfg, _, base_dir = make_plan(
+        tmp_path, path, [VariantSpec(name="v", epsilon=1.0)], ladder=(("age",), ("../../../x",)), qi=qi_cfg
+    )
+    before = sorted(tmp_path.rglob("*"))
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        AuditPlan(
-            original_path=path, schema=SCHEMA, outlier_cfg=OUTLIER_CFG, qi_cfg=qi_cfg,
-            variants=(VariantSpec(name="v", epsilon=1.0),), ladder=(("age",), ("../../../x",)),
-            output_dir=tmp_path / "out" / "deep",
-        )
+        run_audit(cfg, tmp_path / "out" / "deep", base_dir)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("settings", [{}, {"n": 50, "num_bins": 8}], ids=["original-rows", "given-n-and-bins"])
@@ -217,8 +233,8 @@ def test_a_sweep_entry_equals_the_audit_entry_of_the_same_generated_variant(tmp_
     path, _ = original_csv
     subset = QI_CFG.names()
     spec = VariantSpec(name="v", epsilon=0.5, seed=7, **settings)
-    [audited] = run_audit(make_plan(tmp_path, path, [spec], ladder=(subset,)))["variants"]
-    [swept] = sweep_epsilon(load_dataset(path, SCHEMA), (0.5,), 1, 7, OUTLIER_CFG, QI_CFG, **settings)["variants"]
+    [audited] = run_audit(*make_plan(tmp_path, path, [spec], ladder=(subset,)))["variants"]
+    [swept] = sweep(load_dataset(path, SCHEMA), (0.5,), 1, 7, **settings)["variants"]
     assert swept["name"] == "eps0.5_seed7"
     assert audited["generator"].pop("path") == "variants/v.csv"
     assert audited["linkage"][",".join(subset)].pop("pairs_file") == f"pairs/v__{'-'.join(subset)}.csv"
@@ -228,7 +244,7 @@ def test_a_sweep_entry_equals_the_audit_entry_of_the_same_generated_variant(tmp_
 class TestSweep:
     def test_single_cell_grid(self):
         original = fixture_original(n=60)
-        report = sweep_epsilon(original, (0.01,), 1, 7, OUTLIER_CFG, QI_CFG)
+        report = sweep(original, (0.01,), 1, 7)
         assert len(report["variants"]) == 1
         assert len(report["sweep_curve"]) == 1
         assert report["variants"][0]["generator"]["seed"] == 7
@@ -236,7 +252,7 @@ class TestSweep:
     def test_grid_times_repeats_entries_and_sorted_curve(self):
         original = fixture_original(n=50)
         grid = (10.0, 0.01, 1.0, 0.2, 5.0, 0.1, 0.5)
-        report = sweep_epsilon(original, grid, 3, 100, OUTLIER_CFG, QI_CFG, n=50)
+        report = sweep(original, grid, 3, 100, n=50)
         assert len(report["variants"]) == 21
         epsilons = [row["epsilon"] for row in report["sweep_curve"]]
         assert epsilons == sorted(grid)
@@ -248,7 +264,7 @@ class TestSweep:
     def test_curve_rows_aggregate_their_own_epsilons_entries(self):
         original = fixture_original(n=80)
         grid = (5.0, 0.05, 0.5, 50.0)
-        report = sweep_epsilon(original, grid, 3, 11, OUTLIER_CFG, QI_CFG)
+        report = sweep(original, grid, 3, 11)
         subset = "age,income,home"
         assert [row["epsilon"] for row in report["sweep_curve"]] == sorted(grid)
         for row in report["sweep_curve"]:
@@ -270,21 +286,21 @@ class TestSweep:
 
     def test_deterministic(self):
         original = fixture_original(n=40)
-        a = sweep_epsilon(original, (0.1, 1.0), 2, 5, OUTLIER_CFG, QI_CFG)
-        b = sweep_epsilon(original, (0.1, 1.0), 2, 5, OUTLIER_CFG, QI_CFG)
+        a = sweep(original, (0.1, 1.0), 2, 5)
+        b = sweep(original, (0.1, 1.0), 2, 5)
         assert dumps_report(strip_volatile(a)) == dumps_report(strip_volatile(b))
 
     def test_validation(self):
         original = fixture_original(n=30)
         with pytest.raises(ConfigError):
-            sweep_epsilon(original, (), 1, 0, OUTLIER_CFG, QI_CFG)
+            sweep(original, (), 1, 0)
         with pytest.raises(ConfigError):
-            sweep_epsilon(original, (1.0,), 0, 0, OUTLIER_CFG, QI_CFG)
+            sweep(original, (1.0,), 0, 0)
 
     def test_duplicate_epsilon_rejected(self):
         original = fixture_original(n=30)
         with pytest.raises(ConfigError, match="more than once"):
-            sweep_epsilon(original, (0.1, 1.0, 0.1), 1, 0, OUTLIER_CFG, QI_CFG)
+            sweep(original, (0.1, 1.0, 0.1), 1, 0)
 
 
 def count_calls(monkeypatch, function, *modules):
@@ -315,7 +331,7 @@ class TestOriginalPreparedOncePerRun:
         plan = make_plan(
             tmp_path, path, [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
         )
-        report = run_audit(plan)
+        report = run_audit(*plan)
         assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
         assert sum(len(e["linkage"]) for e in report["variants"]) == 4
         assert len(detects) == 1
@@ -331,7 +347,7 @@ class TestOriginalPreparedOncePerRun:
             VariantSpec(name="d", epsilon=0.1, seed=4, num_bins=16),
             VariantSpec(name="e", epsilon=5.0, seed=5),
         ]
-        run_audit(make_plan(tmp_path, path, variants, ladder=(("age", "income"),)))
+        run_audit(*make_plan(tmp_path, path, variants, ladder=(("age", "income"),)))
         assert sorted(num_bins for _, num_bins in counts) == [8, 16, DEFAULT_NUM_BINS]
         assert len({id(ds) for ds, _ in counts}) == 1
 
@@ -340,7 +356,7 @@ class TestOriginalPreparedOncePerRun:
         counts = count_calls(monkeypatch, dp_synth._count_all, "synthaudit.dp_synth")
         reductions = count_calls(monkeypatch, utility._reduce, "synthaudit.utility")
         original = fixture_original(n=80)
-        report = sweep_epsilon(original, (0.1, 1.0, 5.0), 2, 0, OUTLIER_CFG, QI_CFG, num_bins=12)
+        report = sweep(original, (0.1, 1.0, 5.0), 2, 0, num_bins=12)
         assert len(report["variants"]) == 6
         assert [args[0] for args in detects] == [original]
         assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
@@ -353,16 +369,21 @@ class TestOriginalPreparedOncePerRun:
         plan = make_plan(tmp_path, path, variants, ladder=ladder)
 
         def refuse(self, names):
-            raise AssertionError("QIConfig.subset ran after the plan was built")
+            raise AssertionError("QIConfig.subset ran after the plan was checked")
 
-        monkeypatch.setattr(QIConfig, "subset", refuse)
-        report = run_audit(plan)
+        def check_then_refuse(qi, ladder):  # run_audit checks the plan, and so builds its subsets, first
+            subsets = check_ladder(qi, ladder)
+            monkeypatch.setattr(QIConfig, "subset", refuse)
+            return subsets
+
+        monkeypatch.setattr("synthaudit.audit.check_ladder", check_then_refuse)
+        report = run_audit(*plan)
         assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
         for entry in report["variants"]:
             # keys and pair files follow the ladder's order; score columns the configured order
             assert list(entry["linkage"]) == ["income,age", "home,age,income"]
             for subset, scores in (("income-age", "age,income"), ("home-age-income", "age,income,home")):
-                pairs = plan.output_dir / "pairs" / f"{entry['name']}__{subset}.csv"
+                pairs = plan[1] / "pairs" / f"{entry['name']}__{subset}.csv"
                 header = pairs.read_text().splitlines()[0].split(",")
                 assert header == ["original_index", "synthetic_index", *(f"score_{q}" for q in scores.split(","))]
 
@@ -375,7 +396,7 @@ class TestOriginalPreparedOncePerRun:
             [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)],
             restrict_variant_outliers=True,
         )
-        report = run_audit(plan)
+        report = run_audit(*plan)
         assert sum(len(e["linkage"]) for e in report["variants"]) == 4
         assert len(detects) == 3  # the original, then each variant once for both subsets
         assert [args[0] == original for args in detects] == [True, False, False]
@@ -394,9 +415,9 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
     ]
     defaults = SynthSettings(epsilon=1.0, n=120, num_bins=10, seed=0)
     plan = make_plan(
-        tmp_path, path, variants, synth_defaults=defaults, restrict_variant_outliers=True
+        tmp_path, path, variants, synth=defaults, restrict_variant_outliers=True
     )
-    report = dumps_report(strip_volatile(run_audit(plan)))
+    report = dumps_report(strip_volatile(run_audit(*plan)))
 
     original = load_dataset(path, SCHEMA)
     expected_dir = tmp_path / "expected"
@@ -447,7 +468,7 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
     }
     assert report == dumps_report({"run_meta": run_meta, "variants": entries})
 
-    out = plan.output_dir
+    out = plan[1]
     for spec in variants:
         name = f"{spec.name}.csv"
         assert (out / "variants" / name).read_bytes() == (expected_dir / name).read_bytes()

@@ -724,7 +724,7 @@ class TestAuditCommand:
     def test_a_variant_that_sets_only_its_seed_takes_n_and_num_bins_from_synth(self, workdir):
         tmp, original = workdir
         save_dataset(original, tmp / "copy.csv")
-        # [variant dp] sets its epsilon, which it must, and its seed; [synth] gives n = 37 and num_bins = 8
+        # [variant dp] sets its epsilon and its seed; [synth] gives n = 37 and num_bins = 8
         text = PLAN_TEMPLATE.format(out=tmp / "out").replace("n = 80", "n = 37")
         assert main(["audit", "--plan", str(write(tmp / "plan.ini", text))]) == 0
         report = json.loads((tmp / "out" / "report.json").read_text())
@@ -732,6 +732,49 @@ class TestAuditCommand:
         assert [generator[key] for key in ("epsilon", "n", "num_bins", "seed")] == [0.5, 37, 8, 11]
         save_dataset(synthesize(load_dataset(tmp / "original.csv", SCHEMA), 0.5, 37, 8, 11), tmp / "expected.csv")
         assert (tmp / "out" / "variants" / "dp.csv").read_bytes() == (tmp / "expected.csv").read_bytes()
+
+    def test_a_variant_without_an_epsilon_takes_it_from_synth(self, workdir):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("[variant dp]\nepsilon = 0.5\nseed = 11\n", "[variant dp]\nseed = 3\n")
+        assert main(["audit", "--plan", str(write(tmp / "plan.ini", text))]) == 0
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        generator = report["variants"][1]["generator"]
+        assert [generator[key] for key in ("epsilon", "n", "num_bins", "seed")] == [1.0, 80, 8, 3]
+
+    def test_a_variant_with_no_epsilon_anywhere_is_2_and_writes_nothing(self, workdir, caplog):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("epsilon = 1.0\n", "").replace("epsilon = 0.5\n", "")
+        plan = write(tmp / "plan.ini", text)
+        before = sorted(tmp.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: variant 'dp' needs either a file or an epsilon"
+        ]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[variant dp]", "[variant d\0p]"),
+            ("original = original.csv", "original = orig\0inal.csv"),
+            ("output_dir = {out}", "output_dir = o\0ut"),
+        ],
+        ids=["variant-name", "original", "output-dir"],
+    )
+    def test_a_nul_in_the_plan_is_2_and_writes_nothing(self, workdir, caplog, old, new):
+        # a NUL would reach a file name, which the OS refuses only once files have been written
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        assert old in PLAN_TEMPLATE
+        plan = write(tmp / "plan.ini", PLAN_TEMPLATE.replace(old, new).format(out=tmp / "out"))
+        before = sorted(tmp.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: config contains a NUL character"
+        ]
 
     def test_a_ladder_qi_name_that_leaves_pairs_is_2_and_writes_nothing(self, tmp_path, caplog):
         rng = np.random.default_rng(3)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from synthaudit import AttributeSchema, Combine, ComparatorKind, ConfigError, Kind, Role
+from synthaudit import AttributeSchema, Combine, ComparatorKind, ConfigError, Kind, Role, run_audit
 from synthaudit.config import (
     RunConfig,
     SweepSettings,
@@ -15,6 +15,7 @@ from synthaudit.config import (
     load_config,
     parse_config,
     render_config,
+    variant_settings,
 )
 from synthaudit.dataset import validate_schema
 
@@ -536,7 +537,6 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
         ("comparator = exact", "comparator = exact\nscale = 2", "exact comparator takes no offset/scale"),
         ("threshold = 1\n", "threshold = 1.5\n", "threshold for 'home' must be in (0, 1], got 1.5"),
         ("[synth]\n", "[synth]\nbogus = 1\n", "unknown keys in [synth]: ['bogus']"),
-        ("n = 500\n", "", "[synth] requires both 'epsilon' and 'n'"),
         ("epsilon = 1.0\nn = 500", "epsilon = x\nn = 500", "[synth] epsilon = 'x': expected a number"),
         ("n = 500", "n = 5.5", "[synth] n = '5.5': expected an integer"),
         ("num_bins = 16", "num_bins = x", "[synth] num_bins = 'x': expected an integer"),
@@ -575,7 +575,6 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
             "file = x.csv\nepsilon = 1\nseed = 2",
             "[variant external] mixes 'file' with generator keys ['epsilon', 'seed']",
         ),
-        ("epsilon = 0.5\n", "", "[variant generated] needs either 'file' or 'epsilon'"),
         ("epsilon = 0.5", "epsilon = x", "[variant generated] epsilon = 'x': expected a number"),
         ("seed = 7", "seed = x", "[variant generated] seed = 'x': expected an integer"),
         ("n = 300", "n = x", "[variant generated] n = 'x': expected an integer"),
@@ -634,10 +633,30 @@ def test_malformed_and_unreadable_error_text_is_pinned(tmp_path):
     assert str(caught.value) == f"cannot read config {missing}: {os_error.value}"
 
 
-def test_variant_spec_without_file_or_epsilon_text_is_pinned():
+def test_every_synth_key_is_optional():
+    cfg = parse_config(EVERY_KEY_CONFIG.replace("epsilon = 1.0\nn = 500\n", "", 1))
+    assert cfg.synth == SynthSettings(epsilon=None, n=None, num_bins=16, seed=42)
+    assert parse_config(render_config(cfg)) == cfg
+    empty = parse_config(EVERY_KEY_CONFIG.replace("epsilon = 1.0\nn = 500\nnum_bins = 16\nseed = 42\n", "", 1))
+    assert empty.synth == SynthSettings()
+
+
+def test_a_generated_variant_takes_its_epsilon_from_synth():
+    cfg = parse_config(EVERY_KEY_CONFIG.replace("epsilon = 0.5\n", "", 1))
+    generated = cfg.variants[1]
+    assert (generated.name, generated.epsilon) == ("generated", None)
+    settings = variant_settings(cfg.synth, generated.epsilon, generated.n, generated.num_bins, generated.seed)
+    assert settings == SynthSettings(epsilon=1.0, n=300, num_bins=8, seed=7)
+
+
+def test_variant_without_file_or_epsilon_text_is_pinned(tmp_path):
+    # neither [variant generated] nor [synth] gives an epsilon: the audit refuses
+    # the plan before it reads or writes a file
+    cfg = parse_config(EVERY_KEY_CONFIG.replace("epsilon = 0.5\n", "", 1).replace("epsilon = 1.0\n", "", 1))
     with pytest.raises(ConfigError) as caught:
-        VariantSpec(name="v")
-    assert str(caught.value) == "variant 'v' needs either a file or an epsilon"
+        run_audit(cfg, tmp_path / "out", tmp_path)
+    assert str(caught.value) == "variant 'generated' needs either a file or an epsilon"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ def test_public_names_are_their_home_modules_objects():
         obj = getattr(synthaudit, name)
         assert obj.__module__.startswith("synthaudit."), name
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
-    assert len(set(synthaudit.__all__)) == len(synthaudit.__all__) == 39
+    assert len(set(synthaudit.__all__)) == len(synthaudit.__all__) == 38
     assert set(synthaudit.__all__) <= set(dir(synthaudit))
 
 

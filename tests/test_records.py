@@ -15,7 +15,6 @@ import copy
 import importlib
 import pickle
 import weakref
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -24,7 +23,6 @@ import pytest
 import synthaudit
 from synthaudit import (
     AttributeSchema,
-    AuditPlan,
     ComparatorKind,
     ComparatorSpec,
     ConfigError,
@@ -58,7 +56,6 @@ RULE_REPR = f"QIRule(name='age', comparator={GAUSS_REPR}, threshold=0.5)"
 QI = QIConfig((RULE,))
 OUTLIERS = OutlierConfig(3.0, ("age",))
 OUTLIERS_REPR = "OutlierConfig(k=3.0, attributes=('age',), combine=<Combine.ANY: 'any'>, ddof=0)"
-VARIANT = VariantSpec("v", epsilon=1.0)
 COUNTS, PROBABILITIES = np.array([1.0, 2.0]), np.array([0.25, 0.75])
 SCORES = {"age": {"x": 1.0}}
 
@@ -73,19 +70,6 @@ def linkage_result(surface=(2, 5)) -> LinkageResult:
 
 def outlier_set(z=3.5) -> OutlierSet:
     return OutlierSet(np.array([0]), MappingProxyType({"age": np.array([z])}))
-
-
-def plan(**changes) -> AuditPlan:
-    fields = dict(
-        original_path=Path("o.csv"),
-        schema=SCHEMA,
-        outlier_cfg=OUTLIERS,
-        qi_cfg=QI,
-        variants=(VARIANT,),
-        ladder=(("age",),),
-        output_dir=Path("out"),
-    )
-    return AuditPlan(*{**fields, **changes}.values())
 
 
 # name: (build, build by keyword with the optional fields left out, their defaults,
@@ -161,7 +145,7 @@ CASES = {
         lambda: VariantSpec("f", "f.csv"),
         "VariantSpec(name='f', file='f.csv', epsilon=None, seed=None, n=None, num_bins=None, tags=(('a', '1'),))",
         True,
-        lambda: VariantSpec(name="neither"),
+        None,
     ),
     "RunConfig": (
         lambda: RunConfig(SCHEMA, None, None, None, None, None, (), False, (), None),
@@ -175,21 +159,6 @@ CASES = {
         "ladder=(), restrict_variant_outliers=False, variants=(), sweep=None)",
         True,
         None,
-    ),
-    "AuditPlan": (
-        lambda: plan(synth_defaults=None, restrict_variant_outliers=False, base_dir=Path(".")),
-        lambda: AuditPlan(
-            output_dir=Path("out"), ladder=(("age",),), variants=(VARIANT,), qi_cfg=QI,
-            outlier_cfg=OUTLIERS, schema=SCHEMA, original_path=Path("o.csv"),
-        ),
-        {"synth_defaults": None, "restrict_variant_outliers": False, "base_dir": Path(".")},
-        lambda: plan(output_dir=Path("elsewhere")),
-        f"AuditPlan(original_path=PosixPath('o.csv'), schema={SCHEMA_REPR}, outlier_cfg={OUTLIERS_REPR}, "
-        f"qi_cfg=QIConfig(rules=({RULE_REPR},)), variants=(VariantSpec(name='v', file=None, epsilon=1.0, "
-        "seed=None, n=None, num_bins=None, tags=()),), ladder=(('age',),), output_dir=PosixPath('out'), "
-        "synth_defaults=None, restrict_variant_outliers=False, base_dir=PosixPath('.'))",
-        True,
-        lambda: plan(variants=()),
     ),
     "ScoredPair": (
         lambda: ScoredPair(1, 2, {"age": 1.0}),
