@@ -36,9 +36,9 @@ from .utility import compute_utility
 logger = logging.getLogger(__name__)
 
 
-def _check_plan(cfg: RunConfig) -> tuple[QIConfig, ...]:
+def _check_plan(cfg: RunConfig) -> list[tuple[tuple[str, ...], QIConfig]]:
     """Refuse a plan that cannot run, before any data is read; return each
-    ladder subset's QI config, in ladder order."""
+    ladder subset's names with its QI config, in ladder order."""
     if cfg.original is None:
         raise ConfigError("audit plan requires [paths] original")
     if not cfg.variants:
@@ -64,7 +64,7 @@ def _check_plan(cfg: RunConfig) -> tuple[QIConfig, ...]:
             if path in writers:
                 raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
             writers[path] = writer
-    return subsets
+    return list(zip(cfg.ladder, subsets))
 
 
 def _pair_file(variant: str, subset: tuple[str, ...]) -> Path:
@@ -124,7 +124,8 @@ def _run_meta(started: float, **meta) -> dict:
 
 
 def _audit_one_variant(
-    cfg: RunConfig, subsets: tuple[QIConfig, ...], spec: VariantSpec, original: Dataset, output_dir: Path, base_dir: Path
+    cfg: RunConfig, ladder: list[tuple[tuple[str, ...], QIConfig]], spec: VariantSpec,
+    original: Dataset, output_dir: Path, base_dir: Path,
 ) -> dict:
     """Load or generate (and save) one variant, then audit it against each ladder
     subset; a data or configuration error gives a ``failed`` entry."""
@@ -143,7 +144,7 @@ def _audit_one_variant(
         if spec.tags:
             generator["tags"] = dict(spec.tags)
         entry = _ok_entry(spec.name, generator, original, variant)
-        for subset, qi_cfg in zip(cfg.ladder, subsets):
+        for subset, qi_cfg in ladder:
             result = attack(
                 original,
                 variant,
@@ -175,12 +176,12 @@ def run_audit(cfg: RunConfig, output_dir: Path, base_dir: Path = Path(".")) -> d
     to load and to hash it), raises ``DataError``.
     """
     started = time.time()
-    subsets = _check_plan(cfg)
+    ladder = _check_plan(cfg)
     path, outlier_cfg = _regular_file(base_dir / cfg.original), cfg.outliers
     original = load_dataset(path, cfg.schema)
     targets = detect_outliers(original, outlier_cfg)
     save_outlier_set(targets, outlier_cfg, output_dir / "outliers.csv")
-    entries = [_audit_one_variant(cfg, subsets, spec, original, output_dir, base_dir) for spec in cfg.variants]
+    entries = [_audit_one_variant(cfg, ladder, spec, original, output_dir, base_dir) for spec in cfg.variants]
     run_meta = _run_meta(
         started,
         original={"path": str(path), "sha256": _sha256_file(path), "row_count": original.row_count},

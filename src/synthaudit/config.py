@@ -403,7 +403,8 @@ def render_config(cfg: RunConfig) -> str:
         _render("synth", cfg.synth, _SYNTH),
         _render("paths", cfg, _PATHS),
         _render("attack", cfg if cfg.qi is not None else None, _ATTACK),
-        *(_render(f"variant {variant.name}", variant, _VARIANT) for variant in cfg.variants),
+        # a [variant] with no keys takes every setting from [synth], and is still a variant
+        *(_render(f"variant {v.name}", v, _VARIANT) or f"[variant {v.name}]\n" for v in cfg.variants),
         _render("sweep", cfg.sweep, _SWEEP),
     ]
     return "\n".join(block for block in blocks if block)

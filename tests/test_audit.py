@@ -173,9 +173,9 @@ def test_reports_reproducible_modulo_volatile_meta(tmp_path, original_csv):
 
 def test_write_outputs_materializes_files(tmp_path, original_csv):
     path, _ = original_csv
-    plan = make_plan(tmp_path, path, [VariantSpec(name="gen", epsilon=1.0, seed=2)], ladder=(("age", "income"),))
-    report = run_audit(*plan)
-    out = plan[1]
+    spec = VariantSpec(name="gen", epsilon=1.0, seed=2)
+    cfg, out, base_dir = make_plan(tmp_path, path, [spec], ladder=(("age", "income"),))
+    report = run_audit(cfg, out, base_dir)
     assert (out / "outliers.csv").is_file()
     assert (out / "variants" / "gen.csv").is_file()
     pair_file = out / report["variants"][0]["linkage"]["age,income"]["pairs_file"]
@@ -366,7 +366,7 @@ class TestOriginalPreparedOncePerRun:
         path, _ = original_csv
         ladder = (("income", "age"), ("home", "age", "income"))
         variants = [VariantSpec(name="a", epsilon=1.0, seed=1), VariantSpec(name="b", epsilon=0.5, seed=2)]
-        plan = make_plan(tmp_path, path, variants, ladder=ladder)
+        cfg, out, base_dir = make_plan(tmp_path, path, variants, ladder=ladder)
 
         def refuse(self, names):
             raise AssertionError("QIConfig.subset ran after the plan was checked")
@@ -377,13 +377,13 @@ class TestOriginalPreparedOncePerRun:
             return subsets
 
         monkeypatch.setattr("synthaudit.audit.check_ladder", check_then_refuse)
-        report = run_audit(*plan)
+        report = run_audit(cfg, out, base_dir)
         assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
         for entry in report["variants"]:
             # keys and pair files follow the ladder's order; score columns the configured order
             assert list(entry["linkage"]) == ["income,age", "home,age,income"]
             for subset, scores in (("income-age", "age,income"), ("home-age-income", "age,income,home")):
-                pairs = plan[1] / "pairs" / f"{entry['name']}__{subset}.csv"
+                pairs = out / "pairs" / f"{entry['name']}__{subset}.csv"
                 header = pairs.read_text().splitlines()[0].split(",")
                 assert header == ["original_index", "synthetic_index", *(f"score_{q}" for q in scores.split(","))]
 
@@ -414,10 +414,8 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
         VariantSpec(name="coarse_again", epsilon=2.0, seed=4, num_bins=2, n=50),
     ]
     defaults = SynthSettings(epsilon=1.0, n=120, num_bins=10, seed=0)
-    plan = make_plan(
-        tmp_path, path, variants, synth=defaults, restrict_variant_outliers=True
-    )
-    report = dumps_report(strip_volatile(run_audit(*plan)))
+    cfg, out, base_dir = make_plan(tmp_path, path, variants, synth=defaults, restrict_variant_outliers=True)
+    report = dumps_report(strip_volatile(run_audit(cfg, out, base_dir)))
 
     original = load_dataset(path, SCHEMA)
     expected_dir = tmp_path / "expected"
@@ -468,7 +466,6 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
     }
     assert report == dumps_report({"run_meta": run_meta, "variants": entries})
 
-    out = plan[1]
     for spec in variants:
         name = f"{spec.name}.csv"
         assert (out / "variants" / name).read_bytes() == (expected_dir / name).read_bytes()

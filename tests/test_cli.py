@@ -14,7 +14,7 @@ import pytest
 import synthaudit
 from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, load_dataset, save_dataset, synthesize
 from synthaudit.cli import build_parser, main
-from synthaudit.config import load_config, parse_config
+from synthaudit.config import config_hash, load_config, parse_config
 from synthaudit.report import write_report
 
 from test_audit import SCHEMA, count_calls, fixture_original
@@ -741,6 +741,21 @@ class TestAuditCommand:
         report = json.loads((tmp / "out" / "report.json").read_text())
         generator = report["variants"][1]["generator"]
         assert [generator[key] for key in ("epsilon", "n", "num_bins", "seed")] == [1.0, 80, 8, 3]
+
+    def test_a_variant_with_no_keys_is_echoed_and_counted(self, workdir):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        text = PLAN_TEMPLATE.format(out=tmp / "out").replace("[variant dp]\nepsilon = 0.5\nseed = 11\n", "[variant dp]\n")
+        plan = write(tmp / "plan.ini", text)
+        assert main(["audit", "--plan", str(plan)]) == 0
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert [v["name"] for v in report["variants"]] == ["copy", "dp"]
+        generator = report["variants"][1]["generator"]
+        assert [generator[key] for key in ("epsilon", "n", "num_bins", "seed")] == [1.0, 80, 8, 5]
+        # the echoed config keeps the bare variant, so its hash differs from the plan without it
+        assert parse_config(report["run_meta"]["effective_config"]) == load_config(plan)
+        without = load_config(write(tmp / "without.ini", text.replace("[variant dp]\n", "")))
+        assert report["run_meta"]["config_hash"] != config_hash(without)
 
     def test_a_variant_with_no_epsilon_anywhere_is_2_and_writes_nothing(self, workdir, caplog):
         tmp, original = workdir

@@ -120,16 +120,19 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture
-def golden_run(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SYNTHAUDIT_OUT", raising=False)
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Run the three commands once; every test reads their outputs."""
+    tmp_path = tmp_path_factory.mktemp("golden")
     _write_inputs(tmp_path)
-    codes = [
-        main(["audit", "--plan", "plan.ini"]),
-        main(["sweep", "--plan", "plan.ini", "--out", "sweep"]),
-        main(["link", "-c", "plan.ini", "original.csv", "external.csv", "--out", "link"]),
-    ]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SYNTHAUDIT_OUT", raising=False)
+        codes = [
+            main(["audit", "--plan", "plan.ini"]),
+            main(["sweep", "--plan", "plan.ini", "--out", "sweep"]),
+            main(["link", "-c", "plan.ini", "original.csv", "external.csv", "--out", "link"]),
+        ]
     return tmp_path, codes
 
 
