@@ -3,8 +3,9 @@
 The plan is the parsed config, a :class:`~synthaudit.config.RunConfig`: one
 original dataset and any number of synthetic variants (external files or
 parameters for the built-in generator). ``run_audit`` refuses a plan that
-cannot run before it reads any data. For every variant it computes utility
-metrics once and runs the linkage attack once per QI subset in the ladder.
+cannot run, or lacks a section it reads, before it reads any data. For every
+variant it computes utility metrics once and runs the linkage attack once per
+QI subset in the ladder.
 Each layer computes its share of the original (outlier targets, histogram
 counts per ``num_bins``, utility reference) once per dataset object, so
 every variant reuses it. Every audit leaves its trail under its output
@@ -13,9 +14,10 @@ pair file per variant and subset. ``run_audit`` and ``sweep_epsilon`` build a
 generated variant, a report entry and the run_meta stamp through the same
 helpers. A data or configuration error on one variant is recorded in its
 report entry and does not abort the others; any other exception is a bug and
-ends the run. Variants run one after another in plan order, so reports are
-reproducible byte for byte (only the run_meta keys in
-``report.VOLATILE_RUN_META_KEYS`` vary).
+ends the run. A report's ``run_meta`` names the config it ran
+(``config_hash``, ``effective_config``). Variants run one after another in
+plan order, so reports are reproducible byte for byte (only the run_meta keys
+in ``report.VOLATILE_RUN_META_KEYS`` vary).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import time
 from pathlib import Path
 
-from .config import RunConfig, SynthSettings, VariantSpec, check_ladder, variant_settings
+from .config import RunConfig, SynthSettings, VariantSpec, check_ladder, config_hash, render_config, variant_settings
 from .dataset import Dataset, load_dataset, save_dataset
 from .dp_synth import generator_metadata, synthesize
 from .errors import ConfigError, DataError, SynthAuditError
@@ -39,6 +41,7 @@ logger = logging.getLogger(__name__)
 def _check_plan(cfg: RunConfig) -> list[tuple[tuple[str, ...], QIConfig]]:
     """Refuse a plan that cannot run, before any data is read; return each
     ladder subset's names with its QI config, in ladder order."""
+    cfg.require("audit", "outliers", "qi")
     if cfg.original is None:
         raise ConfigError("audit plan requires [paths] original")
     if not cfg.variants:
@@ -117,9 +120,10 @@ def _ok_entry(name: str, generator: dict, original: Dataset, variant: Dataset) -
     return {"name": name, "status": "ok", "generator": generator, "utility": utility, "linkage": {}}
 
 
-def _run_meta(started: float, **meta) -> dict:
-    """``meta`` stamped with the run's start time and its wall time so far."""
+def _run_meta(started: float, cfg: RunConfig, **meta) -> dict:
+    """``meta`` stamped with the run's start time, its wall time so far and the config it ran."""
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started))
+    meta = {"config_hash": config_hash(cfg), "effective_config": render_config(cfg), **meta}
     return {"timestamp": stamp, "wall_time_s": time.time() - started, **meta}
 
 
@@ -184,6 +188,7 @@ def run_audit(cfg: RunConfig, output_dir: Path, base_dir: Path = Path(".")) -> d
     entries = [_audit_one_variant(cfg, ladder, spec, original, output_dir, base_dir) for spec in cfg.variants]
     run_meta = _run_meta(
         started,
+        cfg,
         original={"path": str(path), "sha256": _sha256_file(path), "row_count": original.row_count},
         outliers={
             "count": len(targets),
@@ -209,8 +214,10 @@ def sweep_epsilon(original: Dataset, cfg: RunConfig) -> dict:
     row, built right after its repeats, gives the mean, min and max of their
     unique-match counts and of each utility metric's mean; rows are sorted by
     epsilon ascending. Each layer computes its share of the original once,
-    for every variant. A grid that lists an epsilon twice is refused.
+    for every variant. A grid that lists an epsilon twice is refused, as is a
+    config without ``[outliers]``, ``[qi ...]`` or ``[sweep]``.
     """
+    cfg.require("sweep", "outliers", "qi", "sweep")
     grid, repeats, base_seed = cfg.sweep.grid, cfg.sweep.repeats, cfg.sweep.base_seed
     if not grid:
         raise ConfigError("epsilon grid must not be empty")
@@ -240,5 +247,5 @@ def sweep_epsilon(original: Dataset, cfg: RunConfig) -> dict:
             }
         )
 
-    run_meta = _run_meta(started, grid=sorted(grid), repeats=repeats, base_seed=base_seed)
+    run_meta = _run_meta(started, cfg, grid=sorted(grid), repeats=repeats, base_seed=base_seed)
     return {"run_meta": run_meta, "variants": entries, "sweep_curve": curve}

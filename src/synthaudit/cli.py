@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands wrap the library one-to-one: ``outliers``, ``link``,
-``utility``, ``synthesize``, ``audit``, ``sweep``. Logs go to stderr and
-results to files or stdout, so the tool composes in pipelines.
+Subcommands wrap the library one-to-one (``outliers``, ``link``, ``utility``,
+``synthesize``, ``audit``, ``sweep``): each parses the config, calls the
+library and writes what it returns. Logs go to stderr and results to files
+or stdout, so the tool composes in pipelines.
 
 Each command imports the layers it runs, so ``link`` and ``outliers`` do not
 load the synthesis, audit, utility and report modules, ``json`` or
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_hash, load_config, render_config, variant_settings
+from .config import load_config, variant_settings
 from .dataset import load_dataset, save_dataset, write_table
 from .errors import ConfigError, DataError
 from .linkage import attack, save_matches
@@ -40,23 +41,16 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
-def _require(cfg: RunConfig, command: str, **parts) -> None:
-    for label, value in parts.items():
-        if value is None:
-            raise ConfigError(f"'{command}' requires a [{label}] section in the config")
-
-
-def _out_dir(flag_value: str | None, cfg: RunConfig) -> Path:
-    env = os.environ.get("SYNTHAUDIT_OUT")
-    return Path(flag_value or env or cfg.output_dir or ".")
+def _out_dir(flag_value: str | None, configured: str | None) -> Path:
+    return Path(flag_value or os.environ.get("SYNTHAUDIT_OUT") or configured or ".")
 
 
 def cmd_outliers(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    _require(cfg, "outliers", schema=cfg.schema, outliers=cfg.outliers)
+    cfg.require("outliers", "outliers")
     ds = load_dataset(args.data, cfg.schema)
     found = detect_outliers(ds, cfg.outliers)
-    out = _out_dir(args.out, cfg) / "outliers.csv"
+    out = _out_dir(args.out, cfg.output_dir) / "outliers.csv"
     save_outlier_set(found, cfg.outliers, out)
     logger.info("outlier listing written to %s", out)
     print(f"{len(found)} outliers")
@@ -65,12 +59,12 @@ def cmd_outliers(args: argparse.Namespace) -> int:
 
 def cmd_link(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    _require(cfg, "link", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
+    cfg.require("link", "outliers", "qi")
     qi = cfg.qi.subset(args.qis.split(",")) if args.qis else cfg.qi  # before any data is read
     original = load_dataset(args.original, cfg.schema)
     variant = load_dataset(args.variant, cfg.schema)
     result = attack(original, variant, cfg.outliers, qi, restrict_variant_outliers=cfg.restrict_variant_outliers)
-    out = _out_dir(args.out, cfg) / "pairs.csv"
+    out = _out_dir(args.out, cfg.output_dir) / "pairs.csv"
     save_matches(result, out)
     logger.info("match pairs written to %s", out)
     print(
@@ -86,11 +80,10 @@ def cmd_utility(args: argparse.Namespace) -> int:
     from .utility import compute_utility
 
     cfg = load_config(args.config)
-    _require(cfg, "utility", schema=cfg.schema)
     original = load_dataset(args.original, cfg.schema)
     variant = load_dataset(args.variant, cfg.schema)
     report = compute_utility(original, variant).to_dict()
-    out = _out_dir(args.out, cfg) / "utility.json"
+    out = _out_dir(args.out, cfg.output_dir) / "utility.json"
     write_report(report, out)
     logger.info("utility report written to %s", out)
     sys.stdout.write(dumps_report(report))
@@ -101,7 +94,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     from .dp_synth import check_settings, synthesize
 
     cfg = load_config(args.config)
-    _require(cfg, "synthesize", schema=cfg.schema)
     settings = variant_settings(cfg.synth, args.epsilon, args.n, args.num_bins, args.seed)
     for key in ("epsilon", "n"):  # no default: None when neither the flag nor [synth] gives one
         if getattr(settings, key) is None:
@@ -115,20 +107,14 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _echo_config(report: dict, cfg: RunConfig) -> None:
-    report["run_meta"].update(config_hash=config_hash(cfg), effective_config=render_config(cfg))
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     from .audit import run_audit
     from .report import write_report
 
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
-    _require(cfg, "audit", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi)
-    out_dir = _out_dir(args.out, cfg)
+    out_dir = _out_dir(args.out, cfg.output_dir)
     report = run_audit(cfg, out_dir, plan_path.parent)
-    _echo_config(report, cfg)
     path = write_report(report, out_dir / "report.json")
     failed = 0
     for entry in report["variants"]:
@@ -154,13 +140,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
-    _require(cfg, "sweep", schema=cfg.schema, outliers=cfg.outliers, qi=cfg.qi, sweep=cfg.sweep)
+    cfg.require("sweep", "outliers", "qi", "sweep")  # sweep_epsilon checks too, but after this reads the original
     if cfg.original is None:
         raise ConfigError("sweep requires [paths] original")
     original = load_dataset(plan_path.parent / cfg.original, cfg.schema)  # relative to the plan file
     report = sweep_epsilon(original, cfg)
-    _echo_config(report, cfg)
-    out_dir = _out_dir(args.out, cfg)
+    out_dir = _out_dir(args.out, cfg.output_dir)
     path = write_report(report, out_dir / "sweep_report.json")
     curve_path = out_dir / "sweep_curve.csv"
     _write_curve_csv(report["sweep_curve"], curve_path)

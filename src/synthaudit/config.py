@@ -79,6 +79,13 @@ class RunConfig(Record):
         "restrict_variant_outliers": False, "variants": (), "sweep": None,
     }
 
+    def require(self, command: str, *sections: str) -> None:
+        """Refuse this config for ``command`` if it lacks one of ``sections``, given by field name."""
+        for section in sections:
+            if getattr(self, section) is None:
+                header = "qi ..." if section == "qi" else section  # one [qi <attribute>] section per QI
+                raise ConfigError(f"'{command}' requires a [{header}] section in the config")
+
 
 def _fail(section: str, key: str, value: str, expected: str) -> ConfigError:
     return ConfigError(f"[{section}] {key} = {value!r}: expected {expected}")
@@ -249,6 +256,8 @@ def _render(section: str, obj: Any, table: dict[str, _Key]) -> str:
 def _parse_schema(section: configparser.SectionProxy) -> tuple[AttributeSchema, ...]:
     attrs = []
     for name, value in section.items():
+        if name.split() != [name]:  # lists of names, such as [outliers] attributes, split on whitespace
+            raise ConfigError(f"[schema] attribute name {name!r} holds whitespace, which separates names")
         tokens = value.split()
         if not tokens or tokens[0] not in ("numerical", "categorical"):
             raise _fail("schema", name, value, "'numerical' or 'categorical', optionally 'qi'")

@@ -28,7 +28,9 @@ from synthaudit import (
     synthesize,
 )
 from synthaudit import dp_synth, outliers, utility
-from synthaudit.config import RunConfig, SweepSettings, SynthSettings, VariantSpec, check_ladder
+from synthaudit.config import (
+    RunConfig, SweepSettings, SynthSettings, VariantSpec, check_ladder, config_hash, render_config,
+)
 from synthaudit.dp_synth import DEFAULT_NUM_BINS, generator_metadata
 from synthaudit.linkage import save_matches
 from synthaudit.report import strip_volatile, dumps_report
@@ -211,6 +213,28 @@ def test_plan_validation(tmp_path, original_csv):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        (("outliers",), "'audit' requires a [outliers] section in the config"),
+        (("qi",), "'audit' requires a [qi ...] section in the config"),
+        (("original", "qi", "outliers"), "'audit' requires a [outliers] section in the config"),
+        (("original",), "audit plan requires [paths] original"),
+    ],
+    ids=["outliers", "qi", "all-three", "original"],
+)
+def test_a_plan_without_a_section_it_reads_is_refused_before_any_data_is_read(tmp_path, missing, message):
+    # there is no original file: reading it would raise DataError
+    plan = {
+        "schema": SCHEMA, "outliers": OUTLIER_CFG, "qi": QI_CFG, "original": "missing.csv", "ladder": LADDER,
+        "variants": (VariantSpec(name="v", epsilon=1.0),),
+    }
+    with pytest.raises(ConfigError) as caught:
+        run_audit(RunConfig(**{**plan, **dict.fromkeys(missing)}), tmp_path / "out", tmp_path)
+    assert str(caught.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
     # QI names become part of a pair file's name, as variant names do
     path, _ = original_csv
@@ -296,6 +320,20 @@ class TestSweep:
             sweep(original, (), 1, 0)
         with pytest.raises(ConfigError):
             sweep(original, (1.0,), 0, 0)
+
+    @pytest.mark.parametrize(
+        "missing, message",
+        [
+            ("outliers", "'sweep' requires a [outliers] section in the config"),
+            ("qi", "'sweep' requires a [qi ...] section in the config"),
+            ("sweep", "'sweep' requires a [sweep] section in the config"),
+        ],
+    )
+    def test_a_config_without_a_section_it_reads_is_refused(self, missing, message):
+        cfg = {"schema": SCHEMA, "outliers": OUTLIER_CFG, "qi": QI_CFG, "sweep": SweepSettings((1.0,))}
+        with pytest.raises(ConfigError) as caught:
+            sweep_epsilon(fixture_original(n=30), RunConfig(**{**cfg, missing: None}))
+        assert str(caught.value) == message
 
     def test_duplicate_epsilon_rejected(self):
         original = fixture_original(n=30)
@@ -451,6 +489,8 @@ def test_audit_equals_unprepared_calls_across_bin_counts_and_variant_outliers(tm
             }
         entries.append(entry)
     run_meta = {
+        "config_hash": config_hash(cfg),
+        "effective_config": render_config(cfg),
         "original": {
             "path": str(path),
             "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import synthaudit
-from synthaudit import AttributeSchema, Dataset, Kind, Role, detect_outliers, load_dataset, save_dataset, synthesize
+from synthaudit import (
+    AttributeSchema, Dataset, Kind, Role, detect_outliers, load_dataset, run_audit, save_dataset, sweep_epsilon,
+    synthesize,
+)
 from synthaudit.cli import build_parser, main
-from synthaudit.config import config_hash, load_config, parse_config
-from synthaudit.report import write_report
+from synthaudit.config import config_hash, load_config, parse_config, render_config
+from synthaudit.report import dumps_report, strip_volatile, write_report
 
 from test_audit import SCHEMA, count_calls, fixture_original
 
@@ -74,6 +77,11 @@ comparator = levenshtein
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def without(text: str, *headers: str) -> str:
+    """``text`` without the sections whose header starts with one of ``headers``."""
+    return "\n\n".join(block for block in text.split("\n\n") if not block.startswith(headers))
 
 
 def run_child(*args, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -448,6 +456,36 @@ class TestExitCodes:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, headers, message",
+        [
+            ("outliers", ("[outliers]",), "'outliers' requires a [outliers] section in the config"),
+            ("link", ("[outliers]",), "'link' requires a [outliers] section in the config"),
+            ("link", ("[qi ", "[attack]"), "'link' requires a [qi ...] section in the config"),
+            ("audit", ("[outliers]",), "'audit' requires a [outliers] section in the config"),
+            ("audit", ("[qi ", "[attack]"), "'audit' requires a [qi ...] section in the config"),
+            ("audit", ("[paths]",), "audit plan requires [paths] original"),
+            ("sweep", ("[outliers]",), "'sweep' requires a [outliers] section in the config"),
+            ("sweep", ("[qi ", "[attack]"), "'sweep' requires a [qi ...] section in the config"),
+            ("sweep", ("[sweep]",), "'sweep' requires a [sweep] section in the config"),
+            ("sweep", ("[paths]",), "sweep requires [paths] original"),
+        ],
+    )
+    def test_a_missing_section_is_2_before_any_data_is_read(self, tmp_path, caplog, command, headers, message):
+        # there is no original.csv: reading it would exit 3
+        text = PLAN_TEMPLATE.format(out=tmp_path / "out") + "\n[sweep]\ngrid = 1.0\n"
+        plan, original = write(tmp_path / "plan.ini", without(text, *headers)), tmp_path / "original.csv"
+        args = {
+            "outliers": ["outliers", "-c", plan, original],
+            "link": ["link", "-c", plan, original, original],
+            "audit": ["audit", "--plan", plan],
+            "sweep": ["sweep", "--plan", plan],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*map(str, args), "--out", str(tmp_path / "out")]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"configuration error: {message}"]
+
     def test_missing_config_is_2(self, workdir):
         tmp, _ = workdir
         assert main(["outliers", "-c", str(tmp / "absent.ini"), str(tmp / "original.csv")]) == 2
@@ -810,6 +848,21 @@ class TestAuditCommand:
             "which is not a file in pairs/"
         ]
 
+    def test_an_attribute_name_with_whitespace_is_2_and_writes_nothing(self, workdir, caplog):
+        # the name would be echoed into [attack] ladder, which reads it back as two names
+        tmp, original = workdir
+        text = (tmp / "original.csv").read_text(encoding="utf-8")
+        write(tmp / "original.csv", text.replace("age", "person age", 1))
+        plan = without(PLAN_TEMPLATE.format(out=tmp / "out"), "[attack]", "[variant copy]")
+        plan = plan.replace("age = numerical qi", "person age = numerical qi").replace("[qi age]", "[qi person age]")
+        plan = write(tmp / "plan.ini", plan.replace("attributes = age income", "attributes = income"))
+        before = sorted(tmp.rglob("*"))
+        assert main(["audit", "--plan", str(plan)]) == 2
+        assert sorted(tmp.rglob("*")) == before
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "configuration error: [schema] attribute name 'person age' holds whitespace, which separates names"
+        ]
+
     def test_a_missing_original_is_a_read_error(self, tmp_path, caplog):
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
         assert main(["audit", "--plan", str(plan)]) == 3
@@ -1086,6 +1139,23 @@ class TestSweepCommand:
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out") + f"\n[sweep]\n{sweep}\n")
         assert main(["sweep", "--plan", str(plan)]) == 2
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name", [("audit", "report.json"), ("sweep", "sweep_report.json")])
+def test_the_written_report_is_the_one_the_audit_layer_returns(workdir, command, name):
+    tmp, original = workdir
+    save_dataset(original, tmp / "copy.csv")
+    plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out") + "\n[sweep]\ngrid = 0.1 1.0\nrepeats = 2\n")
+    assert main([command, "--plan", str(plan)]) == 0
+    written = json.loads((tmp / "out" / name).read_text())
+    cfg = load_config(plan)
+    if command == "audit":
+        returned = run_audit(cfg, tmp / "library", tmp)
+    else:
+        returned = sweep_epsilon(load_dataset(tmp / "original.csv", cfg.schema), cfg)
+    assert strip_volatile(written) == json.loads(dumps_report(strip_volatile(returned)))
+    assert written["run_meta"]["config_hash"] == config_hash(cfg)
+    assert written["run_meta"]["effective_config"] == render_config(cfg)
 
 
 class TestOutputDirResolution:

@@ -592,6 +592,17 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
         ("age = numerical qi", "age = number qi", "[schema] age = 'number qi': expected 'numerical' or 'categorical', optionally 'qi'"),
         ("age = numerical qi", "age = numerical pii", "[schema] age = 'numerical pii': expected 'qi' as the only flag"),
         ("age = numerical qi", "age = numerical qi x", "[schema] age = 'numerical qi x': expected at most two tokens"),
+        # lists of names split on whitespace, so such a name could not be listed or echoed back
+        (
+            "age = numerical qi",
+            "person age = numerical qi",
+            "[schema] attribute name 'person age' holds whitespace, which separates names",
+        ),
+        (
+            "amount = numerical",
+            "am\tount = numerical",
+            "[schema] attribute name 'am\\tount' holds whitespace, which separates names",
+        ),
         ("[qi intent]", "[qi amount]\ncomparator = exact\n\n[qi intent]", "[qi amount]: 'amount' is not marked 'qi' in [schema]"),
         ("[qi intent]", "[qi nope]\ncomparator = exact\n\n[qi intent]", "attribute 'nope' is not declared in [schema]"),
     ],

@@ -143,6 +143,14 @@ def test_unreadable_file():
         load_dataset("/nonexistent/nope.csv", SCHEMA3)
 
 
+def test_empty_file_is_data_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(DataError) as caught:
+        load_dataset(path, SCHEMA3)
+    assert str(caught.value) == f"{path}: empty file, header row required"
+
+
 def test_non_utf8_file_is_data_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("a,b,c\n1,2,café\n".encode("latin-1"))
@@ -193,6 +201,29 @@ def test_constructor_refuses_a_column_of_the_wrong_type(kind, column, dtype):
     with pytest.raises(DataError) as caught:
         Dataset((AttributeSchema("x", kind),), {"x": column}, 2)
     assert str(caught.value) == f"column 'x' is not a 1-D ndarray of dtype {dtype}"
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"y": np.array([1.0, 2.0])}, "columns do not match schema attribute names"),
+        ({"x": np.array([1.0, 2.0]), "y": np.array([1.0, 2.0])}, "columns do not match schema attribute names"),
+        ({"x": np.array([1.0, 2.0, 3.0])}, "column 'x' has 3 values, expected 2"),
+        ({"x": np.array([1.0, np.nan])}, "non-finite value in numeric column 'x'"),
+        ({"x": np.array([-np.inf, 1.0])}, "non-finite value in numeric column 'x'"),
+    ],
+    ids=["other-name", "extra-column", "length", "nan", "infinity"],
+)
+def test_constructor_refuses_columns_that_do_not_fit_the_schema(columns, message):
+    with pytest.raises(DataError) as caught:
+        Dataset((AttributeSchema("x", Kind.NUMERICAL),), columns, 2)
+    assert str(caught.value) == message
+
+
+def test_from_columns_names_a_missing_column():
+    with pytest.raises(DataError) as caught:
+        Dataset.from_columns(SCHEMA3, {"a": [1.0], "c": ["x"]})
+    assert str(caught.value) == "missing column 'b'"
 
 
 def test_from_columns_leaves_the_callers_array_alone():

@@ -854,3 +854,8 @@ def test_qi_config_validation(toy_dataset):
     cfg = QIConfig(rules=(QIRule("age", LEV),))
     with pytest.raises(ConfigError, match="non-categorical"):
         cfg.validate_against(toy_dataset)
+    with pytest.raises(ConfigError, match=r"^no QI rule for 'nope'$"):
+        cfg.rule("nope")
+    no_qi = Dataset.from_columns((AttributeSchema("age", Kind.NUMERICAL),), {"age": [30.0]})
+    with pytest.raises(ConfigError, match="^schema used for linkage declares no QI attribute$"):
+        QIConfig(rules=(QIRule("age", GAUSS(5.0, 5.0)),)).validate_against(no_qi)
