@@ -165,6 +165,14 @@ def _tags(section: str, key: str, text: str) -> tuple[tuple[str, str], ...]:
     return tags
 
 
+def _path(section: str, key: str, text: str) -> str:
+    # an empty path would name the plan's own directory, or the working one
+    path = text.strip()
+    if not path:
+        raise ConfigError(f"[{section}] {key} is empty")
+    return path
+
+
 def _grid(section: str, key: str, text: str) -> tuple[float, ...]:
     tokens = text.split()
     grid = tuple(_number(section, key, tok) for tok in tokens)
@@ -181,7 +189,7 @@ _NUMBER = _Key(_number, repr)
 _EPSILON = _Key(_epsilon, repr)
 _COUNT = _Key(_integer(1))
 _SEED = _Key(_integer(0))
-_TEXT = _Key(lambda section, key, text: text.strip())
+_PATH = _Key(_path)
 # "true" and "false" come last, so they are the names a flag renders as.
 _FLAG = _choice(
     {"yes": True, "1": True, "true": True, "no": False, "0": False, "false": False}, "true or false"
@@ -209,13 +217,13 @@ _SYNTH = {
     "num_bins": _COUNT,
     "seed": _SEED,
 }
-_PATHS = {"original": _TEXT, "output_dir": _TEXT}
+_PATHS = {"original": _PATH, "output_dir": _PATH}
 _ATTACK = {
     "ladder": _Key(_ladder, lambda ladder: " | ".join(" ".join(names) for names in ladder)),
     "restrict_variant_outliers": _FLAG,
 }
 _VARIANT = {
-    "file": _TEXT,
+    "file": _PATH,
     "epsilon": _EPSILON,
     "seed": _SEED,
     "n": _COUNT,

@@ -304,6 +304,31 @@ def _raise_first_error(
     raise AssertionError(f"{path}: failed to load, but csv.reader finds no error in it")
 
 
+def _count_line_ends(fh) -> int:
+    """Line ends in the bytes of ``fh``, read ``READ_CHARS`` bytes at a
+    time: line feeds, plus carriage returns that no line feed follows in the
+    same read. ``fh`` is left at its start. Every row ``csv.reader`` or
+    :func:`_split_blocks` yields but the last ends in one of these."""
+    count = 0
+    for chunk in iter(lambda: fh.buffer.read(READ_CHARS), b""):
+        codes = np.frombuffer(chunk, np.uint8)
+        feeds = codes == ord("\n")
+        count += np.count_nonzero(feeds)
+        if b"\r" in chunk:
+            returns = codes == ord("\r")
+            count += np.count_nonzero(returns[:-1] > feeds[1:]) + int(returns[-1])
+    fh.seek(0)
+    return count
+
+
+def _grown(col: np.ndarray, rows: int, kept: int) -> np.ndarray:
+    """A new array with the first ``rows`` of ``col`` and room for ``kept``
+    rows, and at least twice the slots of ``col``."""
+    grown = np.empty(max(2 * len(col), kept), col.dtype)
+    grown[:rows] = col[:rows]
+    return grown
+
+
 def load_dataset(
     path: str | Path,
     schema: tuple[AttributeSchema, ...],
@@ -326,6 +351,13 @@ def load_dataset(
     from its start, by ``csv.reader`` alone, row by row, so the ``DataError``
     is the first one ``csv.reader`` meets and names its data row. A pipe,
     which cannot be read again, raises a ``DataError`` that names no row.
+
+    Each block's kept rows are copied straight into one array per column,
+    so the load holds the table once, plus one block. A file that can be
+    read twice is first read as bytes to count its line ends, which bound
+    its rows; a pipe's arrays start at ``BLOCK_ROWS`` rows and double when
+    a block does not fit. A column is the first ``row_count`` slots of its
+    array, copied down to them when the array has more than twice as many.
     """
     validate_schema(schema)
     path = Path(path)
@@ -335,6 +367,7 @@ def load_dataset(
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:
+        capacity = BLOCK_ROWS + (_count_line_ends(fh) if fh.seekable() else 0)
         try:
             header = next(_csv_rows(fh, path))
         except StopIteration:
@@ -350,8 +383,8 @@ def load_dataset(
             )
         pos = {name: header.index(name) for name in header}
 
-        parts = [[np.empty(0, np.float64 if a.kind is Kind.NUMERICAL else object)] for a in schema]
-        line = dropped = 0
+        columns = [np.empty(capacity, np.float64 if a.kind is Kind.NUMERICAL else object) for a in schema]
+        rows = line = 0
         failed = False
         try:
             for block in _split_blocks(fh, path):
@@ -359,23 +392,24 @@ def load_dataset(
                 if parsed is None:
                     failed = True
                     break
-                columns, block_dropped = parsed
-                for part, values in zip(parts, columns):
-                    part.append(values)
+                parts, _ = parsed
+                kept = rows + len(parts[0])
+                if kept > len(columns[0]):  # a pipe, which was not counted, or a file that grew
+                    columns = [_grown(col, rows, kept) for col in columns]
+                for col, part in zip(columns, parts):
+                    col[rows:kept] = part
+                rows = kept
                 line += len(block)
-                dropped += block_dropped
         except (DataError, UnicodeDecodeError):
             failed = True
         if failed:
             _raise_first_error(fh, path, schema, pos, missing_policy)
 
-    if dropped:
-        logger.warning("%s: dropped %d of %d data rows with missing cells", path, dropped, line)
-    return Dataset(
-        schema=schema,
-        columns={a.name: np.concatenate(part) for a, part in zip(schema, parts)},
-        row_count=line - dropped,
-    )
+    if line > rows:
+        logger.warning("%s: dropped %d of %d data rows with missing cells", path, line - rows, line)
+    # a table whose rows were mostly dropped keeps no slots for them
+    columns = [col[:rows].copy() if len(col) > 2 * rows else col[:rows] for col in columns]
+    return Dataset(schema=schema, columns=dict(zip((a.name for a in schema), columns)), row_count=rows)
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

@@ -1141,6 +1141,32 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["audit", "sweep"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("original = original.csv\n", "original =\n", "[paths] original is empty"),
+        ("output_dir = {out}\n", "output_dir =\n", "[paths] output_dir is empty"),
+        ("file = copy.csv\n", "file =\n", "[variant copy] file is empty"),
+    ],
+    ids=["original", "output_dir", "variant-file"],
+)
+def test_an_empty_path_is_2_before_anything_is_read_or_written(
+    workdir, monkeypatch, caplog, command, old, new, message
+):
+    # run from the plan's directory, where an empty output_dir would write
+    tmp, original = workdir
+    save_dataset(original, tmp / "copy.csv")
+    assert old in PLAN_TEMPLATE
+    text = PLAN_TEMPLATE.replace(old, new, 1).format(out=tmp / "out") + "\n[sweep]\ngrid = 1.0\n"
+    plan = write(tmp / "plan.ini", text)
+    monkeypatch.chdir(tmp)
+    before = sorted(tmp.rglob("*"))
+    assert main([command, "--plan", str(plan)]) == 2
+    assert sorted(tmp.rglob("*")) == before
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"configuration error: {message}"]
+
+
 @pytest.mark.parametrize("command, name", [("audit", "report.json"), ("sweep", "sweep_report.json")])
 def test_the_written_report_is_the_one_the_audit_layer_returns(workdir, command, name):
     tmp, original = workdir

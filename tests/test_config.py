@@ -542,6 +542,10 @@ def test_render_and_hash_are_pinned(cfg_text, rendered, digest):
         ("num_bins = 16", "num_bins = x", "[synth] num_bins = 'x': expected an integer"),
         ("seed = 42", "seed = x", "[synth] seed = 'x': expected an integer"),
         ("[paths]\n", "[paths]\nzeta = 1\nalpha = 2\n", "unknown keys in [paths]: ['alpha', 'zeta']"),
+        # an empty path would name the plan's directory, or the working one
+        ("original = original.csv", "original =", "[paths] original is empty"),
+        ("output_dir = out", "output_dir =", "[paths] output_dir is empty"),
+        ("file = variants/external.csv", "file =", "[variant external] file is empty"),
         ("[attack]\n", "[attack]\nbogus = 1\n", "unknown keys in [attack]: ['bogus']"),
         ("ladder = age income |", "ladder = age income | |", "[attack] ladder contains an empty QI subset"),
         ("ladder = age income |", "ladder = age nope |", "QI subset names not configured: ['nope']"),

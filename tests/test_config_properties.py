@@ -33,7 +33,8 @@ from synthaudit.config import (  # noqa: E402
 )
 
 NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
-PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
+# an empty path is refused (test_config.py pins its text)
+PATHS = st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 SEEDS = st.integers(0, 2**40)
