@@ -249,10 +249,10 @@ def _parse_block(
     schema: tuple[AttributeSchema, ...],
     pos: dict[str, int],
     missing_policy: MissingPolicy,
-) -> tuple[list[np.ndarray], int] | None:
-    """One block's schema-order columns and its dropped-row count, or None
-    when any row in it is ragged, missing a cell under ``ERROR`` or holds a
-    bad numeric token in a kept row."""
+) -> list[np.ndarray] | None:
+    """One block's schema-order columns of its kept rows, or None when any
+    row in it is ragged, missing a cell under ``ERROR`` or holds a bad
+    numeric token in a kept row."""
     if set(map(len, block)) != {len(pos)}:
         return None
     rows = list(filter(MISSING_MARKERS.isdisjoint, block))
@@ -272,7 +272,7 @@ def _parse_block(
         else:
             values = np.fromiter(map(sys.intern, col), object, len(col))
         out.append(values)
-    return out, len(block) - len(rows)
+    return out
 
 
 def _raise_first_error(
@@ -388,11 +388,10 @@ def load_dataset(
         failed = False
         try:
             for block in _split_blocks(fh, path):
-                parsed = _parse_block(block, schema, pos, missing_policy)
-                if parsed is None:
+                parts = _parse_block(block, schema, pos, missing_policy)
+                if parts is None:
                     failed = True
                     break
-                parts, _ = parsed
                 kept = rows + len(parts[0])
                 if kept > len(columns[0]):  # a pipe, which was not counted, or a file that grew
                     columns = [_grown(col, rows, kept) for col in columns]

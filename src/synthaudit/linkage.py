@@ -14,9 +14,9 @@ is a key both sides hold. Each Gauss rule becomes a radius,
 ``score >= t  <=>  |x - y| <= offset + scale * sqrt(-log2 t)``. One sort of
 the rows per Gauss rule on (key, value), across every partition, and two
 ``searchsorted`` calls give each target the window of rows of its key within
-the radius (a sorted-neighbourhood join: Hernández & Stolfo, SIGMOD 1995). In
-each partition the rule whose windows hold the fewest pairs drives; with no
-Gauss rule, or none narrower, a window is the partition's full row range.
+the radius (a sorted-neighbourhood join: Hernández & Stolfo, SIGMOD 1995).
+With the full row range they are one list of plans: in each partition the plan
+whose windows hold the fewest pairs drives, and one that drives none is dropped.
 The windows of all targets sharing a driver are expanded ``PAIR_BUDGET`` pairs
 at a time, so memory does not grow with targets x rows: 16,384 pairs, whose
 working set (int64 target and row positions, and a Gauss rule's float64 gaps
@@ -256,11 +256,12 @@ class _GaussRule:
         comp = rule.comparator
         # score >= floor  <=>  |x - y| <= offset + scale * sqrt(-log2 floor). A
         # scalar match clears the floor by GAUSS_SLACK, far above rounding in
-        # the comparator; a few ulps of the values cover rounding in x - y and x ± R.
+        # the comparator; a few ulps of the values cover rounding in x - y and x ± R,
+        # and an R that overflows stays infinite, its windows whole partitions.
         floor = rule.threshold * (1 - GAUSS_SLACK)
         radius = comp.offset + comp.scale * math.sqrt(-math.log2(floor))
         magnitude = max(np.abs(o_values).max(), np.abs(v_values).max(), radius)
-        self.radius = radius + 4 * float(np.spacing(magnitude))
+        self.radius = radius + 4 * float(np.spacing(magnitude)) if radius < math.inf else radius
 
     def windows(self, t_key: np.ndarray, r_key: np.ndarray) -> tuple[np.ndarray, ...]:
         """The rows sorted on (key, this QI), and each target's [lo, hi) slice
@@ -315,28 +316,25 @@ def _join_plan(gauss: list[_GaussRule], t_key: np.ndarray, r_key: np.ndarray) ->
     the targets in them, the rows in its order and each of those targets'
     [lo, hi) window into the rows.
 
-    A partition is a key both targets and rows hold. Every Gauss rule's
-    windows hold all of its matches; in each partition the rule whose windows
-    hold the fewest pairs drives, ties going to the full range of the
-    partition's rows and then to the earlier rule.
+    A partition is a key both targets and rows hold. One list holds each
+    driver's plan, (name, row order, lo, hi): the full range, whose key sort is
+    built only if it drives, then each Gauss rule's windows, which hold all of
+    its matches. In each partition the plan whose windows hold the fewest pairs
+    drives, ties going to the earlier plan. A plan that drives nothing is
+    dropped before the first pair, a driver once its pairs are yielded.
     """
-    n = int(max(t_key.max(), r_key.max())) + 1
-    t_count, r_count = np.bincount(t_key, minlength=n), np.bincount(r_key, minlength=n)
-    windows = [rule.windows(t_key, r_key) for rule in gauss]
-    sizes = [t_count * r_count]
-    sizes += [np.bincount(t_key, weights=hi - lo, minlength=n) for _, lo, hi in windows]
-    driver = np.where((t_count > 0) & (r_count > 0), np.argmin(sizes, axis=0), -1)
-    for d, name in enumerate(["full range", *(rule.rule.name for rule in gauss)]):
-        partitions = int(np.count_nonzero(driver == d))
-        if partitions == 0:
-            continue
-        if d == 0:
-            starts = np.cumsum(r_count) - r_count
-            order, lo, hi = np.argsort(r_key), starts[t_key], starts[t_key] + r_count[t_key]
-        else:
-            order, lo, hi = windows[d - 1]
+    ends = np.cumsum(np.bincount(r_key, minlength=t_key.max() + 1))  # each key's end in the key sort
+    plans = [("full range", None, np.append(0, ends)[t_key], ends[t_key])]
+    plans += [(rule.rule.name, *rule.windows(t_key, r_key)) for rule in gauss]
+    sizes = [np.bincount(t_key, weights=hi - lo) for _, _, lo, hi in plans]
+    driver = np.where(sizes[0] > 0, np.argmin(sizes, axis=0), -1)  # a partition's full range holds a pair
+    partitions = np.bincount(driver + 1, minlength=len(plans) + 1)[1:]
+    plans = [(d, plan) for d, plan in enumerate(plans) if partitions[d]]
+    while plans:
+        d, (name, order, lo, hi) = plans.pop(0)
         t_pos = np.flatnonzero(driver[t_key] == d)
-        yield name, partitions, t_pos, order, lo[t_pos], hi[t_pos]
+        order = np.argsort(r_key) if order is None else order
+        yield name, int(partitions[d]), t_pos, order, lo[t_pos], hi[t_pos]
 
 
 def _pair_chunks(
@@ -402,9 +400,10 @@ def attack(
     the synthetic side to its own outlier rows. The pair space is always
     partitioned on every QI of the subset that demands exact agreement (an
     ``exact`` comparator, or Levenshtein at threshold 1). One sort per Gauss
-    QI spans every partition; in each, the QI whose windows hold the fewest
-    pairs drives, and candidates are decided ``PAIR_BUDGET`` pairs at a time
-    on the scalar comparator's scores. The plan is logged at DEBUG level,
+    QI spans every partition; in each, the full range or the QI whose windows
+    hold the fewest pairs drives, only the drivers' row orders are kept, and
+    candidates are decided ``PAIR_BUDGET`` pairs at a time on the scalar
+    comparator's scores. The plan is logged at DEBUG level,
     drivers listed as the full range, then the Gauss QIs in configured order.
     ``blocking`` is accepted and ignored: the partitions already cover every
     such QI. Targets, and restricted variant rows, are the sorted ``index`` of

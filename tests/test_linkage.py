@@ -229,6 +229,24 @@ class TestAttack:
                 assert matched == {k: s for k, s in enumerate(scalar) if s >= threshold}
                 assert (j in matched) == (threshold == t)
 
+    @pytest.mark.parametrize(
+        "offset, scale, threshold",
+        [(0.0, 1e308, 0.1), (1e308, 1e308, 0.5), (1e308, 1e308, 0.01), (1e308, 0.5, 0.5)],
+        ids=["scale-overflows", "sum-overflows", "both-overflow", "finite-near-max"],
+    )
+    def test_radius_beyond_the_largest_float_keeps_every_match(self, offset, scale, threshold):
+        # offset + scale * sqrt(-log2 threshold) overflows to inf in the
+        # first three cases, for finite comparator settings; every row,
+        # 1e300 away or not, then scores close to 1 and matches.
+        original = make_ds([30.0] * 10, [0.0] + [5.0] * 9, ["RENT"] * 10, ["MEDICAL"] * 10)
+        variant = make_ds([30.0] * 4, [0.0, 1e300, -1e300, 1.0], ["RENT"] * 4, ["MEDICAL"] * 4)
+        cfg = QIConfig(rules=(QIRule("income", GAUSS(offset, scale), threshold), QIRule("home", EXACT)))
+        outliers = OutlierConfig(k=2.0, attributes=("income",))
+        result = attack(original, variant, outliers, cfg)
+        assert result.attack_surface == (1, 4)
+        assert result == scalar_pipeline(original, variant, outliers, cfg, result)
+        assert result.synthetic.tolist() == [0, 1, 2, 3]
+
     def test_matches_scalar_pipeline(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -486,8 +504,8 @@ class TestJoinCost:
 
     def test_all_rows_attack_does_not_copy_variant_columns(self):
         # 3 targets against all of 100,000 rows, on 1 and on 3 Gauss QIs.
-        # Each Gauss QI keeps its sort order of the rows, 8 bytes a row,
-        # through the join; a copy of its variant column would add 8 more.
+        # Each Gauss QI sorts the rows, 8 bytes a row, while the drivers are
+        # chosen; a copy of its variant column would add 8 more.
         def peak_per_row(qis: int) -> float:
             names = [f"x{i}" for i in range(qis)]
             schema = tuple(AttributeSchema(name, Kind.NUMERICAL, Role.QI) for name in names)
@@ -503,6 +521,38 @@ class TestJoinCost:
         n_v = 100_000
         per_qi = (peak_per_row(3) - peak_per_row(1)) / 2
         assert per_qi < 12, f"{per_qi:.1f} bytes a row per Gauss QI"
+
+    def test_a_rule_that_never_drives_holds_no_row_order(self, monkeypatch):
+        # 3 targets at 50,000 against all of 100,000 rows spread over
+        # 0..100,000 on two Gauss QIs: x0's windows hold a few rows, x1's
+        # (radius 200,000) every row, so x0 drives every partition. While
+        # candidates are decided, the attack holds what an attack on x0 alone
+        # holds; x1's row order, 8 bytes a row, is gone.
+        names = ["x0", "x1"]
+        schema = tuple(AttributeSchema(name, Kind.NUMERICAL, Role.QI) for name in names)
+        rng = np.random.default_rng(28)
+        n_v = 100_000
+        original = Dataset.from_columns(schema, {name: [5e4] * 3 + [0.0] * 30 for name in names})
+        variant = Dataset.from_columns(schema, {name: rng.uniform(0, 1e5, n_v) for name in names})
+        cfg = QIConfig(rules=(QIRule("x0", GAUSS(1.0, 1.0)), QIRule("x1", GAUSS(1e5, 1e5))))
+        outliers = OutlierConfig(k=1.0, attributes=("x0",))
+        held = []
+        real = linkage._decide
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real(*args)
+
+        monkeypatch.setattr(linkage, "_decide", spy)
+
+        def held_per_row(subset) -> float:
+            held.clear()
+            result, _ = traced_peak(lambda: attack(original, variant, outliers, cfg, qi_subset=subset))
+            assert result.attack_surface == (3, n_v) and len(held) > 1  # one call per chunk, and one empty
+            return max(held) / n_v
+
+        both, alone = held_per_row(names), held_per_row(("x0",))
+        assert abs(both - alone) < 2, f"{both:.1f} against {alone:.1f} bytes a row"
 
     def test_join_plan_logged_at_debug(self, caplog):
         original, variant = random_instance(np.random.default_rng(23), 40, 60)
