@@ -2,10 +2,10 @@
 
 The plan is the parsed config, a :class:`~synthaudit.config.RunConfig`: one
 original dataset and any number of synthetic variants (external files or
-parameters for the built-in generator). ``run_audit`` refuses a plan that
-cannot run, or lacks a section it reads, before it reads any data. For every
-variant it computes utility metrics once and runs the linkage attack once per
-QI subset in the ladder.
+parameters for the built-in generator). ``run_audit`` and ``sweep_epsilon``
+refuse a plan that cannot run before they read the original it names, from
+the plan file's directory. For every variant, ``run_audit`` computes utility
+metrics once and runs the linkage attack once per QI subset in the ladder.
 Each layer computes its share of the original (outlier targets, histogram
 counts per ``num_bins``, utility reference) once per dataset object, so
 every variant reuses it. Every audit leaves its trail under its output
@@ -57,6 +57,8 @@ def _check_plan(cfg: RunConfig) -> list[tuple[tuple[str, ...], QIConfig]]:
         name = spec.name
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'")
+        if "\0" in name:  # the config parser refuses it; a library-built plan may not
+            raise ConfigError(f"variant name {name!r} must not contain a NUL")
         if spec.file is None and variant_settings(cfg.synth, spec.epsilon).epsilon is None:
             raise ConfigError(f"variant {name!r} needs either a file or an epsilon")
         for subset in cfg.ladder:
@@ -205,19 +207,22 @@ def _spread(values: list) -> dict:
     return {"mean": sum(values) / len(values), "min": min(values), "max": max(values)}
 
 
-def sweep_epsilon(original: Dataset, cfg: RunConfig) -> dict:
+def sweep_epsilon(cfg: RunConfig, base_dir: Path = Path(".")) -> dict:
     """Generate and audit repeats x |grid| variants of ``cfg.sweep``; return the report with its curve.
 
-    Variant index i (epsilon-major over the ascending grid) uses seed
+    A plan that cannot run raises ``ConfigError`` before ``[paths] original``
+    is read, once and unhashed, from ``base_dir`` (the plan file's directory).
+    Variant index i (epsilon-major over the ascending grid) gets the seed
     base_seed + i; n and num_bins come from ``[synth]``, and an n of None
-    generates as many rows as the original. Each epsilon's ``sweep_curve``
-    row, built right after its repeats, gives the mean, min and max of their
+    generates as many rows as the original. Each epsilon's ``sweep_curve`` row,
+    built right after its repeats, gives the mean, min and max of their
     unique-match counts and of each utility metric's mean; rows are sorted by
-    epsilon ascending. Each layer computes its share of the original once,
-    for every variant. A grid that lists an epsilon twice is refused, as is a
-    config without ``[outliers]``, ``[qi ...]`` or ``[sweep]``.
+    epsilon ascending. Each layer prepares the original once, for every variant.
     """
+    started = time.time()
     cfg.require("sweep", "outliers", "qi", "sweep")
+    if cfg.original is None:
+        raise ConfigError("sweep requires [paths] original")
     grid, repeats, base_seed = cfg.sweep.grid, cfg.sweep.repeats, cfg.sweep.base_seed
     if not grid:
         raise ConfigError("epsilon grid must not be empty")
@@ -225,7 +230,7 @@ def sweep_epsilon(original: Dataset, cfg: RunConfig) -> dict:
         raise ConfigError(f"epsilon grid lists an epsilon more than once: {list(grid)}")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    started = time.time()
+    original = load_dataset(base_dir / cfg.original, cfg.schema)
     synth = variant_settings(cfg.synth)  # the sweep gives each variant its epsilon and seed
     subset = ",".join(cfg.qi.names())
     entries = []

@@ -2,8 +2,9 @@
 
 Subcommands wrap the library one-to-one (``outliers``, ``link``, ``utility``,
 ``synthesize``, ``audit``, ``sweep``): each parses the config, calls the
-library and writes what it returns. Logs go to stderr and results to files
-or stdout, so the tool composes in pipelines.
+library and writes what it returns; ``audit`` and ``sweep`` pass the plan
+file's directory, from which the audit layer reads the original. Logs go to
+stderr and results to files or stdout, so the tool composes in pipelines.
 
 Each command imports the layers it runs, so ``link`` and ``outliers`` do not
 load the synthesis, audit, utility and report modules, ``json`` or
@@ -140,11 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     plan_path = Path(args.plan)
     cfg = load_config(plan_path)
-    cfg.require("sweep", "outliers", "qi", "sweep")  # sweep_epsilon checks too, but after this reads the original
-    if cfg.original is None:
-        raise ConfigError("sweep requires [paths] original")
-    original = load_dataset(plan_path.parent / cfg.original, cfg.schema)  # relative to the plan file
-    report = sweep_epsilon(original, cfg)
+    report = sweep_epsilon(cfg, plan_path.parent)
     out_dir = _out_dir(args.out, cfg.output_dir)
     path = write_report(report, out_dir / "sweep_report.json")
     curve_path = out_dir / "sweep_curve.csv"

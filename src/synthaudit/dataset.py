@@ -363,7 +363,7 @@ def load_dataset(
     path = Path(path)
     try:
         fh = path.open(newline="", encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:

@@ -76,6 +76,8 @@ def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np
     col = ds.columns[attr.name]
     if attr.kind is Kind.NUMERICAL:
         lo, hi = float(np.min(col)), float(np.max(col))
+        if not math.isfinite(hi - lo):
+            raise DataError(f"attribute {attr.name!r}: range {lo} to {hi} overflows a float, so it cannot be binned")
         if hi == lo:
             edges = np.array([lo, hi])
             counts = np.array([float(len(col))])

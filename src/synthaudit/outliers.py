@@ -88,8 +88,11 @@ def _detect(ds: Dataset, cfg: OutlierConfig) -> OutlierSet:
                 f"{ds.row_count} row(s)"
             )
         col = ds.columns[attr]
-        mean = float(np.mean(col))
-        stddev = float(np.std(col, ddof=cfg.ddof))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            mean = float(np.mean(col))
+            stddev = float(np.std(col, ddof=cfg.ddof))
+        if not (math.isfinite(mean) and math.isfinite(stddev)):  # inf would make every z-score 0
+            raise DataError(f"outlier attribute {attr!r}: mean {mean} and stddev {stddev} overflow a float")
         if stddev == 0:
             z_cols[attr] = np.zeros(ds.row_count)
         else:

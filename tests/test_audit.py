@@ -12,6 +12,7 @@ from synthaudit import (
     ComparatorKind,
     ComparatorSpec,
     ConfigError,
+    DataError,
     Dataset,
     Kind,
     OutlierConfig,
@@ -86,16 +87,19 @@ def make_plan(tmp_path, original_path, variants, ladder=LADDER, qi=QI_CFG, **kwa
     return cfg, tmp_path / "out", tmp_path
 
 
-def sweep(original, grid, repeats, base_seed, **synth):
-    """``sweep_epsilon`` on a plan with this sweep and, given settings, this ``[synth]``."""
+def sweep(tmp_path, original, grid, repeats, base_seed, **synth):
+    """``sweep_epsilon`` on a plan with this sweep and, given settings, this ``[synth]``,
+    whose original is ``original`` saved as ``swept.csv`` in ``tmp_path``."""
+    save_dataset(original, tmp_path / "swept.csv")
     cfg = RunConfig(
         schema=SCHEMA,
         outliers=OUTLIER_CFG,
         qi=QI_CFG,
         synth=SynthSettings(**synth) if synth else None,
+        original="swept.csv",
         sweep=SweepSettings(grid, repeats, base_seed),
     )
-    return sweep_epsilon(original, cfg)
+    return sweep_epsilon(cfg, tmp_path)
 
 
 def test_identity_variant_full_utility_and_self_linkage(tmp_path, original_csv):
@@ -235,6 +239,16 @@ def test_a_plan_without_a_section_it_reads_is_refused_before_any_data_is_read(tm
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_nul_in_a_variant_name_is_refused_before_anything_is_written(tmp_path, original_csv):
+    # the config parser refuses a NUL, but a plan built in code reaches run_audit with one
+    path, _ = original_csv
+    before = sorted(tmp_path.rglob("*"))
+    message = "variant name 'a\\x00b' must not contain a NUL"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_audit(*make_plan(tmp_path, path, [VariantSpec(name="a\0b", epsilon=1.0)]))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
     # QI names become part of a pair file's name, as variant names do
     path, _ = original_csv
@@ -254,11 +268,11 @@ def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
 def test_a_sweep_entry_equals_the_audit_entry_of_the_same_generated_variant(tmp_path, original_csv, settings):
     """A generated variant's entry does not depend on the command that built
     it; only its name and the files it names differ."""
-    path, _ = original_csv
+    path, ds = original_csv
     subset = QI_CFG.names()
     spec = VariantSpec(name="v", epsilon=0.5, seed=7, **settings)
     [audited] = run_audit(*make_plan(tmp_path, path, [spec], ladder=(subset,)))["variants"]
-    [swept] = sweep(load_dataset(path, SCHEMA), (0.5,), 1, 7, **settings)["variants"]
+    [swept] = sweep(tmp_path, ds, (0.5,), 1, 7, **settings)["variants"]
     assert swept["name"] == "eps0.5_seed7"
     assert audited["generator"].pop("path") == "variants/v.csv"
     assert audited["linkage"][",".join(subset)].pop("pairs_file") == f"pairs/v__{'-'.join(subset)}.csv"
@@ -266,17 +280,17 @@ def test_a_sweep_entry_equals_the_audit_entry_of_the_same_generated_variant(tmp_
 
 
 class TestSweep:
-    def test_single_cell_grid(self):
+    def test_single_cell_grid(self, tmp_path):
         original = fixture_original(n=60)
-        report = sweep(original, (0.01,), 1, 7)
+        report = sweep(tmp_path, original, (0.01,), 1, 7)
         assert len(report["variants"]) == 1
         assert len(report["sweep_curve"]) == 1
         assert report["variants"][0]["generator"]["seed"] == 7
 
-    def test_grid_times_repeats_entries_and_sorted_curve(self):
+    def test_grid_times_repeats_entries_and_sorted_curve(self, tmp_path):
         original = fixture_original(n=50)
         grid = (10.0, 0.01, 1.0, 0.2, 5.0, 0.1, 0.5)
-        report = sweep(original, grid, 3, 100, n=50)
+        report = sweep(tmp_path, original, grid, 3, 100, n=50)
         assert len(report["variants"]) == 21
         epsilons = [row["epsilon"] for row in report["sweep_curve"]]
         assert epsilons == sorted(grid)
@@ -285,10 +299,10 @@ class TestSweep:
             assert row["repeats"] == 3
             assert row["unique_matches"]["min"] <= row["unique_matches"]["mean"] <= row["unique_matches"]["max"]
 
-    def test_curve_rows_aggregate_their_own_epsilons_entries(self):
+    def test_curve_rows_aggregate_their_own_epsilons_entries(self, tmp_path):
         original = fixture_original(n=80)
         grid = (5.0, 0.05, 0.5, 50.0)
-        report = sweep(original, grid, 3, 11)
+        report = sweep(tmp_path, original, grid, 3, 11)
         subset = "age,income,home"
         assert [row["epsilon"] for row in report["sweep_curve"]] == sorted(grid)
         for row in report["sweep_curve"]:
@@ -308,37 +322,42 @@ class TestSweep:
         # the rows differ between epsilons, so a row built from the wrong entries shows
         assert len({repr(row["utility"]) for row in report["sweep_curve"]}) == len(grid)
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         original = fixture_original(n=40)
-        a = sweep(original, (0.1, 1.0), 2, 5)
-        b = sweep(original, (0.1, 1.0), 2, 5)
+        a = sweep(tmp_path, original, (0.1, 1.0), 2, 5)
+        b = sweep(tmp_path, original, (0.1, 1.0), 2, 5)
         assert dumps_report(strip_volatile(a)) == dumps_report(strip_volatile(b))
 
-    def test_validation(self):
-        original = fixture_original(n=30)
-        with pytest.raises(ConfigError):
-            sweep(original, (), 1, 0)
-        with pytest.raises(ConfigError):
-            sweep(original, (1.0,), 0, 0)
+    # each plan names an original that does not exist, so a refusal proves nothing was read
+    PLAN = {
+        "schema": SCHEMA, "outliers": OUTLIER_CFG, "qi": QI_CFG, "original": "missing.csv",
+        "sweep": SweepSettings((1.0,)),
+    }
 
     @pytest.mark.parametrize(
-        "missing, message",
+        "change, message",
         [
-            ("outliers", "'sweep' requires a [outliers] section in the config"),
-            ("qi", "'sweep' requires a [qi ...] section in the config"),
-            ("sweep", "'sweep' requires a [sweep] section in the config"),
+            ({"outliers": None}, "'sweep' requires a [outliers] section in the config"),
+            ({"qi": None}, "'sweep' requires a [qi ...] section in the config"),
+            ({"sweep": None}, "'sweep' requires a [sweep] section in the config"),
+            ({"original": None}, "sweep requires [paths] original"),
+            ({"sweep": SweepSettings(())}, "epsilon grid must not be empty"),
+            ({"sweep": SweepSettings((0.1, 1.0, 0.1))}, "epsilon grid lists an epsilon more than once: [0.1, 1.0, 0.1]"),
+            ({"sweep": SweepSettings((1.0,), 0)}, "repeats must be >= 1, got 0"),
         ],
+        ids=["no-outliers", "no-qi", "no-sweep", "no-original", "empty-grid", "duplicate-epsilon", "repeats-0"],
     )
-    def test_a_config_without_a_section_it_reads_is_refused(self, missing, message):
-        cfg = {"schema": SCHEMA, "outliers": OUTLIER_CFG, "qi": QI_CFG, "sweep": SweepSettings((1.0,))}
+    def test_a_plan_that_cannot_run_is_refused_before_the_original_is_read(self, tmp_path, change, message):
         with pytest.raises(ConfigError) as caught:
-            sweep_epsilon(fixture_original(n=30), RunConfig(**{**cfg, missing: None}))
+            sweep_epsilon(RunConfig(**{**self.PLAN, **change}), tmp_path)
         assert str(caught.value) == message
+        assert list(tmp_path.iterdir()) == []
 
-    def test_duplicate_epsilon_rejected(self):
-        original = fixture_original(n=30)
-        with pytest.raises(ConfigError, match="more than once"):
-            sweep(original, (0.1, 1.0, 0.1), 1, 0)
+    def test_a_plan_that_can_run_reads_its_original_from_base_dir(self, tmp_path):
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(tmp_path / 'missing.csv'))}: "):
+            sweep_epsilon(RunConfig(**self.PLAN), tmp_path)
+        save_dataset(fixture_original(n=30), tmp_path / "missing.csv")
+        assert len(sweep_epsilon(RunConfig(**self.PLAN), tmp_path)["variants"]) == 1
 
 
 def count_calls(monkeypatch, function, *modules):
@@ -389,16 +408,23 @@ class TestOriginalPreparedOncePerRun:
         assert sorted(num_bins for _, num_bins in counts) == [8, 16, DEFAULT_NUM_BINS]
         assert len({id(ds) for ds, _ in counts}) == 1
 
-    def test_sweep_prepares_once(self, monkeypatch):
+    def test_sweep_prepares_once(self, tmp_path, monkeypatch):
         detects = count_calls(monkeypatch, outliers._detect, "synthaudit.outliers")
         counts = count_calls(monkeypatch, dp_synth._count_all, "synthaudit.dp_synth")
         reductions = count_calls(monkeypatch, utility._reduce, "synthaudit.utility")
-        original = fixture_original(n=80)
-        report = sweep(original, (0.1, 1.0, 5.0), 2, 0, num_bins=12)
+        loaded = []
+
+        def load(path, schema):
+            loaded.append(load_dataset(path, schema))
+            return loaded[-1]
+
+        monkeypatch.setattr("synthaudit.audit.load_dataset", load)
+        report = sweep(tmp_path, fixture_original(n=80), (0.1, 1.0, 5.0), 2, 0, num_bins=12)
         assert len(report["variants"]) == 6
-        assert [args[0] for args in detects] == [original]
+        [original] = loaded  # one dataset object, prepared once by each layer
+        assert [args[0] is original for args in detects] == [True]
         assert [(ds is original, num_bins) for ds, num_bins in counts] == [(True, 12)]
-        assert [args[0] for args in reductions] == [original]
+        assert [args[0] is original for args in reductions] == [True]
 
     def test_ladder_subsets_are_built_once_per_plan(self, tmp_path, original_csv, monkeypatch):
         path, _ = original_csv

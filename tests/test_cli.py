@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -135,6 +136,18 @@ class TestOutliersCommand:
         cfg = write(tmp_path / "cfg.ini", BASE_CONFIG.format(k=1).replace("combine = any\n", "stddev = sample\n"))
         assert main(["outliers", "-c", str(cfg), str(tmp_path / "one.csv"), "--out", str(tmp_path)]) == 3
         assert "outlier attribute 'age': stddev with ddof=1 is undefined for 1 row(s)" in caplog.text
+        assert not (tmp_path / "outliers.csv").exists()
+
+    def test_a_column_whose_variance_overflows_is_3(self, tmp_path, caplog):
+        ds = Dataset.from_columns(
+            SCHEMA, {"age": [30.0] * 100 + [1e160] * 2, "income": [1000.0] * 102, "home": ["RENT"] * 102}
+        )
+        save_dataset(ds, tmp_path / "huge.csv")
+        cfg = write(tmp_path / "cfg.ini", BASE_CONFIG.format(k=1))
+        assert main(["outliers", "-c", str(cfg), str(tmp_path / "huge.csv"), "--out", str(tmp_path)]) == 3
+        [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert re.fullmatch(r"data error: outlier attribute 'age': mean 1\.96\d*e\+158 and stddev inf overflow a float",
+                            error)
         assert not (tmp_path / "outliers.csv").exists()
 
     def test_raising_k_never_raises_count(self, workdir, capsys):
@@ -658,6 +671,25 @@ class TestAuditCommand:
         assert [(v["name"], v["status"]) for v in report["variants"]] == [("copy", "ok"), ("one", "failed")]
         assert report["variants"][1]["error"] == message
 
+    def test_a_generated_variant_whose_range_overflows_is_a_failed_variant(self, tmp_path, capsys):
+        # balance is no outlier attribute, so only binning it for synthesis meets its range
+        original = fixture_original(n=80, seed=4)
+        schema = (*SCHEMA, AttributeSchema("balance", Kind.NUMERICAL))
+        balance = [0.0] * 78 + [-1e308, 1e308]
+        columns = {a.name: original.columns[a.name] for a in SCHEMA}
+        save_dataset(Dataset.from_columns(schema, {**columns, "balance": balance}), tmp_path / "original.csv")
+        text = (
+            PLAN_TEMPLATE.format(out=tmp_path / "out")
+            .replace("home = categorical qi\n", "home = categorical qi\nbalance = numerical\n", 1)
+            .replace("[variant copy]\nfile = copy.csv\n\n", "")
+        )
+        plan = write(tmp_path / "plan.ini", text)
+        assert main(["audit", "--plan", str(plan)]) == 3
+        message = "attribute 'balance': range -1e+308 to 1e+308 overflows a float, so it cannot be binned"
+        assert f"dp: FAILED ({message})" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["variants"] == [{"name": "dp", "status": "failed", "error": message}]
+
     def test_missing_original_is_3(self, tmp_path):
         plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=tmp_path / "out"))
         assert main(["audit", "--plan", str(plan)]) == 3
@@ -1178,7 +1210,7 @@ def test_the_written_report_is_the_one_the_audit_layer_returns(workdir, command,
     if command == "audit":
         returned = run_audit(cfg, tmp / "library", tmp)
     else:
-        returned = sweep_epsilon(load_dataset(tmp / "original.csv", cfg.schema), cfg)
+        returned = sweep_epsilon(cfg, tmp)
     assert strip_volatile(written) == json.loads(dumps_report(strip_volatile(returned)))
     assert written["run_meta"]["config_hash"] == config_hash(cfg)
     assert written["run_meta"]["effective_config"] == render_config(cfg)

@@ -143,6 +143,12 @@ def test_unreadable_file():
         load_dataset("/nonexistent/nope.csv", SCHEMA3)
 
 
+def test_a_nul_in_the_path_is_a_data_error_that_names_it():
+    with pytest.raises(DataError) as caught:
+        load_dataset("x\0y.csv", SCHEMA3)
+    assert str(caught.value) == "cannot read x\0y.csv: embedded null byte"
+
+
 def test_empty_file_is_data_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_bytes(b"")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -248,6 +249,14 @@ class TestSynthesize:
         empty = Dataset.from_columns(SCHEMA_MIXED, {"age": [], "home": []})
         with pytest.raises(DataError):
             synthesize(empty, epsilon=1.0, n=10)
+
+    def test_a_range_that_overflows_is_a_data_error(self):
+        # linspace would give non-finite bin edges, on which np.histogram raises ValueError
+        message = "attribute 'x': range -1e+308 to 1e+308 overflows a float, so it cannot be binned"
+        for _ in range(2):  # a failed count is not stored, so it raises again
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                synthesize(num_ds([-1e308, 0.0, 1e308]), epsilon=1.0, n=10)
+        assert len(synthesize(num_ds([-1e307, 0.0, 1e307]), epsilon=1.0, n=10).columns["x"]) == 10
 
     def test_histogram_object_shape(self):
         hist = build_noisy_histogram(cat_ds(["A", "B"]), "c", eps_a=1.0, rng=rng_of(0))

@@ -174,6 +174,22 @@ def test_sample_stddev_of_one_row_rejected():
     assert detect_outliers(one_col([5.0, 9.0]), OutlierConfig(k=0.5, attributes=("x",), ddof=1)).index.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "values, mean, stddev",
+    [
+        ([1.0] * 100 + [1e160] * 2, r"1\.96\d*e\+158", "inf"),  # squaring 1e160 overflows
+        ([1e308] * 3, "inf", "inf"),  # so does the sum
+    ],
+    ids=["stddev", "mean"],
+)
+def test_a_column_whose_moments_overflow_is_a_data_error(values, mean, stddev):
+    # an infinite stddev would make every z-score 0, so nothing would be flagged
+    with pytest.raises(DataError, match=f"^outlier attribute 'x': mean {mean} and stddev {stddev} overflow a float$"):
+        detect_outliers(one_col(values), OutlierConfig(k=1, attributes=("x",)))
+    found = detect_outliers(one_col([1.0] * 100 + [1e150] * 2), OutlierConfig(k=1, attributes=("x",)))
+    assert found.index.tolist() == [100, 101]  # below the overflow, the large rows are flagged
+
+
 @pytest.mark.parametrize("ddof", [0, 1])
 def test_z_scores_equal_column_stats_based_scores(ddof):
     rng = np.random.default_rng(7)
