@@ -5,6 +5,7 @@ Subcommands wrap the library one-to-one (``outliers``, ``link``, ``utility``,
 library and writes what it returns; ``audit`` and ``sweep`` pass the plan
 file's directory, from which the audit layer reads the original. Logs go to
 stderr and results to files or stdout, so the tool composes in pipelines.
+:func:`run`, the program entry, is :func:`main` followed by a heap freeze.
 
 Each command imports the layers it runs, so ``link`` and ``outliers`` do not
 load the synthesis, audit, utility and report modules, ``json`` or
@@ -21,6 +22,7 @@ the output directory (command-line --out still wins).
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -242,5 +244,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The entry of ``python -m synthaudit`` and the installed command:
+    :func:`main` on ``sys.argv``, then :func:`gc.freeze`, so the collections
+    the interpreter runs at exit skip every object start-up made (even when
+    argparse exits). Library callers of :func:`main` keep normal collection.
+    """
+    try:
+        return main(sys.argv[1:])
+    finally:
+        gc.freeze()

@@ -227,16 +227,24 @@ def _codes(values: np.ndarray) -> tuple[list, np.ndarray]:
 
 
 def _keys(columns: list[tuple], n_targets: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense int keys of the targets and of the rows, equal iff they agree on every column.
+    """Int keys below n_targets + n_rows of the targets and of the rows, equal
+    iff they agree on every column.
 
     ``columns`` holds (target values, row values) per column; with no
-    column every key is 0.
+    column every key is 0. Each column's codes extend the key as one more
+    mixed-radix digit; the keys are re-densified, a sort of every key, only
+    once the product of category counts passes n_targets + n_rows.
     """
     key = np.zeros(n_targets + n_rows, dtype=np.int64)
+    bound = 1  # every key is below it
     for o, v in columns:
         cats, codes = _codes(np.concatenate([o, v]))
-        # re-densify, so the combined key stays below n_targets + n_rows
-        key = np.unique(key * len(cats) + codes, return_inverse=True)[1]
+        key *= len(cats)
+        key += codes
+        bound *= len(cats)
+        if bound > len(key):
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
     return key[:n_targets], key[n_targets:]
 
 

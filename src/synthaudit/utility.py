@@ -15,6 +15,7 @@ attributes, CategoryCoverage for categorical ones.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -54,6 +55,15 @@ def _median(col: np.ndarray) -> float:
     return _middle(np.partition(col, half if len(col) % 2 else [half - 1, half])) + 0.0
 
 
+def _share(a: float, b: float, lo: float, hi: float) -> float:
+    """(a - b) / (hi - lo). Where hi - lo overflows a float, every value is
+    halved first, which keeps the ratio; a finite span is divided as it is,
+    so its result keeps every bit."""
+    if math.isinf(hi - lo):
+        return (a / 2 - b / 2) / (hi / 2 - lo / 2)
+    return (a - b) / (hi - lo)
+
+
 def boundary_adherence(real_col: np.ndarray, synth_col: np.ndarray) -> float:
     """Fraction of synthetic values v with min(real) <= v <= max(real)."""
     if len(real_col) == 0:
@@ -82,9 +92,8 @@ def range_coverage(real_col: np.ndarray, synth_col: np.ndarray) -> float:
     lo, hi = float(np.min(real_col)), float(np.max(real_col))
     if hi == lo:
         return 1.0 if np.any(synth_col == lo) else 0.0
-    span = hi - lo
-    low_deficit = max(0.0, (float(np.min(synth_col)) - lo) / span)
-    high_deficit = max(0.0, (hi - float(np.max(synth_col))) / span)
+    low_deficit = max(0.0, _share(float(np.min(synth_col)), lo, lo, hi))
+    high_deficit = max(0.0, _share(hi, float(np.max(synth_col)), lo, hi))
     return max(0.0, 1.0 - (low_deficit + high_deficit))
 
 
@@ -100,7 +109,7 @@ def statistic_similarity(real_col: np.ndarray, synth_col: np.ndarray) -> float:
     synth_med = _median(synth_col)
     if hi == lo:
         return 1.0 if synth_med == real_med else 0.0
-    score = 1.0 - abs(synth_med - real_med) / (hi - lo)
+    score = 1.0 - abs(_share(synth_med, real_med, lo, hi))
     return min(1.0, max(0.0, score))
 
 

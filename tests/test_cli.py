@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -1106,6 +1109,41 @@ class TestImports:
         stdout = run_python(code, plan, tmp / "original.csv")
         assert stdout.splitlines()[-1] == repr(list(loaded))
         assert ("possible matches" in stdout) == ("link" in run)
+
+
+class TestProgramEntry:
+    """``python -m synthaudit`` and the installed command run ``cli.run``,
+    which freezes the heap once the command has returned; ``main`` does not."""
+
+    def test_the_module_entry_freezes_the_heap_and_writes_what_main_writes(self, workdir, capsys):
+        tmp, original = workdir
+        save_dataset(original, tmp / "copy.csv")
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=1.5))
+        args = ["link", "-c", cfg, tmp / "original.csv", tmp / "copy.csv", "--out"]
+        frozen = gc.get_freeze_count()
+        assert main([*map(str, args), str(tmp / "main")]) == 0
+        assert gc.get_freeze_count() == frozen
+        code = (
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('synthaudit', run_name='__main__')\n"
+        )
+        done = run_child("-c", code, *args, tmp / "entry")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == capsys.readouterr().out + "True\n"
+        assert done.stderr == f"INFO synthaudit: match pairs written to {tmp / 'entry' / 'pairs.csv'}\n"
+        assert (tmp / "entry" / "pairs.csv").read_bytes() == (tmp / "main" / "pairs.csv").read_bytes()
+
+    def test_the_installed_command_is_the_function_the_module_entry_calls(self, monkeypatch):
+        # read as text: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        (target,) = re.findall(r'^synthaudit = "(.+)"$', text.partition("[project.scripts]")[2], re.MULTILINE)
+        module, _, name = target.partition(":")
+        calls = []
+        monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(target) or 0)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("synthaudit", run_name="__main__")
+        assert done.value.code == 0 and calls == [target]
 
 
 class TestSweepCommand:

@@ -502,6 +502,33 @@ class TestJoinCost:
         assert int(scored) >= 4 * budget
         assert peak - per_row < 36 * budget, f"{(peak - per_row) / budget:.1f} bytes a budget pair"
 
+    @pytest.mark.parametrize("counts", [(4, 6), (40, 40, 3)], ids=["below-bound", "past-bound"])
+    def test_keys_agree_iff_every_equality_column_does(self, counts):
+        # 4 x 6 keys stay below 300 + 600; 40 x 40 passes it and is re-densified
+        rng = np.random.default_rng(27)
+        t, v = 300, 600
+        columns = [tuple(rng.integers(0, c, n).astype(str).astype(object) for n in (t, v)) for c in counts]
+        t_key, r_key = linkage._keys(columns, t, v)
+        keys = np.concatenate([t_key, r_key])
+        tuples = list(zip(*(np.concatenate(col) for col in columns)))
+        assert keys.min() >= 0 and keys.max() < t + v
+        assert len(set(zip(keys.tolist(), tuples))) == len(set(keys.tolist())) == len(set(tuples))
+
+    def test_keys_sort_only_once_the_category_product_passes_targets_plus_rows(self):
+        # home x grade, 4 x 6 categories, as on the bench ladder: the codes
+        # combine as mixed-radix digits, about 32 bytes a target or row at
+        # the peak (the key, the concatenated values and one column's
+        # codes); about 65 when every column re-densifies through a sort
+        rng = np.random.default_rng(28)
+        t, v = 300, 60_000
+        columns = [
+            tuple(np.array([cats[i] for i in rng.integers(0, len(cats), n)], dtype=object) for n in (t, v))
+            for cats in (HOMES, list("ABCDEF"))
+        ]
+        (t_key, r_key), peak = traced_peak(lambda: linkage._keys(columns, t, v))
+        assert len(np.unique(np.concatenate([t_key, r_key]))) == 24
+        assert peak < 40 * (t + v), f"{peak / (t + v):.1f} bytes a target or row"
+
     def test_all_rows_attack_does_not_copy_variant_columns(self):
         # 3 targets against all of 100,000 rows, on 1 and on 3 Gauss QIs.
         # Each Gauss QI sorts the rows, 8 bytes a row, while the drivers are

@@ -172,6 +172,22 @@ def test_numeric_metrics_stay_in_unit_interval(real, synth):
     assert 0.0 <= statistic_similarity(r, s) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "synth, coverage, similarity",
+    [([-1e307, 5.0, 1e308], 0.55, 1.0), ([1e308, 1e308, 1e308], 0.0, 0.5)],
+    ids=["partial-range", "top-only"],
+)
+def test_a_real_span_that_overflows_a_float_still_scores(synth, coverage, similarity):
+    # max - min of the real column is inf, so dividing by it scored every variant 1.0
+    schema = (AttributeSchema("x", Kind.NUMERICAL),)
+    real = Dataset.from_columns(schema, {"x": [-1e308, 0.0, 1e308]})
+    scores = compute_utility(real, Dataset.from_columns(schema, {"x": synth})).per_attribute["x"]
+    assert scores["RangeCoverage"] == pytest.approx(coverage, abs=1e-12)
+    assert scores["StatisticSimilarity"] == pytest.approx(similarity, abs=1e-12)
+    assert scores["RangeCoverage"] == range_coverage(real.columns["x"], arr(synth))
+    assert scores["StatisticSimilarity"] == statistic_similarity(real.columns["x"], arr(synth))
+
+
 class TestComputeUtility:
     def test_identity_scores_one_everywhere(self, toy_dataset):
         report = compute_utility(toy_dataset, toy_dataset)
