@@ -1,7 +1,8 @@
 """synthaudit: re-identification risk and utility auditing for synthetic tabular data.
 
 The public names below load their home module on first use (PEP 562), so a
-process imports only the layers it runs: ``synthaudit.Dataset`` imports
+process imports only the layers it runs: ``synthaudit.QIConfig`` imports
+``synthaudit.config``, which loads no numpy, ``synthaudit.Dataset`` imports
 ``synthaudit.dataset``, ``synthaudit.run_audit`` every layer.
 """
 
@@ -13,11 +14,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "audit": "run_audit sweep_epsilon",
     "comparators": "ComparatorKind ComparatorSpec exact_similarity gauss_similarity levenshtein_similarity",
-    "dataset": "AttributeSchema Dataset Kind MissingPolicy Role load_dataset save_dataset",
+    "config": "AttributeSchema Combine Kind OutlierConfig QIConfig QIRule Role",
+    "dataset": "Dataset MissingPolicy load_dataset save_dataset",
     "dp_synth": "NoisyHistogram build_noisy_histogram synthesize",
     "errors": "ConfigError DataError SynthAuditError",
-    "linkage": "LinkageResult QIConfig QIRule ScoredPair attack filter_matches score_pairs",
-    "outliers": "Combine OutlierConfig OutlierSet detect_outliers",
+    "linkage": "LinkageResult ScoredPair attack filter_matches score_pairs",
+    "outliers": "OutlierSet detect_outliers",
     "utility": (
         "UtilityReport attribute_coverage boundary_adherence category_coverage compute_utility "
         "range_coverage statistic_similarity"

@@ -27,11 +27,13 @@ import os
 import time
 from pathlib import Path
 
-from .config import RunConfig, SynthSettings, VariantSpec, check_ladder, config_hash, render_config, variant_settings
+from .config import (
+    QIConfig, RunConfig, SynthSettings, VariantSpec, check_ladder, config_hash, render_config, variant_settings,
+)
 from .dataset import Dataset, load_dataset, save_dataset
 from .dp_synth import generator_metadata, synthesize
 from .errors import ConfigError, DataError, SynthAuditError
-from .linkage import LinkageResult, QIConfig, attack, save_matches
+from .linkage import LinkageResult, attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
 from .utility import compute_utility
 

@@ -7,9 +7,10 @@ file's directory, from which the audit layer reads the original. Logs go to
 stderr and results to files or stdout, so the tool composes in pipelines.
 :func:`run`, the program entry, is :func:`main` followed by a heap freeze.
 
-Each command imports the layers it runs, so ``link`` and ``outliers`` do not
-load the synthesis, audit, utility and report modules, ``json`` or
-``hashlib``; no module loads ``dataclasses``.
+Each command imports the layers it runs only once it has read and checked
+its config, so ``--help``, a usage error and a config fault load no numpy,
+and ``link`` and ``outliers`` do not load the synthesis, audit, utility and
+report modules, ``json`` or ``hashlib``; no module loads ``dataclasses``.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
 (including an ``audit`` variant that failed and an output path that cannot
@@ -28,13 +29,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import load_config, variant_settings
-from .dataset import load_dataset, save_dataset, write_table
 from .errors import ConfigError, DataError
-from .linkage import attack, save_matches
-from .outliers import detect_outliers, save_outlier_set
 
 logger = logging.getLogger("synthaudit")
 
@@ -51,6 +47,9 @@ def _out_dir(flag_value: str | None, configured: str | None) -> Path:
 def cmd_outliers(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg.require("outliers", "outliers")
+    from .dataset import load_dataset
+    from .outliers import detect_outliers, save_outlier_set
+
     ds = load_dataset(args.data, cfg.schema)
     found = detect_outliers(ds, cfg.outliers)
     out = _out_dir(args.out, cfg.output_dir) / "outliers.csv"
@@ -64,6 +63,9 @@ def cmd_link(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg.require("link", "outliers", "qi")
     qi = cfg.qi.subset(args.qis.split(",")) if args.qis else cfg.qi  # before any data is read
+    from .dataset import load_dataset
+    from .linkage import attack, save_matches
+
     original = load_dataset(args.original, cfg.schema)
     variant = load_dataset(args.variant, cfg.schema)
     result = attack(original, variant, cfg.outliers, qi, restrict_variant_outliers=cfg.restrict_variant_outliers)
@@ -79,10 +81,11 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_utility(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    from .dataset import load_dataset
     from .report import dumps_report, write_report
     from .utility import compute_utility
 
-    cfg = load_config(args.config)
     original = load_dataset(args.original, cfg.schema)
     variant = load_dataset(args.variant, cfg.schema)
     report = compute_utility(original, variant).to_dict()
@@ -94,13 +97,14 @@ def cmd_utility(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    from .dp_synth import check_settings, synthesize
-
     cfg = load_config(args.config)
     settings = variant_settings(cfg.synth, args.epsilon, args.n, args.num_bins, args.seed)
     for key in ("epsilon", "n"):  # no default: None when neither the flag nor [synth] gives one
         if getattr(settings, key) is None:
             raise ConfigError(f"'synthesize' requires --{key} or [synth] {key}")
+    from .dataset import load_dataset, save_dataset
+    from .dp_synth import check_settings, synthesize
+
     epsilon, n, num_bins, seed = settings.epsilon, settings.n, settings.num_bins, settings.seed
     check_settings(epsilon, n, num_bins, seed)  # before the original is read
     original = load_dataset(args.original, cfg.schema)
@@ -111,11 +115,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    plan_path = Path(args.plan)
+    cfg = load_config(plan_path)
     from .audit import run_audit
     from .report import write_report
 
-    plan_path = Path(args.plan)
-    cfg = load_config(plan_path)
     out_dir = _out_dir(args.out, cfg.output_dir)
     report = run_audit(cfg, out_dir, plan_path.parent)
     path = write_report(report, out_dir / "report.json")
@@ -138,11 +142,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    plan_path = Path(args.plan)
+    cfg = load_config(plan_path)
     from .audit import sweep_epsilon
     from .report import write_report
 
-    plan_path = Path(args.plan)
-    cfg = load_config(plan_path)
     report = sweep_epsilon(cfg, plan_path.parent)
     out_dir = _out_dir(args.out, cfg.output_dir)
     path = write_report(report, out_dir / "sweep_report.json")
@@ -159,6 +163,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _write_curve_csv(curve: list[dict], path: Path) -> None:
+    import numpy as np
+
+    from .dataset import write_table
+
     columns = [("epsilon", repr, [r["epsilon"] for r in curve])]
     columns.append(("repeats", str, [r["repeats"] for r in curve]))
     for stat, fmt in (("mean", "{:.6f}".format), ("min", str), ("max", str)):

@@ -5,6 +5,13 @@ silently weaken privacy parameters. The canonical rendering produced by
 :func:`render_config` re-parses to an equivalent RunConfig and is what gets
 hashed and echoed into run reports.
 
+This module is the home of the plan's value types: the schema
+(:class:`AttributeSchema`, :class:`Kind`, :class:`Role`), the outlier rule
+(:class:`OutlierConfig`, :class:`Combine`), the attacker's QIs
+(:class:`QIRule`, :class:`QIConfig`), the synthesizer and sweep settings and
+:class:`RunConfig`. It imports no numpy, so a plan is read and checked before
+any data layer loads.
+
 Besides ``[schema]`` (``attribute = <numerical|categorical> [qi]``), each
 section is declared once, as an ordered table from key to :class:`_Key`:
 ``[outliers]``, ``[qi <attribute>]``, ``[synth]``, ``[paths]``, ``[attack]``,
@@ -16,16 +23,149 @@ from those tables; only rules that span keys or sections are written out.
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .comparators import ComparatorKind, ComparatorSpec
-from .dataset import DEFAULT_NUM_BINS, AttributeSchema, Kind, Role, validate_schema
 from .errors import ConfigError, Record
-from .linkage import QIConfig, QIRule
-from .outliers import Combine, OutlierConfig
+
+if TYPE_CHECKING:
+    from .dataset import Dataset
+
+# Characters no attribute name may contain: the audit-trail files write
+# names unquoted and join the attributes that triggered a flag with "|".
+NAME_FORBIDDEN = frozenset(',"|\r\n')
+
+# Histogram bins per numeric attribute in the synthesizer (dp_synth), the
+# default of [synth] num_bins.
+DEFAULT_NUM_BINS = 32
+
+# Default match thresholds: numeric QIs pass at half similarity, categorical
+# QIs only on exact agreement.
+NUMERIC_THRESHOLD = 0.5
+CATEGORICAL_THRESHOLD = 1.0
+
+
+class Kind(enum.Enum):
+    NUMERICAL = "numerical"
+    CATEGORICAL = "categorical"
+
+
+class Role(enum.Enum):
+    QI = "qi"
+    NON_QI = "non_qi"
+
+
+class AttributeSchema(Record):
+    """One attribute: its name, value kind, and quasi-identifier role."""
+
+    __slots__ = {"name": "str", "kind": "Kind", "role": "Role"}
+    _defaults = {"role": Role.NON_QI}
+
+
+def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
+    if not schema:
+        raise ConfigError("schema must declare at least one attribute")
+    names = [a.name for a in schema]
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ConfigError(f"duplicate attribute names in schema: {dupes}")
+    bad = [n for n in names if not NAME_FORBIDDEN.isdisjoint(n)]
+    if bad:
+        raise ConfigError(f"attribute names must not contain ',', '\"', '|' or a line break: {bad}")
+
+
+class Combine(enum.Enum):
+    ANY = "any"
+    ALL = "all"
+
+
+class OutlierConfig(Record):
+    """Threshold k, the numeric attributes to scan, and the combine rule.
+
+    ``ddof`` selects the standard deviation convention used for the z-scores
+    (0 = population, 1 = sample).
+    """
+
+    __slots__ = {"k": "float", "attributes": "tuple[str, ...]", "combine": "Combine", "ddof": "int"}
+    _defaults = {"combine": Combine.ANY, "ddof": 0}
+
+    def __post_init__(self) -> None:
+        if not self.k > 0:
+            raise ConfigError(f"outlier threshold k must be positive, got {self.k}")
+        if self.k == math.inf:  # flags nothing
+            raise ConfigError(f"outlier threshold k must be finite, got {self.k}")
+        if not self.attributes:
+            raise ConfigError("outlier config needs at least one attribute")
+        if len(set(self.attributes)) != len(self.attributes):
+            raise ConfigError("duplicate attribute in outlier config")
+
+
+class QIRule(Record):
+    """One quasi-identifier: attribute, comparator, and match threshold."""
+
+    __slots__ = {"name": "str", "comparator": "ComparatorSpec", "threshold": "float | None"}
+    _defaults = {"threshold": None}
+
+    def __post_init__(self) -> None:
+        if self.threshold is None:
+            default = (
+                NUMERIC_THRESHOLD
+                if self.comparator.kind is ComparatorKind.GAUSS
+                else CATEGORICAL_THRESHOLD
+            )
+            object.__setattr__(self, "threshold", default)
+        if not 0 < self.threshold <= 1:
+            raise ConfigError(f"threshold for {self.name!r} must be in (0, 1], got {self.threshold}")
+
+
+class QIConfig(Record):
+    """The attacker's background-knowledge model: an ordered set of QI rules."""
+
+    __slots__ = {"rules": "tuple[QIRule, ...]"}
+
+    def __post_init__(self) -> None:
+        names = [r.name for r in self.rules]
+        if not names:
+            raise ConfigError("QI config needs at least one quasi-identifier")
+        if len(set(names)) != len(names):
+            raise ConfigError("duplicate quasi-identifier in QI config")
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(r.name for r in self.rules)
+
+    def rule(self, name: str) -> QIRule:
+        for r in self.rules:
+            if r.name == name:
+                return r
+        raise ConfigError(f"no QI rule for {name!r}")
+
+    def subset(self, names: Iterable[str]) -> "QIConfig":
+        """Restrict to the given QIs, each named once, keeping configured order."""
+        wanted = list(names)
+        unknown = sorted(set(wanted) - set(self.names()))
+        if unknown:
+            raise ConfigError(f"QI subset names not configured: {unknown}")
+        repeated = [name for name in wanted if wanted.count(name) > 1]
+        if repeated:
+            raise ConfigError(f"QI subset {','.join(wanted)!r} names {repeated[0]!r} more than once")
+        return QIConfig(rules=tuple(r for r in self.rules if r.name in wanted))
+
+    def validate_against(self, ds: Dataset) -> None:
+        """Check attribute existence and comparator/kind compatibility."""
+        if not any(a.role.value == "qi" for a in ds.schema):
+            raise ConfigError("schema used for linkage declares no QI attribute")
+        for r in self.rules:
+            kind = ds.attribute(r.name).kind
+            if r.comparator.kind is ComparatorKind.GAUSS and kind is not Kind.NUMERICAL:
+                raise ConfigError(f"gauss comparator on non-numeric attribute {r.name!r}")
+            if r.comparator.kind is not ComparatorKind.GAUSS and kind is not Kind.CATEGORICAL:
+                raise ConfigError(
+                    f"{r.comparator.kind.value} comparator on non-categorical attribute {r.name!r}"
+                )
 
 
 class SynthSettings(Record):
@@ -400,8 +540,8 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")  # a UTF-8 byte order mark is skipped
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

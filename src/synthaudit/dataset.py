@@ -5,7 +5,9 @@ categorical columns as interned strings. Ingestion enforces a complete-case
 policy (rows with missing cells are dropped or rejected, never imputed) and
 rejects non-numeric or non-finite tokens in numeric columns outright, so
 every downstream computation can assume clean, finite, fully populated
-columns.
+columns. The schema a table is read with (:class:`AttributeSchema`,
+:class:`Kind`, :class:`Role`, :func:`validate_schema`) is part of the plan,
+so it lives in :mod:`synthaudit.config`, which imports no numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Any, Callable, NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, DataError, Record
+from .config import AttributeSchema, Kind, validate_schema
+from .errors import DataError, Record
 
 logger = logging.getLogger(__name__)
 
@@ -30,16 +33,8 @@ logger = logging.getLogger(__name__)
 # fails to parse in a numeric column is corruption, not missingness.
 MISSING_MARKERS = frozenset({"", "NA"})
 
-# Characters no attribute name may contain: the audit-trail files write
-# names unquoted and join the attributes that triggered a flag with "|".
-NAME_FORBIDDEN = frozenset(',"|\r\n')
-
 BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
 READ_CHARS = 1 << 16  # characters of a CSV file the loader reads at once
-
-# Histogram bins per numeric attribute in the synthesizer (dp_synth), kept
-# here so the config reads it without loading the synthesizer.
-DEFAULT_NUM_BINS = 32
 
 # Characters that make csv.writer's default dialect quote a cell.
 _CSV_SPECIAL = frozenset(',"\r\n')
@@ -76,38 +71,9 @@ def _csv_field(value: str, alone: bool) -> str:
     return value
 
 
-class Kind(enum.Enum):
-    NUMERICAL = "numerical"
-    CATEGORICAL = "categorical"
-
-
-class Role(enum.Enum):
-    QI = "qi"
-    NON_QI = "non_qi"
-
-
 class MissingPolicy(enum.Enum):
     DROP_ROW = "drop_row"
     ERROR = "error"
-
-
-class AttributeSchema(Record):
-    """One attribute: its name, value kind, and quasi-identifier role."""
-
-    __slots__ = {"name": "str", "kind": "Kind", "role": "Role"}
-    _defaults = {"role": Role.NON_QI}
-
-
-def validate_schema(schema: tuple[AttributeSchema, ...]) -> None:
-    if not schema:
-        raise ConfigError("schema must declare at least one attribute")
-    names = [a.name for a in schema]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ConfigError(f"duplicate attribute names in schema: {dupes}")
-    bad = [n for n in names if not NAME_FORBIDDEN.isdisjoint(n)]
-    if bad:
-        raise ConfigError(f"attribute names must not contain ',', '\"', '|' or a line break: {bad}")
 
 
 class Dataset(Record):

@@ -30,7 +30,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import DEFAULT_NUM_BINS, AttributeSchema, Dataset, Kind
+from .config import DEFAULT_NUM_BINS, AttributeSchema, Kind
+from .dataset import Dataset
 from .errors import ConfigError, DataError, Record
 
 

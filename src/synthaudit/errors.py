@@ -1,9 +1,8 @@
 """Exception hierarchy and the immutable record base shared across the toolkit."""
 
+import sys
 from collections.abc import Mapping
 from types import MappingProxyType
-
-import numpy as np
 
 
 class SynthAuditError(Exception):
@@ -89,8 +88,10 @@ class Record:
 
 def _same(a, b) -> bool:
     """Field equality: arrays by ``np.array_equal``, mappings by key set and
-    then value by value, anything else by ``==``."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+    then value by value, anything else by ``==``. No array exists before
+    numpy is imported, so numpy is looked up, not imported."""
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return np.array_equal(a, b)
     if isinstance(a, Mapping) and isinstance(b, Mapping):
         return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())

@@ -40,82 +40,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .comparators import ComparatorKind, ComparatorSpec
-from .dataset import Dataset, Kind, write_table
+from .comparators import ComparatorKind
+from .config import OutlierConfig, QIConfig, QIRule
+from .dataset import Dataset, write_table
 from .errors import ConfigError, DataError, Record
-from .outliers import OutlierConfig, detect_outliers
+from .outliers import detect_outliers
 
 logger = logging.getLogger(__name__)
-
-# Default match thresholds: numeric QIs pass at half similarity, categorical
-# QIs only on exact agreement.
-NUMERIC_THRESHOLD = 0.5
-CATEGORICAL_THRESHOLD = 1.0
-
-
-class QIRule(Record):
-    """One quasi-identifier: attribute, comparator, and match threshold."""
-
-    __slots__ = {"name": "str", "comparator": "ComparatorSpec", "threshold": "float | None"}
-    _defaults = {"threshold": None}
-
-    def __post_init__(self) -> None:
-        if self.threshold is None:
-            default = (
-                NUMERIC_THRESHOLD
-                if self.comparator.kind is ComparatorKind.GAUSS
-                else CATEGORICAL_THRESHOLD
-            )
-            object.__setattr__(self, "threshold", default)
-        if not 0 < self.threshold <= 1:
-            raise ConfigError(f"threshold for {self.name!r} must be in (0, 1], got {self.threshold}")
-
-
-class QIConfig(Record):
-    """The attacker's background-knowledge model: an ordered set of QI rules."""
-
-    __slots__ = {"rules": "tuple[QIRule, ...]"}
-
-    def __post_init__(self) -> None:
-        names = [r.name for r in self.rules]
-        if not names:
-            raise ConfigError("QI config needs at least one quasi-identifier")
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate quasi-identifier in QI config")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.rules)
-
-    def rule(self, name: str) -> QIRule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise ConfigError(f"no QI rule for {name!r}")
-
-    def subset(self, names: Iterable[str]) -> "QIConfig":
-        """Restrict to the given QIs, each named once, keeping configured order."""
-        wanted = list(names)
-        unknown = sorted(set(wanted) - set(self.names()))
-        if unknown:
-            raise ConfigError(f"QI subset names not configured: {unknown}")
-        repeated = [name for name in wanted if wanted.count(name) > 1]
-        if repeated:
-            raise ConfigError(f"QI subset {','.join(wanted)!r} names {repeated[0]!r} more than once")
-        return QIConfig(rules=tuple(r for r in self.rules if r.name in wanted))
-
-    def validate_against(self, ds: Dataset) -> None:
-        """Check attribute existence and comparator/kind compatibility."""
-        if not any(a.role.value == "qi" for a in ds.schema):
-            raise ConfigError("schema used for linkage declares no QI attribute")
-        for r in self.rules:
-            kind = ds.attribute(r.name).kind
-            if r.comparator.kind is ComparatorKind.GAUSS and kind is not Kind.NUMERICAL:
-                raise ConfigError(f"gauss comparator on non-numeric attribute {r.name!r}")
-            if r.comparator.kind is not ComparatorKind.GAUSS and kind is not Kind.CATEGORICAL:
-                raise ConfigError(
-                    f"{r.comparator.kind.value} comparator on non-categorical attribute {r.name!r}"
-                )
-
 
 class ScoredPair(Record):
     __slots__ = {"original": "int", "synthetic": "int", "scores": "dict[str, float]"}

@@ -8,7 +8,6 @@ or ALL (intersection) semantics.
 
 from __future__ import annotations
 
-import enum
 import math
 from itertools import compress
 from pathlib import Path
@@ -16,34 +15,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import Dataset, Kind, write_table
+from .config import Combine, Kind, OutlierConfig
+from .dataset import Dataset, write_table
 from .errors import ConfigError, DataError, Record
-
-
-class Combine(enum.Enum):
-    ANY = "any"
-    ALL = "all"
-
-
-class OutlierConfig(Record):
-    """Threshold k, the numeric attributes to scan, and the combine rule.
-
-    ``ddof`` selects the standard deviation convention used for the z-scores
-    (0 = population, 1 = sample).
-    """
-
-    __slots__ = {"k": "float", "attributes": "tuple[str, ...]", "combine": "Combine", "ddof": "int"}
-    _defaults = {"combine": Combine.ANY, "ddof": 0}
-
-    def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ConfigError(f"outlier threshold k must be positive, got {self.k}")
-        if self.k == math.inf:  # flags nothing
-            raise ConfigError(f"outlier threshold k must be finite, got {self.k}")
-        if not self.attributes:
-            raise ConfigError("outlier config needs at least one attribute")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ConfigError("duplicate attribute in outlier config")
 
 
 class OutlierSet(Record):

@@ -20,7 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import Dataset, Kind
+from .config import Kind
+from .dataset import Dataset
 from .errors import DataError, Record
 
 BOUNDARY_ADHERENCE = "BoundaryAdherence"

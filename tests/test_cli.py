@@ -266,7 +266,7 @@ class TestLinkCommand:
 
     def test_outliers_detected_once_per_run(self, workdir, monkeypatch, capsys):
         tmp, _ = workdir
-        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.cli", "synthaudit.linkage")
+        detects = count_calls(monkeypatch, detect_outliers, "synthaudit.outliers", "synthaudit.linkage")
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=1.5))
         args = ["link", "-c", str(cfg), str(tmp / "original.csv"), str(tmp / "original.csv"), "--out", str(tmp)]
         assert main(args) == 0
@@ -560,7 +560,7 @@ class TestExitCodes:
         tmp, _ = workdir
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
         monkeypatch.setattr(
-            "synthaudit.cli.detect_outliers",
+            "synthaudit.outliers.detect_outliers",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         assert main(["outliers", "-c", str(cfg), str(tmp / "original.csv"), "--out", str(tmp)]) == 4
@@ -1076,39 +1076,92 @@ def test_every_command_option_is_pinned():
 
 
 class TestImports:
-    """Each command imports the layers it runs; ``hashlib`` maps OpenSSL. No
-    command defines a record class through ``dataclasses``, which compiles
-    generated methods at every start and imports ``copy``."""
+    """Each command imports the layers it runs, and only once it has read and
+    checked its config, so ``--help`` and a config fault load no numpy;
+    ``hashlib`` maps OpenSSL. No command defines a record class through
+    ``dataclasses``, which compiles generated methods at every start and
+    imports ``copy``."""
 
     AUDIT_ONLY = ("synthaudit.audit", "synthaudit.utility", "synthaudit.report", "json", "hashlib", "_hashlib")
-    WATCHED = AUDIT_ONLY + ("synthaudit.dp_synth", "dataclasses", "copy")
+    WATCHED = AUDIT_ONLY + ("synthaudit.dp_synth", "dataclasses", "copy", "numpy")
 
     @pytest.mark.parametrize(
         "run, loaded",
         [
-            ("assert main(['link', '-c', plan, original, original]) == 0", ()),
-            ("assert main(['outliers', '-c', plan, original]) == 0", ()),
+            ("assert main(['link', '-c', plan, original, original]) == 0", ("numpy",)),
+            ("assert main(['outliers', '-c', plan, original]) == 0", ("numpy",)),
             ("load_config(plan)", ()),  # bench/run.py's set-up probe
-            ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY + ("synthaudit.dp_synth",)),
+            ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY + ("synthaudit.dp_synth", "numpy")),
+            ("try:\n    main(['--help'])\nexcept SystemExit as done:\n    assert done.code == 0", ()),
+            ("assert main(['link', '-c', bad, original, original]) == 2", ()),
         ],
-        ids=["link", "outliers", "setup-probe", "audit"],
+        ids=["link", "outliers", "setup-probe", "audit", "help", "link-config-fault"],
     )
     def test_modules_loaded_by_each_command(self, workdir, run, loaded):
         tmp, original = workdir
         save_dataset(original, tmp / "copy.csv")
         plan = write(tmp / "plan.ini", PLAN_TEMPLATE.format(out=tmp / "out"))
+        bad = write(tmp / "bad.ini", without(plan.read_text(encoding="utf-8"), "[outliers]"))
         code = (
             "import sys\n"
             "import synthaudit.cli\n"
             "from synthaudit.cli import main\n"
             "from synthaudit.config import load_config\n"
-            "plan, original = sys.argv[1:]\n"
+            "plan, original, bad = sys.argv[1:]\n"
             f"{run}\n"
             f"print([m for m in {self.WATCHED!r} if m in sys.modules])\n"
         )
-        stdout = run_python(code, plan, tmp / "original.csv")
+        stdout = run_python(code, plan, tmp / "original.csv", bad)
         assert stdout.splitlines()[-1] == repr(list(loaded))
-        assert ("possible matches" in stdout) == ("link" in run)
+        assert ("possible matches" in stdout) == ("'link'" in run and "== 0" in run)
+
+    def test_plans_are_read_and_refused_without_numpy(self, tmp_path, caplog):
+        # an import of numpy fails in the child, so a command that reached one would exit 4
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Configuration format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        plans = [root / "configs" / "credit_risk.ini", write(tmp_path / "readme.ini", example)]
+        malformed = write(tmp_path / "malformed.ini", "[schema\nage = numerical qi\n")
+        lacking = write(tmp_path / "lacking.ini", without(BASE_CONFIG.format(k=3), "[outliers]"))
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes(BASE_CONFIG.format(k=3).replace("home", "caf\u00e9").encode("latin-1"))
+        missing, out = tmp_path / "missing.csv", tmp_path / "out"
+        runs = [
+            *(
+                [*command, malformed, *inputs, "--out", out]
+                for command, inputs in [
+                    (["outliers", "-c"], [missing]),
+                    (["link", "-c"], [missing, missing]),
+                    (["utility", "-c"], [missing, missing]),
+                    (["synthesize", "-c"], [missing]),
+                    (["audit", "--plan"], []),
+                    (["sweep", "--plan"], []),
+                ]
+            ),
+            ["outliers", "-c", lacking, missing],
+            ["link", "-c", lacking, missing, missing],
+            ["link", "-c", latin1, missing, missing],  # was exit 4, a UnicodeDecodeError
+        ]
+        runs = [list(map(str, args)) for args in runs]
+        codes = [main(args) for args in runs]
+        assert codes == [2] * len(runs)
+        logged = "".join(f"{r.levelname} synthaudit: {r.getMessage()}\n" for r in caplog.records)
+        code = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from synthaudit.cli import main\n"
+            "from synthaudit.config import load_config, parse_config, render_config\n"
+            "*plans, runs = sys.argv[1:]\n"
+            "for plan in plans:\n"
+            "    cfg = load_config(plan)\n"
+            "    assert parse_config(render_config(cfg)) == cfg, plan\n"
+            "print([main(args) for args in json.loads(runs)])\n"
+        )
+        done = run_child("-c", code, *plans, json.dumps(runs))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{codes}\n"
+        assert done.stderr == logged
+        assert not out.exists()
 
 
 class TestProgramEntry:

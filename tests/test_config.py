@@ -15,9 +15,9 @@ from synthaudit.config import (
     load_config,
     parse_config,
     render_config,
+    validate_schema,
     variant_settings,
 )
-from synthaudit.dataset import validate_schema
 
 FULL_CONFIG = """\
 # example toolkit configuration
@@ -151,6 +151,30 @@ def test_config_hash_stability():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.ini")
+
+
+def test_a_config_that_is_not_utf8_cannot_be_read(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(FULL_CONFIG.replace("home", "caf\u00e9").encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as decode:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value) == f"cannot read config {path}: {decode.value}"
+
+
+def test_a_config_path_holding_a_nul_cannot_be_read():
+    with pytest.raises(ConfigError) as caught:
+        load_config("a\0b")
+    assert str(caught.value) == "cannot read config a\0b: embedded null byte"
+
+
+def test_a_config_that_starts_with_a_byte_order_mark_loads_as_without_it(tmp_path):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + FULL_CONFIG.encode("utf-8"))
+    cfg = load_config(path)
+    assert cfg == parse_config(FULL_CONFIG)
+    assert config_hash(cfg) == config_hash(parse_config(FULL_CONFIG))
 
 
 @pytest.mark.parametrize(
