@@ -3,8 +3,8 @@
 The plan is the parsed config, a :class:`~synthaudit.config.RunConfig`: one
 original dataset and any number of synthetic variants (external files or
 parameters for the built-in generator). ``run_audit`` and ``sweep_epsilon``
-refuse a plan that cannot run before they read the original it names, from
-the plan file's directory. For every variant, ``run_audit`` computes utility
+check the plan (``RunConfig.check``) before they read the original it names,
+from the plan file's directory. For every variant, ``run_audit`` computes utility
 metrics once and runs the linkage attack once per QI subset in the ladder.
 Each layer computes its share of the original (outlier targets, histogram
 counts per ``num_bins``, utility reference) once per dataset object, so
@@ -28,55 +28,17 @@ import time
 from pathlib import Path
 
 from .config import (
-    QIConfig, RunConfig, SynthSettings, VariantSpec, check_ladder, config_hash, render_config, variant_settings,
+    QIConfig, RunConfig, SynthSettings, VariantSpec, check_ladder, config_hash, pair_file, render_config,
+    variant_settings,
 )
 from .dataset import Dataset, load_dataset, save_dataset
 from .dp_synth import generator_metadata, synthesize
-from .errors import ConfigError, DataError, SynthAuditError
+from .errors import DataError, SynthAuditError
 from .linkage import LinkageResult, attack, save_matches
 from .outliers import detect_outliers, save_outlier_set
 from .utility import compute_utility
 
 logger = logging.getLogger(__name__)
-
-
-def _check_plan(cfg: RunConfig) -> list[tuple[tuple[str, ...], QIConfig]]:
-    """Refuse a plan that cannot run, before any data is read; return each
-    ladder subset's names with its QI config, in ladder order."""
-    cfg.require("audit", "outliers", "qi")
-    if cfg.original is None:
-        raise ConfigError("audit plan requires [paths] original")
-    if not cfg.variants:
-        raise ConfigError("audit plan needs at least one variant")
-    if not cfg.ladder:
-        raise ConfigError("audit plan needs at least one QI subset in the ladder")
-    subsets = check_ladder(cfg.qi, cfg.ladder)
-    names = [v.name for v in cfg.variants]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate variant names in audit plan")
-    writers: dict[Path, str] = {}
-    for spec in cfg.variants:  # names become file names under the output directory
-        name = spec.name
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ConfigError(f"variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'")
-        if "\0" in name:  # the config parser refuses it; a library-built plan may not
-            raise ConfigError(f"variant name {name!r} must not contain a NUL")
-        if spec.file is None and variant_settings(cfg.synth, spec.epsilon).epsilon is None:
-            raise ConfigError(f"variant {name!r} needs either a file or an epsilon")
-        for subset in cfg.ladder:
-            path = _pair_file(name, subset)
-            writer = f"variant {name!r} subset {','.join(subset)!r}"
-            if path.parent != Path("pairs"):  # QI names become part of the file name too
-                raise ConfigError(f"{writer} would write {path.as_posix()}, which is not a file in pairs/")
-            if path in writers:
-                raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
-            writers[path] = writer
-    return list(zip(cfg.ladder, subsets))
-
-
-def _pair_file(variant: str, subset: tuple[str, ...]) -> Path:
-    """The pair file of one variant and ladder subset, relative to the output directory."""
-    return Path("pairs", f"{variant}__{'-'.join(subset)}.csv")
 
 
 def _regular_file(path: Path) -> Path:
@@ -160,7 +122,7 @@ def _audit_one_variant(
                 qi_cfg,
                 restrict_variant_outliers=cfg.restrict_variant_outliers,
             )
-            pair_path = _pair_file(spec.name, subset)
+            pair_path = pair_file(spec.name, subset)
             save_matches(result, output_dir / pair_path)
             entry["linkage"][",".join(subset)] = {**_linkage_summary(result), "pairs_file": str(pair_path)}
         return entry
@@ -184,7 +146,8 @@ def run_audit(cfg: RunConfig, output_dir: Path, base_dir: Path = Path(".")) -> d
     to load and to hash it), raises ``DataError``.
     """
     started = time.time()
-    ladder = _check_plan(cfg)
+    cfg.check("audit")
+    ladder = list(zip(cfg.ladder, check_ladder(cfg.qi, cfg.ladder)))
     path, outlier_cfg = _regular_file(base_dir / cfg.original), cfg.outliers
     original = load_dataset(path, cfg.schema)
     targets = detect_outliers(original, outlier_cfg)
@@ -222,25 +185,16 @@ def sweep_epsilon(cfg: RunConfig, base_dir: Path = Path(".")) -> dict:
     epsilon ascending. Each layer prepares the original once, for every variant.
     """
     started = time.time()
-    cfg.require("sweep", "outliers", "qi", "sweep")
-    if cfg.original is None:
-        raise ConfigError("sweep requires [paths] original")
+    cfg.check("sweep")
     grid, repeats, base_seed = cfg.sweep.grid, cfg.sweep.repeats, cfg.sweep.base_seed
-    if not grid:
-        raise ConfigError("epsilon grid must not be empty")
-    if len(set(grid)) != len(grid):
-        raise ConfigError(f"epsilon grid lists an epsilon more than once: {list(grid)}")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     original = load_dataset(base_dir / cfg.original, cfg.schema)
-    synth = variant_settings(cfg.synth)  # the sweep gives each variant its epsilon and seed
     subset = ",".join(cfg.qi.names())
     entries = []
     curve = []
     for epsilon in sorted(grid):
         for _ in range(repeats):
             seed = base_seed + len(entries)
-            variant, generator = _generate(original, SynthSettings(epsilon, synth.n, synth.num_bins, seed))
+            variant, generator = _generate(original, variant_settings(cfg.synth, epsilon, seed=seed))
             entries.append(_ok_entry(f"eps{epsilon!r}_seed{seed}", generator, original, variant))
             entries[-1]["linkage"][subset] = _linkage_summary(attack(original, variant, cfg.outliers, cfg.qi))
         group = entries[-repeats:]

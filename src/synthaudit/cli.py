@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands wrap the library one-to-one (``outliers``, ``link``, ``utility``,
-``synthesize``, ``audit``, ``sweep``): each parses the config, calls the
+``synthesize``, ``audit``, ``sweep``): :func:`main` reads the config and
+checks it for the command (``RunConfig.check``); the command calls the
 library and writes what it returns; ``audit`` and ``sweep`` pass the plan
 file's directory, from which the audit layer reads the original. Logs go to
 stderr and results to files or stdout, so the tool composes in pipelines.
 :func:`run`, the program entry, is :func:`main` followed by a heap freeze.
 
-Each command imports the layers it runs only once it has read and checked
-its config, so ``--help``, a usage error and a config fault load no numpy,
-and ``link`` and ``outliers`` do not load the synthesis, audit, utility and
-report modules, ``json`` or ``hashlib``; no module loads ``dataclasses``.
+A command imports the layers it runs only after that check, so ``--help``,
+a usage error and a plan fault load no numpy, and ``link`` and ``outliers``
+do not load the synthesis, audit, utility and report modules, ``json`` or
+``hashlib``; no module loads ``dataclasses``.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
 (including an ``audit`` variant that failed and an output path that cannot
@@ -29,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config, variant_settings
+from .config import RunConfig, load_config, variant_settings
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger("synthaudit")
@@ -44,9 +45,7 @@ def _out_dir(flag_value: str | None, configured: str | None) -> Path:
     return Path(flag_value or os.environ.get("SYNTHAUDIT_OUT") or configured or ".")
 
 
-def cmd_outliers(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    cfg.require("outliers", "outliers")
+def cmd_outliers(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .dataset import load_dataset
     from .outliers import detect_outliers, save_outlier_set
 
@@ -59,9 +58,7 @@ def cmd_outliers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_link(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    cfg.require("link", "outliers", "qi")
+def cmd_link(args: argparse.Namespace, cfg: RunConfig) -> int:
     qi = cfg.qi.subset(args.qis.split(",")) if args.qis else cfg.qi  # before any data is read
     from .dataset import load_dataset
     from .linkage import attack, save_matches
@@ -80,8 +77,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_utility(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_utility(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .dataset import load_dataset
     from .report import dumps_report, write_report
     from .utility import compute_utility
@@ -96,32 +92,27 @@ def cmd_utility(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    settings = variant_settings(cfg.synth, args.epsilon, args.n, args.num_bins, args.seed)
+def cmd_synthesize(args: argparse.Namespace, cfg: RunConfig) -> int:
     for key in ("epsilon", "n"):  # no default: None when neither the flag nor [synth] gives one
-        if getattr(settings, key) is None:
+        if getattr(args, key) is None and getattr(cfg.synth, key, None) is None:
             raise ConfigError(f"'synthesize' requires --{key} or [synth] {key}")
+    settings = variant_settings(cfg.synth, args.epsilon, args.n, args.num_bins, args.seed)  # refuses a bad value
     from .dataset import load_dataset, save_dataset
-    from .dp_synth import check_settings, synthesize
+    from .dp_synth import synthesize
 
-    epsilon, n, num_bins, seed = settings.epsilon, settings.n, settings.num_bins, settings.seed
-    check_settings(epsilon, n, num_bins, seed)  # before the original is read
     original = load_dataset(args.original, cfg.schema)
-    synth = synthesize(original, epsilon, n, num_bins, seed)
+    synth = synthesize(original, settings.epsilon, settings.n, settings.num_bins, settings.seed)
     save_dataset(synth, args.out)
-    print(f"wrote {synth.row_count} rows to {args.out} (epsilon={epsilon}, seed={seed})")
+    print(f"wrote {synth.row_count} rows to {args.out} (epsilon={settings.epsilon}, seed={settings.seed})")
     return EXIT_OK
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    plan_path = Path(args.plan)
-    cfg = load_config(plan_path)
+def cmd_audit(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .audit import run_audit
     from .report import write_report
 
     out_dir = _out_dir(args.out, cfg.output_dir)
-    report = run_audit(cfg, out_dir, plan_path.parent)
+    report = run_audit(cfg, out_dir, Path(args.config).parent)
     path = write_report(report, out_dir / "report.json")
     failed = 0
     for entry in report["variants"]:
@@ -141,13 +132,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    plan_path = Path(args.plan)
-    cfg = load_config(plan_path)
+def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .audit import sweep_epsilon
     from .report import write_report
 
-    report = sweep_epsilon(cfg, plan_path.parent)
+    report = sweep_epsilon(cfg, Path(args.config).parent)
     out_dir = _out_dir(args.out, cfg.output_dir)
     path = write_report(report, out_dir / "sweep_report.json")
     curve_path = out_dir / "sweep_curve.csv"
@@ -216,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("audit", help="run a full multi-variant audit plan")
-    p.add_argument("--plan", required=True, help="plan config file")
+    p.add_argument("--plan", required=True, dest="config", metavar="PLAN", help="plan config file")
     p.add_argument("--out", help="output directory override")
     p.add_argument("--workers", type=int, default=1, help="accepted and ignored; attacks run serially")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("sweep", help="epsilon sweep with generated variants")
-    p.add_argument("--plan", required=True, help="plan config file")
+    p.add_argument("--plan", required=True, dest="config", metavar="PLAN", help="plan config file")
     p.add_argument("--out", help="output directory override")
     p.set_defaults(func=cmd_sweep)
 
@@ -237,7 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        cfg.check(args.command)  # before the command imports a data layer
+        return args.func(args, cfg)
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG

@@ -169,8 +169,20 @@ class QIConfig(Record):
 
 
 class SynthSettings(Record):
+    """The generator's settings; an epsilon or n of None is left for the caller to give."""
+
     __slots__ = {"epsilon": "float | None", "n": "int | None", "num_bins": "int", "seed": "int"}
     _defaults = {"epsilon": None, "n": None, "num_bins": DEFAULT_NUM_BINS, "seed": 0}
+
+    def __post_init__(self) -> None:
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:  # also false for nan
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.n is not None and self.n < 1:
+            raise ConfigError(f"row count n must be >= 1, got {self.n}")
+        if self.num_bins < 1:
+            raise ConfigError(f"num_bins must be >= 1, got {self.num_bins}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def variant_settings(
@@ -190,6 +202,16 @@ def variant_settings(
 class SweepSettings(Record):
     __slots__ = {"grid": "tuple[float, ...]", "repeats": "int", "base_seed": "int"}
     _defaults = {"repeats": 1, "base_seed": 0}
+
+    def __post_init__(self) -> None:
+        if not self.grid:
+            raise ConfigError("epsilon grid must not be empty")
+        for epsilon in self.grid:  # each variant's epsilon, and the first seed, as a generator takes them
+            SynthSettings(epsilon, seed=self.base_seed)
+        if len(set(self.grid)) != len(self.grid):
+            raise ConfigError(f"epsilon grid lists an epsilon more than once: {list(self.grid)}")
+        if self.repeats < 1:
+            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
 class VariantSpec(Record):
@@ -219,12 +241,56 @@ class RunConfig(Record):
         "restrict_variant_outliers": False, "variants": (), "sweep": None,
     }
 
-    def require(self, command: str, *sections: str) -> None:
-        """Refuse this config for ``command`` if it lacks one of ``sections``, given by field name."""
-        for section in sections:
-            if getattr(self, section) is None:
-                header = "qi ..." if section == "qi" else section  # one [qi <attribute>] section per QI
-                raise ConfigError(f"'{command}' requires a [{header}] section in the config")
+    def check(self, command: str) -> None:
+        """Refuse this config for ``command`` before any data is read: name the first field of
+        ``_NEEDS[command]`` that is None (``original`` is ``[paths] original``), or, for ``audit``,
+        a variant that could not run or two that would write one file."""
+        for field in _NEEDS[command]:
+            if getattr(self, field) is not None:
+                continue
+            if field == "original":
+                raise ConfigError(f"{'audit plan' if command == 'audit' else command} requires [paths] original")
+            header = "qi ..." if field == "qi" else field  # one [qi <attribute>] section per QI
+            raise ConfigError(f"'{command}' requires a [{header}] section in the config")
+        if command != "audit":
+            return
+        if not self.variants:
+            raise ConfigError("audit plan needs at least one variant")
+        if not self.ladder:
+            raise ConfigError("audit plan needs at least one QI subset in the ladder")
+        check_ladder(self.qi, self.ladder)
+        names = [v.name for v in self.variants]
+        if len(set(names)) != len(names):
+            raise ConfigError("duplicate variant names in audit plan")
+        writers: dict[Path, str] = {}
+        for spec in self.variants:  # names become file names under the output directory
+            name = spec.name
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ConfigError(f"variant name {name!r} must be a file name: not '', '.' or '..', no '/' or '\\'")
+            if "\0" in name:  # the config parser refuses it; a library-built plan may not
+                raise ConfigError(f"variant name {name!r} must not contain a NUL")
+            generated = spec.file is None  # its settings raise if [synth] and its own would not run
+            if generated and variant_settings(self.synth, spec.epsilon, spec.n, spec.num_bins, spec.seed).epsilon is None:
+                raise ConfigError(f"variant {name!r} needs either a file or an epsilon")
+            for subset in self.ladder:
+                path = pair_file(name, subset)
+                writer = f"variant {name!r} subset {','.join(subset)!r}"
+                if path.parent != Path("pairs"):  # QI names become part of the file name too
+                    raise ConfigError(f"{writer} would write {path.as_posix()}, which is not a file in pairs/")
+                if path in writers:
+                    raise ConfigError(f"{writers[path]} and {writer} would both write {path.as_posix()}")
+                writers[path] = writer
+
+
+_NEEDS = {
+    "outliers": ("outliers",), "link": ("outliers", "qi"), "utility": (), "synthesize": (),
+    "audit": ("outliers", "qi", "original"), "sweep": ("outliers", "qi", "sweep", "original"),
+}
+
+
+def pair_file(variant: str, subset: tuple[str, ...]) -> Path:
+    """The pair file of one variant and ladder subset, relative to the output directory."""
+    return Path("pairs", f"{variant}__{'-'.join(subset)}.csv")
 
 
 def _fail(section: str, key: str, value: str, expected: str) -> ConfigError:

@@ -14,7 +14,8 @@ Randomness is fully pinned for reproducibility: a PCG64 stream seeds one
 SeedSequence child per attribute (substream id = attribute ordinal), and
 Laplace noise is drawn by inverse CDF from explicit 64-bit uniforms, so a
 (dataset, epsilon, n, num_bins, seed) tuple always produces the same output
-dataset, regardless of how attributes are scheduled.
+dataset, regardless of how attributes are scheduled. A tuple that ``[synth]``
+would refuse raises ``ConfigError``, from ``config.SynthSettings``.
 
 Numeric binning spans the observed [min, max] of the real data. That range
 is itself disclosed by construction; this is a documented limitation of the
@@ -30,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import DEFAULT_NUM_BINS, AttributeSchema, Kind
+from .config import DEFAULT_NUM_BINS, AttributeSchema, Kind, SynthSettings
 from .dataset import Dataset
 from .errors import ConfigError, DataError, Record
 
@@ -70,8 +71,7 @@ def _normalize(noisy: np.ndarray) -> np.ndarray:
 
 def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np.ndarray]:
     """One attribute's bins and exact counts, binned as :func:`build_noisy_histogram` says."""
-    if num_bins < 1:
-        raise ConfigError(f"num_bins must be >= 1, got {num_bins}")
+    SynthSettings(num_bins=num_bins)  # refuses a num_bins that [synth] refuses
     if ds.row_count == 0:
         raise DataError("cannot build a histogram from an empty dataset")
     col = ds.columns[attr.name]
@@ -166,18 +166,6 @@ def _sample_from_histogram(
     return np.minimum(values, edges[-1])
 
 
-def check_settings(epsilon: float, n: int, num_bins: int, seed: int) -> None:
-    """Refuse the settings that ``[synth]`` refuses at load, in the order of its keys."""
-    if not 0 < epsilon < math.inf:  # also false for nan
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
-    if n < 1:
-        raise ConfigError(f"row count n must be >= 1, got {n}")
-    if num_bins < 1:
-        raise ConfigError(f"num_bins must be >= 1, got {num_bins}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-
-
 def synthesize(
     ds: Dataset,
     epsilon: float,
@@ -195,7 +183,7 @@ def synthesize(
     """
     if ds.row_count == 0:
         raise DataError("cannot synthesize from an empty dataset")
-    check_settings(epsilon, n, num_bins, seed)
+    SynthSettings(epsilon, n, num_bins, seed)  # refuses the settings that [synth] refuses
     eps_a = epsilon / len(ds.schema)  # sequential composition over the attributes
     marginals = count_marginals(ds, num_bins)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from pathlib import Path
 
@@ -249,6 +250,28 @@ def test_a_nul_in_a_variant_name_is_refused_before_anything_is_written(tmp_path,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (VariantSpec("v", n=0), "row count n must be >= 1, got 0"),
+        (VariantSpec("v", epsilon=math.nan), "epsilon must be positive and finite, got nan"),
+        (VariantSpec("v", num_bins=0), "num_bins must be >= 1, got 0"),
+        (VariantSpec("v", seed=-1), "seed must be non-negative, got -1"),
+    ],
+    ids=["n-0", "epsilon-nan", "num-bins-0", "seed-negative"],
+)
+def test_a_generated_variant_that_cannot_run_is_refused_before_anything_is_written(
+    tmp_path, original_csv, spec, message
+):
+    # the config parser refuses each of these values; a plan built in code reaches run_audit with them
+    path, _ = original_csv
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ConfigError) as caught:
+        run_audit(*make_plan(tmp_path, path, [spec], synth=SynthSettings(epsilon=1.0)))
+    assert str(caught.value) == message
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_a_ladder_qi_name_that_leaves_pairs_is_refused(tmp_path, original_csv):
     # QI names become part of a pair file's name, as variant names do
     path, _ = original_csv
@@ -341,17 +364,34 @@ class TestSweep:
             ({"qi": None}, "'sweep' requires a [qi ...] section in the config"),
             ({"sweep": None}, "'sweep' requires a [sweep] section in the config"),
             ({"original": None}, "sweep requires [paths] original"),
-            ({"sweep": SweepSettings(())}, "epsilon grid must not be empty"),
-            ({"sweep": SweepSettings((0.1, 1.0, 0.1))}, "epsilon grid lists an epsilon more than once: [0.1, 1.0, 0.1]"),
-            ({"sweep": SweepSettings((1.0,), 0)}, "repeats must be >= 1, got 0"),
+            ({"qi": None, "sweep": None, "original": None}, "'sweep' requires a [qi ...] section in the config"),
+            ({"sweep": None, "original": None}, "'sweep' requires a [sweep] section in the config"),
         ],
-        ids=["no-outliers", "no-qi", "no-sweep", "no-original", "empty-grid", "duplicate-epsilon", "repeats-0"],
+        ids=["no-outliers", "no-qi", "no-sweep", "no-original", "no-qi-sweep-original", "no-sweep-original"],
     )
     def test_a_plan_that_cannot_run_is_refused_before_the_original_is_read(self, tmp_path, change, message):
         with pytest.raises(ConfigError) as caught:
             sweep_epsilon(RunConfig(**{**self.PLAN, **change}), tmp_path)
         assert str(caught.value) == message
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((),), "epsilon grid must not be empty"),
+            (((0.1, 1.0, 0.1),), "epsilon grid lists an epsilon more than once: [0.1, 1.0, 0.1]"),
+            (((1.0,), 0), "repeats must be >= 1, got 0"),
+            (((0.0,),), "epsilon must be positive and finite, got 0.0"),
+            (((1.0, math.nan),), "epsilon must be positive and finite, got nan"),
+            (((1.0,), 1, -1), "seed must be non-negative, got -1"),
+        ],
+        ids=["empty-grid", "duplicate-epsilon", "repeats-0", "epsilon-0", "epsilon-nan", "base-seed-negative"],
+    )
+    def test_settings_that_cannot_run_cannot_be_built(self, args, message):
+        # so sweep_epsilon, which reads its original only after checking the plan, never reads one for them
+        with pytest.raises(ConfigError) as caught:
+            SweepSettings(*args)
+        assert str(caught.value) == message
 
     def test_a_plan_that_can_run_reads_its_original_from_base_dir(self, tmp_path):
         with pytest.raises(DataError, match=f"^cannot read {re.escape(str(tmp_path / 'missing.csv'))}: "):

@@ -381,10 +381,11 @@ class TestSynthesizeCommand:
             ([], "'synthesize' requires --epsilon or [synth] epsilon"),
             (["--n", "5"], "'synthesize' requires --epsilon or [synth] epsilon"),
             (["--epsilon", "1.0"], "'synthesize' requires --n or [synth] n"),
+            (["--epsilon", "0"], "'synthesize' requires --n or [synth] n"),  # a missing value is named first
             (["--epsilon", "0", "--n", "5"], "epsilon must be positive and finite, got 0.0"),
             (["--epsilon", "1.0", "--n", "0"], "row count n must be >= 1, got 0"),
         ],
-        ids=["no-flags", "no-epsilon", "no-n", "zero-epsilon", "zero-n"],
+        ids=["no-flags", "no-epsilon", "no-n", "no-n-zero-epsilon", "zero-epsilon", "zero-n"],
     )
     def test_without_synth_section_a_missing_flag_is_named(self, tmp_path, caplog, flags, message):
         # there is no original: reading it would exit 3
@@ -1094,8 +1095,9 @@ class TestImports:
             ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY + ("synthaudit.dp_synth", "numpy")),
             ("try:\n    main(['--help'])\nexcept SystemExit as done:\n    assert done.code == 0", ()),
             ("assert main(['link', '-c', bad, original, original]) == 2", ()),
+            ("assert main(['audit', '--plan', bad]) == 2", ()),
         ],
-        ids=["link", "outliers", "setup-probe", "audit", "help", "link-config-fault"],
+        ids=["link", "outliers", "setup-probe", "audit", "help", "link-config-fault", "audit-plan-fault"],
     )
     def test_modules_loaded_by_each_command(self, workdir, run, loaded):
         tmp, original = workdir
@@ -1126,6 +1128,10 @@ class TestImports:
         latin1 = tmp_path / "latin1.ini"
         latin1.write_bytes(BASE_CONFIG.format(k=3).replace("home", "caf\u00e9").encode("latin-1"))
         missing, out = tmp_path / "missing.csv", tmp_path / "out"
+        synth = write(tmp_path / "synth.ini", SYNTH_CONFIG)
+        plan = write(tmp_path / "plan.ini", PLAN_TEMPLATE.format(out=out))  # it has no [sweep]
+        unrooted = write(tmp_path / "unrooted.ini", without(plan.read_text(encoding="utf-8"), "[paths]"))
+        dotdot = write(tmp_path / "dotdot.ini", plan.read_text(encoding="utf-8").replace("[variant dp]", "[variant ..]"))
         runs = [
             *(
                 [*command, malformed, *inputs, "--out", out]
@@ -1141,6 +1147,12 @@ class TestImports:
             ["outliers", "-c", lacking, missing],
             ["link", "-c", lacking, missing, missing],
             ["link", "-c", latin1, missing, missing],  # was exit 4, a UnicodeDecodeError
+            # each was exit 4: the plan was checked only once numpy had loaded
+            ["synthesize", "-c", synth, missing, "--out", out, "--epsilon", "0", "--n", "5"],
+            ["synthesize", "-c", synth, missing, "--out", out, "--seed", "-1"],
+            ["audit", "--plan", unrooted, "--out", out],
+            ["audit", "--plan", dotdot, "--out", out],
+            ["sweep", "--plan", plan, "--out", out],
         ]
         runs = [list(map(str, args)) for args in runs]
         codes = [main(args) for args in runs]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import importlib
+import math
 import pickle
 import weakref
 from types import MappingProxyType
@@ -127,7 +128,7 @@ CASES = {
         lambda: SynthSettings(1.0, 10, seed=1),
         "SynthSettings(epsilon=1.0, n=10, num_bins=32, seed=0)",
         True,
-        None,
+        lambda: SynthSettings(epsilon=math.nan),
     ),
     "SweepSettings": (
         lambda: SweepSettings((0.5, 1.0), 1, 0),
@@ -136,7 +137,7 @@ CASES = {
         lambda: SweepSettings((0.5, 1.0), repeats=2),
         "SweepSettings(grid=(0.5, 1.0), repeats=1, base_seed=0)",
         True,
-        None,
+        lambda: SweepSettings((0.5, 1.0), base_seed=-1),
     ),
     "VariantSpec": (
         lambda: VariantSpec("f", "f.csv", None, None, None, None, (("a", "1"),)),
