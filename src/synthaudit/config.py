@@ -228,6 +228,11 @@ class VariantSpec(Record):
     }
     _defaults = {"file": None, "epsilon": None, "seed": None, "n": None, "num_bins": None, "tags": ()}
 
+    def __post_init__(self) -> None:
+        extra = sorted(key for key in ("epsilon", "seed", "n", "num_bins") if getattr(self, key) is not None)
+        if self.file is not None and extra:  # a file's variant would ignore them
+            raise ConfigError(f"[variant {self.name}] mixes 'file' with generator keys {extra}")
+
 
 class RunConfig(Record):
     __slots__ = {
@@ -546,15 +551,6 @@ def _parse_attack(section, qi: QIConfig | None) -> dict:
     return values
 
 
-def _parse_variant(name: str, section) -> VariantSpec:
-    section_name = f"variant {name}"
-    values = _read(section_name, section, _VARIANT)
-    extra = sorted(set(values) - {"file", "tags"})
-    if "file" in values and extra:
-        raise ConfigError(f"[{section_name}] mixes 'file' with generator keys {extra}")
-    return VariantSpec(name=name, **values)
-
-
 def parse_config(text: str) -> RunConfig:
     if "\0" in text:  # a NUL can reach a file name, which the OS refuses only once a run has begun
         raise ConfigError("config contains a NUL character")
@@ -578,7 +574,7 @@ def parse_config(text: str) -> RunConfig:
         if section.startswith("qi "):
             qi_rules.append(_parse_qi_rule(section.split(" ", 1)[1], parser[section], schema))
         elif section.startswith("variant "):
-            variants.append(_parse_variant(section.split(" ", 1)[1], parser[section]))
+            variants.append(VariantSpec(section.split(" ", 1)[1], **_read(section, parser[section], _VARIANT)))
         else:
             raise ConfigError(f"unknown section [{section}]")
 

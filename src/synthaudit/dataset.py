@@ -249,12 +249,8 @@ def _raise_first_error(
     missing_policy: MissingPolicy,
 ) -> NoReturn:
     """Read ``fh`` again from its start with ``csv.reader`` alone, row by
-    row, and raise the first error in file order; a handle that cannot
-    seek, such as a pipe's, raises one that names no row."""
-    try:
-        fh.seek(0)
-    except OSError as exc:
-        raise DataError(f"{path}: failed to load, and cannot be read again to name the bad row: {exc}") from exc
+    row, and raise the first error in file order."""
+    fh.seek(0)
     rows = _csv_rows(fh, path)
     next(rows)  # the header, checked before
     for line, row in enumerate(rows, start=1):
@@ -287,14 +283,6 @@ def _count_line_ends(fh) -> int:
     return count
 
 
-def _grown(col: np.ndarray, rows: int, kept: int) -> np.ndarray:
-    """A new array with the first ``rows`` of ``col`` and room for ``kept``
-    rows, and at least twice the slots of ``col``."""
-    grown = np.empty(max(2 * len(col), kept), col.dtype)
-    grown[:rows] = col[:rows]
-    return grown
-
-
 def load_dataset(
     path: str | Path,
     schema: tuple[AttributeSchema, ...],
@@ -315,15 +303,16 @@ def load_dataset(
     then numeric cells go through Python's ``float()`` one column at a time
     and categorical cells are interned. A load that fails is read again,
     from its start, by ``csv.reader`` alone, row by row, so the ``DataError``
-    is the first one ``csv.reader`` meets and names its data row. A pipe,
-    which cannot be read again, raises a ``DataError`` that names no row.
+    is the first one ``csv.reader`` meets and names its data row.
 
-    Each block's kept rows are copied straight into one array per column,
-    so the load holds the table once, plus one block. A file that can be
-    read twice is first read as bytes to count its line ends, which bound
-    its rows; a pipe's arrays start at ``BLOCK_ROWS`` rows and double when
-    a block does not fit. A column is the first ``row_count`` slots of its
-    array, copied down to them when the array has more than twice as many.
+    A handle that cannot seek, such as a pipe's, is read into memory first
+    and then loaded as a file holding its bytes. Those bytes are read once
+    to count their line ends, which bound the rows, so each block's kept
+    rows are copied straight into one array per column: the load holds the
+    table once, plus one block. More rows than line ends mean the file
+    changed while it was read, a ``DataError``. A column is the first
+    ``row_count`` slots of its array, copied down to them when the array
+    has more than twice as many.
     """
     validate_schema(schema)
     path = Path(path)
@@ -333,7 +322,9 @@ def load_dataset(
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:
-        capacity = BLOCK_ROWS + (_count_line_ends(fh) if fh.seekable() else 0)
+        if not fh.seekable():  # a pipe, held so it can be counted and read again
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), newline="", encoding="utf-8-sig")
+        capacity = BLOCK_ROWS + _count_line_ends(fh)
         try:
             header = next(_csv_rows(fh, path))
         except StopIteration:
@@ -350,7 +341,7 @@ def load_dataset(
         pos = {name: header.index(name) for name in header}
 
         columns = [np.empty(capacity, np.float64 if a.kind is Kind.NUMERICAL else object) for a in schema]
-        rows = line = 0
+        rows = line = kept = 0
         failed = False
         try:
             for block in _split_blocks(fh, path):
@@ -359,8 +350,8 @@ def load_dataset(
                     failed = True
                     break
                 kept = rows + len(parts[0])
-                if kept > len(columns[0]):  # a pipe, which was not counted, or a file that grew
-                    columns = [_grown(col, rows, kept) for col in columns]
+                if kept > capacity:  # more rows than line ends
+                    break
                 for col, part in zip(columns, parts):
                     col[rows:kept] = part
                 rows = kept
@@ -369,6 +360,8 @@ def load_dataset(
             failed = True
         if failed:
             _raise_first_error(fh, path, schema, pos, missing_policy)
+    if kept > capacity:
+        raise DataError(f"{path}: changed while it was read")
 
     if line > rows:
         logger.warning("%s: dropped %d of %d data rows with missing cells", path, line - rows, line)

@@ -12,10 +12,11 @@ the total epsilon because every attribute touches the same records.
 
 Randomness is fully pinned for reproducibility: a PCG64 stream seeds one
 SeedSequence child per attribute (substream id = attribute ordinal), and
-Laplace noise is drawn by inverse CDF from explicit 64-bit uniforms, so a
-(dataset, epsilon, n, num_bins, seed) tuple always produces the same output
-dataset, regardless of how attributes are scheduled. A tuple that ``[synth]``
-would refuse raises ``ConfigError``, from ``config.SynthSettings``.
+the Laplace noise and the sampling take their uniforms from its raw 64-bit
+stream, so a (dataset, epsilon, n, num_bins, seed) tuple always produces
+the same output dataset, regardless of how attributes are scheduled. A
+tuple that ``[synth]`` would refuse raises ``ConfigError``, from
+``config.SynthSettings``, as does an epsilon or n of None.
 
 Numeric binning spans the observed [min, max] of the real data. That range
 is itself disclosed by construction; this is a documented limitation of the
@@ -59,6 +60,11 @@ def _laplace_noise(rng: np.random.Generator, scale: float, size: int) -> np.ndar
     centered = u - 0.5
     logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(centered)).tolist()), np.float64, size)
     return -scale * np.sign(centered) * logs
+
+
+def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``rng.random(size)`` as numpy builds it today, from the raw stream, which numpy keeps across versions."""
+    return (rng.bit_generator.random_raw(size) >> np.uint64(11)) * 2.0**-53
 
 
 def _normalize(noisy: np.ndarray) -> np.ndarray:
@@ -149,7 +155,7 @@ def _sample_from_histogram(
 ) -> np.ndarray:
     cum = np.cumsum(hist.probabilities)
     cum[-1] = 1.0  # guard against float undersum
-    picks = np.searchsorted(cum, rng.random(n), side="right")
+    picks = np.searchsorted(cum, _uniforms(rng, n), side="right")
     picks = np.minimum(picks, len(hist.probabilities) - 1)
 
     if hist.kind is Kind.CATEGORICAL:
@@ -161,7 +167,7 @@ def _sample_from_histogram(
         return np.full(n, edges[0])
     lows = edges[picks]
     highs = edges[picks + 1]
-    values = lows + rng.random(n) * (highs - lows)
+    values = lows + _uniforms(rng, n) * (highs - lows)
     # uniform-in-bin can graze the upper edge after rounding; keep in range
     return np.minimum(values, edges[-1])
 
@@ -183,6 +189,8 @@ def synthesize(
     """
     if ds.row_count == 0:
         raise DataError("cannot synthesize from an empty dataset")
+    if epsilon is None or n is None:  # [synth] may leave them unset, a synthesis may not
+        raise ConfigError(f"synthesis requires an epsilon and a row count n, got epsilon={epsilon}, n={n}")
     SynthSettings(epsilon, n, num_bins, seed)  # refuses the settings that [synth] refuses
     eps_a = epsilon / len(ds.schema)  # sequential composition over the attributes
     marginals = count_marginals(ds, num_bins)

@@ -74,6 +74,20 @@ class TestLaplaceNoise:
         assert _laplace_noise(rng_of(11), scale, n).tobytes() == np.array(want).tobytes()
 
 
+def test_sampled_values_keep_their_bits():
+    # The uniforms come from the raw PCG64 stream, which numpy keeps stable
+    # across versions, and equal Generator.random's today: the bin picks,
+    # then the places in the bins. A change to either moves these bits.
+    hist = NoisyHistogram("x", Kind.NUMERICAL, np.array([0.0, 1.0, 2.5, 4.0]), np.ones(3), np.array([0.2, 0.3, 0.5]))
+    rng = rng_of(7)
+    values = _sample_from_histogram(hist, 4, rng)
+    want = ["0x1.79a1c5f2caa98p+1", "0x1.e7b8e62176bbap+1", "0x1.4102ccdd2f394p+1", "0x1.1dad04eb9ff58p+1"]
+    assert [v.hex() for v in values.tolist()] == want
+    reference = rng_of(7)
+    reference.random(8)
+    assert rng.random(3).tobytes() == reference.random(3).tobytes()  # the stream is left where random() leaves it
+
+
 class TestBudget:
     def test_equal_split_accounts_for_total(self):
         # the split the report records; TestPreparedMarginals checks that
@@ -249,6 +263,13 @@ class TestSynthesize:
         empty = Dataset.from_columns(SCHEMA_MIXED, {"age": [], "home": []})
         with pytest.raises(DataError):
             synthesize(empty, epsilon=1.0, n=10)
+
+    @pytest.mark.parametrize("epsilon, n", [(1.0, None), (None, 3)], ids=["n", "epsilon"])
+    def test_an_unset_epsilon_or_n_is_a_config_error(self, epsilon, n):
+        # [synth] may leave both unset; a synthesis refuses them before it samples
+        message = f"synthesis requires an epsilon and a row count n, got epsilon={epsilon}, n={n}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            synthesize(num_ds([1.0, 2.0, 3.0]), epsilon, n)
 
     def test_a_range_that_overflows_is_a_data_error(self):
         # linspace would give non-finite bin edges, on which np.histogram raises ValueError

@@ -146,7 +146,7 @@ CASES = {
         lambda: VariantSpec("f", "f.csv"),
         "VariantSpec(name='f', file='f.csv', epsilon=None, seed=None, n=None, num_bins=None, tags=(('a', '1'),))",
         True,
-        None,
+        lambda: VariantSpec("f", "f.csv", epsilon=1.0),
     ),
     "RunConfig": (
         lambda: RunConfig(SCHEMA, None, None, None, None, None, (), False, (), None),
