@@ -27,10 +27,7 @@ import os
 import time
 from pathlib import Path
 
-from .config import (
-    QIConfig, RunConfig, SynthSettings, VariantSpec, check_ladder, config_hash, pair_file, render_config,
-    variant_settings,
-)
+from .config import RunConfig, SynthSettings, VariantSpec, config_hash, pair_file, render_config, variant_settings
 from .dataset import Dataset, load_dataset, save_dataset
 from .dp_synth import generator_metadata, synthesize
 from .errors import DataError, SynthAuditError
@@ -93,10 +90,7 @@ def _run_meta(started: float, cfg: RunConfig, **meta) -> dict:
     return {"timestamp": stamp, "wall_time_s": time.time() - started, **meta}
 
 
-def _audit_one_variant(
-    cfg: RunConfig, ladder: list[tuple[tuple[str, ...], QIConfig]], spec: VariantSpec,
-    original: Dataset, output_dir: Path, base_dir: Path,
-) -> dict:
+def _audit_one_variant(cfg: RunConfig, spec: VariantSpec, original: Dataset, output_dir: Path, base_dir: Path) -> dict:
     """Load or generate (and save) one variant, then audit it against each ladder
     subset; a data or configuration error gives a ``failed`` entry."""
     try:
@@ -114,7 +108,7 @@ def _audit_one_variant(
         if spec.tags:
             generator["tags"] = dict(spec.tags)
         entry = _ok_entry(spec.name, generator, original, variant)
-        for subset, qi_cfg in ladder:
+        for subset, qi_cfg in zip(cfg.ladder, cfg.subsets):
             result = attack(
                 original,
                 variant,
@@ -147,12 +141,11 @@ def run_audit(cfg: RunConfig, output_dir: Path, base_dir: Path = Path(".")) -> d
     """
     started = time.time()
     cfg.check("audit")
-    ladder = list(zip(cfg.ladder, check_ladder(cfg.qi, cfg.ladder)))
     path, outlier_cfg = _regular_file(base_dir / cfg.original), cfg.outliers
     original = load_dataset(path, cfg.schema)
     targets = detect_outliers(original, outlier_cfg)
     save_outlier_set(targets, outlier_cfg, output_dir / "outliers.csv")
-    entries = [_audit_one_variant(cfg, ladder, spec, original, output_dir, base_dir) for spec in cfg.variants]
+    entries = [_audit_one_variant(cfg, spec, original, output_dir, base_dir) for spec in cfg.variants]
     run_meta = _run_meta(
         started,
         cfg,

@@ -9,8 +9,10 @@ This module is the home of the plan's value types: the schema
 (:class:`AttributeSchema`, :class:`Kind`, :class:`Role`), the outlier rule
 (:class:`OutlierConfig`, :class:`Combine`), the attacker's QIs
 (:class:`QIRule`, :class:`QIConfig`), the synthesizer and sweep settings and
-:class:`RunConfig`. It imports no numpy, so a plan is read and checked before
-any data layer loads.
+:class:`RunConfig`. Each record checks itself when it is made: a RunConfig
+checks its ``[attack] ladder`` against its QIs and keeps each subset's
+QIConfig (``subsets``), so a run builds them once. It imports no numpy, so a
+plan is read and checked before any data layer loads.
 
 Besides ``[schema]`` (``attribute = <numerical|categorical> [qi]``), each
 section is declared once, as an ordered table from key to :class:`_Key`:
@@ -240,16 +242,38 @@ class RunConfig(Record):
         "synth": "SynthSettings | None", "original": "str | None", "output_dir": "str | None",
         "ladder": "tuple[tuple[str, ...], ...]", "restrict_variant_outliers": "bool",
         "variants": "tuple[VariantSpec, ...]", "sweep": "SweepSettings | None",
+        "_subsets": "tuple[QIConfig, ...]: each ladder subset's QIConfig, built once (see ``subsets``)",
     }
     _defaults = {
         "outliers": None, "qi": None, "synth": None, "original": None, "output_dir": None, "ladder": (),
         "restrict_variant_outliers": False, "variants": (), "sweep": None,
     }
 
+    def __post_init__(self) -> None:
+        """With ``qi`` set, check the ladder's subsets one at a time, in order: each names
+        configured QIs, each QI once, and names another set of QIs than every earlier subset."""
+        earlier: dict[frozenset[str], tuple[str, ...]] = {}
+        subsets = []
+        for names in self.ladder if self.qi is not None else ():
+            if not names:
+                raise ConfigError("[attack] ladder contains an empty QI subset")
+            subsets.append(self.qi.subset(names))  # raises on unknown or repeated names
+            if frozenset(names) in earlier:
+                first = ",".join(earlier[frozenset(names)])
+                raise ConfigError(f"[attack] ladder subsets {first!r} and {','.join(names)!r} name the same QIs")
+            earlier[frozenset(names)] = names
+        object.__setattr__(self, "_subsets", tuple(subsets))
+
+    @property
+    def subsets(self) -> tuple[QIConfig, ...]:
+        """Each ladder subset's :class:`QIConfig`, in ladder order; ``()`` without ``qi``."""
+        return self._subsets
+
     def check(self, command: str) -> None:
         """Refuse this config for ``command`` before any data is read: name the first field of
         ``_NEEDS[command]`` that is None (``original`` is ``[paths] original``), or, for ``audit``,
-        a variant that could not run or two that would write one file."""
+        a missing variant or ladder, a variant that could not run or two that would write one
+        file. The ladder's subsets were checked when the config was made."""
         for field in _NEEDS[command]:
             if getattr(self, field) is not None:
                 continue
@@ -263,7 +287,6 @@ class RunConfig(Record):
             raise ConfigError("audit plan needs at least one variant")
         if not self.ladder:
             raise ConfigError("audit plan needs at least one QI subset in the ladder")
-        check_ladder(self.qi, self.ladder)
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variant names in audit plan")
@@ -362,7 +385,7 @@ def _choice(options: dict[str, Any], expected: str, **kwargs) -> _Key:
 
 
 def _ladder(section: str, key: str, text: str) -> tuple[tuple[str, ...], ...]:
-    # Empty subsets and unknown names are checked against [qi] by _parse_attack.
+    # Empty subsets and unknown names are checked against [qi] by RunConfig.
     return tuple(tuple(part.split()) for part in text.split("|"))
 
 
@@ -526,31 +549,6 @@ def _parse_qi_rule(attr_name: str, section, schema) -> QIRule:
     return QIRule(name=attr_name, comparator=comparator, threshold=values.get("threshold"))
 
 
-def check_ladder(qi: QIConfig, ladder: tuple[tuple[str, ...], ...]) -> tuple[QIConfig, ...]:
-    """Check the subsets one at a time, in order: each names configured QIs,
-    each QI once, and names another set of QIs than every earlier subset.
-    Return each subset's :class:`QIConfig`, in ladder order."""
-    earlier: dict[frozenset[str], tuple[str, ...]] = {}
-    subsets = []
-    for names in ladder:
-        if not names:
-            raise ConfigError("[attack] ladder contains an empty QI subset")
-        subsets.append(qi.subset(names))  # raises on unknown or repeated names
-        if frozenset(names) in earlier:
-            first = ",".join(earlier[frozenset(names)])
-            raise ConfigError(f"[attack] ladder subsets {first!r} and {','.join(names)!r} name the same QIs")
-        earlier[frozenset(names)] = names
-    return tuple(subsets)
-
-
-def _parse_attack(section, qi: QIConfig | None) -> dict:
-    values = _read("attack", section, _ATTACK)
-    if qi is None:
-        raise ConfigError("[attack] requires at least one [qi ...] section")
-    check_ladder(qi, values.get("ladder", ()))
-    return values
-
-
 def parse_config(text: str) -> RunConfig:
     if "\0" in text:  # a NUL can reach a file name, which the OS refuses only once a run has begun
         raise ConfigError("config contains a NUL character")
@@ -583,7 +581,9 @@ def parse_config(text: str) -> RunConfig:
     synth = SynthSettings(**_read("synth", parser["synth"], _SYNTH)) if "synth" in parser else None
     sweep = SweepSettings(**_read("sweep", parser["sweep"], _SWEEP)) if "sweep" in parser else None
     paths = _read("paths", parser["paths"], _PATHS) if "paths" in parser else {}
-    attack = _parse_attack(parser["attack"], qi) if "attack" in parser else {}
+    attack = _read("attack", parser["attack"], _ATTACK) if "attack" in parser else {}
+    if "attack" in parser and qi is None:
+        raise ConfigError("[attack] requires at least one [qi ...] section")
     if "ladder" not in attack and qi is not None:
         attack["ladder"] = (qi.names(),)
 

@@ -154,18 +154,6 @@ class Dataset(Record):
         return cls(schema=schema, columns=out, row_count=int(n or 0))
 
 
-def _parse_numeric(token: str, attr: str, line: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise DataError(
-            f"non-numeric token {token!r} in numeric column {attr!r} (data row {line})"
-        ) from None
-    if not np.isfinite(value):
-        raise DataError(f"non-finite value {token!r} in numeric column {attr!r} (data row {line})")
-    return value
-
-
 def _csv_rows(fh, path: Path):
     """Rows of an open CSV file; undecodable or malformed text is a DataError."""
     try:
@@ -260,9 +248,14 @@ def _raise_first_error(
             if missing_policy is MissingPolicy.ERROR:
                 raise DataError(f"{path}: missing value in data row {line}")
             continue
-        for attr in schema:
-            if attr.kind is Kind.NUMERICAL:
-                _parse_numeric(row[pos[attr.name]], attr.name, line)
+        for attr in (a for a in schema if a.kind is Kind.NUMERICAL):
+            token, where = row[pos[attr.name]], f"in numeric column {attr.name!r} (data row {line})"
+            try:
+                value = float(token)
+            except ValueError:
+                raise DataError(f"{path}: non-numeric token {token!r} {where}") from None
+            if not np.isfinite(value):
+                raise DataError(f"{path}: non-finite value {token!r} {where}")
     raise AssertionError(f"{path}: failed to load, but csv.reader finds no error in it")
 
 

@@ -28,15 +28,15 @@ from synthaudit.dataset import BLOCK_ROWS, MISSING_MARKERS, _csv_rows, validate_
 logger = logging.getLogger("dataset_reference")
 
 
-def _parse_numeric(token: str, attr: str, line: int) -> float:
+def _parse_numeric(path: Path, token: str, attr: str, line: int) -> float:
     try:
         value = float(token)
     except ValueError:
         raise DataError(
-            f"non-numeric token {token!r} in numeric column {attr!r} (data row {line})"
+            f"{path}: non-numeric token {token!r} in numeric column {attr!r} (data row {line})"
         ) from None
     if not np.isfinite(value):
-        raise DataError(f"non-finite value {token!r} in numeric column {attr!r} (data row {line})")
+        raise DataError(f"{path}: non-finite value {token!r} in numeric column {attr!r} (data row {line})")
     return value
 
 
@@ -82,7 +82,7 @@ def reference_load(
             for attr in schema:
                 token = row[pos[attr.name]]
                 if attr.kind is Kind.NUMERICAL:
-                    raw[attr.name].append(_parse_numeric(token, attr.name, line))
+                    raw[attr.name].append(_parse_numeric(path, token, attr.name, line))
                 else:
                     raw[attr.name].append(sys.intern(token))
 

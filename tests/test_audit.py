@@ -30,9 +30,7 @@ from synthaudit import (
     synthesize,
 )
 from synthaudit import dp_synth, outliers, utility
-from synthaudit.config import (
-    RunConfig, SweepSettings, SynthSettings, VariantSpec, check_ladder, config_hash, render_config,
-)
+from synthaudit.config import RunConfig, SweepSettings, SynthSettings, VariantSpec, config_hash, render_config
 from synthaudit.dp_synth import DEFAULT_NUM_BINS, generator_metadata
 from synthaudit.linkage import save_matches
 from synthaudit.report import strip_volatile, dumps_report
@@ -473,14 +471,9 @@ class TestOriginalPreparedOncePerRun:
         cfg, out, base_dir = make_plan(tmp_path, path, variants, ladder=ladder)
 
         def refuse(self, names):
-            raise AssertionError("QIConfig.subset ran after the plan was checked")
+            raise AssertionError("QIConfig.subset ran after the plan was made")
 
-        def check_then_refuse(qi, ladder):  # run_audit checks the plan, and so builds its subsets, first
-            subsets = check_ladder(qi, ladder)
-            monkeypatch.setattr(QIConfig, "subset", refuse)
-            return subsets
-
-        monkeypatch.setattr("synthaudit.audit.check_ladder", check_then_refuse)
+        monkeypatch.setattr(QIConfig, "subset", refuse)  # the plan built its subsets when it was made
         report = run_audit(cfg, out, base_dir)
         assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
         for entry in report["variants"]:

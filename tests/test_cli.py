@@ -519,6 +519,17 @@ class TestExitCodes:
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
         assert main(["outliers", "-c", str(cfg), str(bad), "--out", str(tmp)]) == 3
 
+    def test_a_bad_token_in_the_variant_names_the_variant(self, workdir):
+        # link loads two tables, so the message says which one holds the bad row
+        tmp, _ = workdir
+        cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))
+        variant = write(tmp / "variant.csv", "age,income,home\n30,1,RENT\nx,1,RENT\n")
+        done = run_child("-m", "synthaudit", "link", "-c", cfg, tmp / "original.csv", variant, "--out", tmp / "out")
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.splitlines() == [
+            f"ERROR synthaudit: data error: {variant}: non-numeric token 'x' in numeric column 'age' (data row 2)"
+        ]
+
     def test_undecodable_or_malformed_data_is_3(self, workdir):
         tmp, _ = workdir
         cfg = write(tmp / "cfg.ini", BASE_CONFIG.format(k=3))

@@ -406,10 +406,10 @@ def load_error(path, policy=MissingPolicy.DROP_ROW) -> str:
     [
         (["1", "2"], "{path}: data row {line} has 2 cells, expected 3"),
         (["1", "2", "x", "4"], "{path}: data row {line} has 4 cells, expected 3"),
-        (["twelve", "2", "x"], "non-numeric token 'twelve' in numeric column 'a' (data row {line})"),
-        (["1", " 1e3x", "x"], "non-numeric token ' 1e3x' in numeric column 'b' (data row {line})"),
-        (["1", "-inf", "x"], "non-finite value '-inf' in numeric column 'b' (data row {line})"),
-        (["nan", "2", "x"], "non-finite value 'nan' in numeric column 'a' (data row {line})"),
+        (["twelve", "2", "x"], "{path}: non-numeric token 'twelve' in numeric column 'a' (data row {line})"),
+        (["1", " 1e3x", "x"], "{path}: non-numeric token ' 1e3x' in numeric column 'b' (data row {line})"),
+        (["1", "-inf", "x"], "{path}: non-finite value '-inf' in numeric column 'b' (data row {line})"),
+        (["nan", "2", "x"], "{path}: non-finite value 'nan' in numeric column 'a' (data row {line})"),
     ],
 )
 def test_error_past_first_block_names_its_data_row(write_csv, cells, message):
@@ -432,7 +432,7 @@ def test_earlier_row_wins_over_later_error_of_another_kind(write_csv):
     rows[LATE - 2][1] = "inf"  # one row earlier, in column b
     rows[LATE + 5] = ["1"]  # ragged, later
     path = write_csv("two.csv", ["a", "b", "c"], rows)
-    assert load_error(path) == f"non-finite value 'inf' in numeric column 'b' (data row {LATE - 1})"
+    assert load_error(path) == f"{path}: non-finite value 'inf' in numeric column 'b' (data row {LATE - 1})"
 
     rows = long_rows()
     rows[LATE - 1][0] = ""  # missing, under ERROR
@@ -446,7 +446,7 @@ def test_schema_order_decides_between_bad_cells_of_one_row(write_csv):
     rows = [[str(i), str(i), "c"] for i in range(LATE + 10)]
     rows[LATE - 1] = ["bad_b", "bad_a", "c"]
     path = write_csv("order.csv", ["b", "a", "c"], rows)
-    assert load_error(path) == f"non-numeric token 'bad_a' in numeric column 'a' (data row {LATE})"
+    assert load_error(path) == f"{path}: non-numeric token 'bad_a' in numeric column 'a' (data row {LATE})"
 
 
 def test_bad_token_in_a_dropped_row_is_not_an_error(write_csv, caplog):
@@ -469,7 +469,7 @@ def test_bad_row_before_malformed_csv_in_one_block_is_reported_first(tmp_path):
     lines[LATE] = "1,x,c"
     lines[LATE + 5] = f"1,2,{'y' * 200_000}"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert load_error(path) == f"non-numeric token 'x' in numeric column 'b' (data row {LATE})"
+    assert load_error(path) == f"{path}: non-numeric token 'x' in numeric column 'b' (data row {LATE})"
     lines[LATE] = "1,2,c"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert load_error(path).startswith(f"{path}: not readable as UTF-8 CSV: field larger")

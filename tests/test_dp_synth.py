@@ -88,6 +88,35 @@ def test_sampled_values_keep_their_bits():
     assert rng.random(3).tobytes() == reference.random(3).tobytes()  # the stream is left where random() leaves it
 
 
+EDGE_COLUMN = [(i * 53 % 97) / 3.0 - 5.5 for i in range(200)]
+EDGE = "0x1.15b6db6db6db6p+4"  # the sixth edge; lo + 5 * (hi - lo) / 7 ends in ...b7 instead
+
+
+def edge_counts() -> tuple[tuple, np.ndarray]:
+    # The sixth edge itself, and the float just below it, on either side of it
+    column = EDGE_COLUMN + [float.fromhex(EDGE), math.nextafter(float.fromhex(EDGE), -math.inf)]
+    ds = Dataset.from_columns((AttributeSchema("x", Kind.NUMERICAL, Role.QI),), {"x": column})
+    return count_marginals(ds, 7)["x"]
+
+
+def test_bin_edges_keep_their_bits():
+    # A canary for np.linspace, whose edges are the numeric bins of every
+    # marginal: a numpy that computes them another way moves these bits.
+    bins, _ = edge_counts()
+    want = [
+        "-0x1.6000000000000p+2", "-0x1.db6db6db6db70p-1", "0x1.d249249249248p+1", "0x1.06db6db6db6dbp+3",
+        "0x1.9924924924924p+3", EDGE, "0x1.5edb6db6db6dbp+4", "0x1.a800000000000p+4",
+    ]
+    assert [edge.hex() for edge in bins] == want
+
+
+def test_bin_counts_keep_their_values():
+    # A canary for np.histogram on those edges: a value on an inner edge
+    # counts in the bin above it, the one just below in the bin below.
+    _, counts = edge_counts()
+    assert counts.tolist() == [30.0, 29.0, 28.0, 27.0, 30.0, 30.0, 28.0]
+
+
 class TestBudget:
     def test_equal_split_accounts_for_total(self):
         # the split the report records; TestPreparedMarginals checks that

@@ -33,6 +33,28 @@ def two_col(xs, ys):
     return Dataset.from_columns(schema, {"x": xs, "y": ys})
 
 
+# On this column numpy's pairwise mean, which blocks past 128 values, differs
+# from both a sequential sum's and math.fsum's in its last bits.
+PAIRWISE_COLUMN = [(i * 40 % 101) / 7.0 for i in range(300)] + [400.0]
+PAIRWISE_MEAN = "0x1.0e1fd53b69d39p+3"
+
+
+def test_mean_keeps_its_bits():
+    # A canary for np.mean: a numpy that sums in another order moves the
+    # mean, and with it every written z value.
+    assert float(np.mean(np.array(PAIRWISE_COLUMN))).hex() == PAIRWISE_MEAN
+
+
+@pytest.mark.parametrize("ddof, want", [(0, "0x1.6fc97d4a5e8d0p+4"), (1, "0x1.706648065e00ap+4")])
+def test_stddev_keeps_its_bits(ddof, want):
+    # A canary for np.std, under both conventions, on the same column; the
+    # one target's z value is its distance from the pinned mean over this.
+    assert float(np.std(np.array(PAIRWISE_COLUMN), ddof=ddof)).hex() == want
+    found = detect_outliers(one_col(PAIRWISE_COLUMN), OutlierConfig(k=3, attributes=("x",), ddof=ddof))
+    assert found.index.tolist() == [300]
+    assert found.z["x"].tolist() == [(400.0 - float.fromhex(PAIRWISE_MEAN)) / float.fromhex(want)]
+
+
 def test_population_stddev_keeps_z_at_two():
     # mean 20, population stddev 40, so the 100 sits at z = 2 and survives k = 3
     ds = one_col([0, 0, 0, 0, 100])

@@ -159,7 +159,7 @@ CASES = {
         f"RunConfig(schema={SCHEMA_REPR}, outliers=None, qi=None, synth=None, original=None, output_dir=None, "
         "ladder=(), restrict_variant_outliers=False, variants=(), sweep=None)",
         True,
-        None,
+        lambda: RunConfig(SCHEMA, qi=QI, ladder=(("age", "age"),)),
     ),
     "ScoredPair": (
         lambda: ScoredPair(1, 2, {"age": 1.0}),
@@ -302,6 +302,17 @@ def test_a_rebuilt_columnar_record_stays_read_only(name, field):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[-1]
     assert record == CASES[name][1]()  # nothing changed
+
+
+def test_a_rebuilt_run_config_keeps_its_ladder_subsets():
+    home = QIRule("home", ComparatorSpec(ComparatorKind.EXACT))
+    cfg = RunConfig(SCHEMA, qi=QIConfig((RULE, home)), ladder=(("home",), ("home", "age")))
+    assert cfg.subsets == (QIConfig((home,)), QIConfig((RULE, home)))  # configured order within a subset
+    for rebuilt in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert rebuilt.subsets == cfg.subsets
+    with pytest.raises(AttributeError):
+        cfg.subsets = ()
+    assert RunConfig(SCHEMA, ladder=(("age",),)).subsets == ()  # without [qi] a ladder builds nothing
 
 
 def test_a_dataset_cannot_change_under_its_cached_outliers():
