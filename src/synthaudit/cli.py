@@ -156,13 +156,14 @@ def _write_curve_csv(curve: list[dict], path: Path) -> None:
 
     from .dataset import write_table
 
-    columns = [("epsilon", repr, [r["epsilon"] for r in curve])]
-    columns.append(("repeats", str, [r["repeats"] for r in curve]))
+    epsilons = np.array([r["epsilon"] for r in curve], dtype=np.float64)
+    columns = [("repeats", str, [r["repeats"] for r in curve])]
     for stat, fmt in (("mean", "{:.6f}".format), ("min", str), ("max", str)):
         columns.append((f"unique_matches_{stat}", fmt, [r["unique_matches"][stat] for r in curve]))
     for m in sorted(curve[0]["utility"]):
         columns.append((f"{m}_mean", "{:.6f}".format, [r["utility"][m]["mean"] for r in curve]))
-    write_table(path, [(name, fmt, np.array(col, dtype=object)) for name, fmt, col in columns])
+    columns = [(name, fmt, np.array(col, dtype=object)) for name, fmt, col in columns]
+    write_table(path, [("epsilon", repr, epsilons), *columns])
 
 
 def build_parser() -> argparse.ArgumentParser:

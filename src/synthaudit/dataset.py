@@ -33,30 +33,79 @@ logger = logging.getLogger(__name__)
 # fails to parse in a numeric column is corruption, not missingness.
 MISSING_MARKERS = frozenset({"", "NA"})
 
-BLOCK_ROWS = 256  # CSV rows parsed or formatted at once
+BLOCK_ROWS = 256  # CSV rows parsed or written at once
 READ_CHARS = 1 << 16  # characters of a CSV file the loader reads at once
+PAD = 0xFF  # a byte UTF-8 never holds: fills a written block around its text
 
 # Characters that make csv.writer's default dialect quote a cell.
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
+def _text_rows(texts: list[str]) -> np.ndarray:
+    """A (len(texts), width) uint8 matrix holding each text's UTF-8 bytes
+    in its row, then ``PAD``."""
+    joined = "".join(texts)
+    if joined.isascii():
+        data, encoded = joined.encode("ascii"), texts
+    else:
+        encoded = [text.encode() for text in texts]
+        data = b"".join(encoded)
+    lengths = np.fromiter(map(len, encoded), np.intp, len(texts))
+    rows = np.full((len(texts), int(lengths.max(initial=0))), PAD, np.uint8)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(data, np.uint8)
+    return rows
+
+
 def write_table(
-    path: str | Path, columns: list[tuple[str, Callable, np.ndarray]], line_end: str = "\n"
+    path: str | Path, columns: list[tuple[str, Callable | list[str], np.ndarray]], line_end: str = "\n"
 ) -> None:
     """Write (name, format, values) columns as a CSV table whose rows end in
-    ``line_end``, formatting ``BLOCK_ROWS`` rows at once one column at a time.
+    ``line_end``. A format is one of:
 
-    Names and formatted cells are written as they are, unquoted; the file
-    is opened with ``newline=""``, so no platform rewrites the line ends.
+    - ``repr``: the values are finite floats, each written as ``repr``
+      writes it. The text comes from :func:`synthaudit._shortest.repr_rows`,
+      an integer numpy kernel pinned to ``repr``.
+    - a list of texts: each value is the index of its cell's text, so each
+      distinct text is encoded once and looked up.
+    - any other callable: called on each value for its cell's text.
+
+    Names and cells are written as they are, unquoted, in UTF-8; the file
+    is written as bytes, so no platform rewrites the line ends.
+    ``BLOCK_ROWS`` rows at a time, each column encodes its cells as one
+    uint8 matrix in (chars, values) orientation, padded with ``PAD``, all
+    float columns of the block in one kernel call. The matrices and the
+    separators are stacked into one block, whose bytes other than ``PAD``
+    are written row after row.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if any(fmt is repr for _, fmt, _ in columns):
+        from ._shortest import repr_rows
+    tables = [_text_rows(fmt) if isinstance(fmt, list) else None for _, fmt, _ in columns]
+    comma = np.full((1, BLOCK_ROWS), ord(","), np.uint8)
+    end = np.repeat(np.frombuffer(line_end.encode(), np.uint8)[:, None], BLOCK_ROWS, axis=1)
+    total = len(columns[0][2])
     try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(name for name, _, _ in columns) + line_end)
-            for start in range(0, len(columns[0][2]), BLOCK_ROWS):
-                block = [map(fmt, col[start : start + BLOCK_ROWS].tolist()) for _, fmt, col in columns]
-                fh.write(line_end.join(map(",".join, zip(*block))) + line_end)
+        with path.open("wb") as fh:
+            fh.write((",".join(name for name, _, _ in columns) + line_end).encode())
+            for start in range(0, total, BLOCK_ROWS):
+                rows, n = slice(start, start + BLOCK_ROWS), min(BLOCK_ROWS, total - start)
+                numbers = [values[rows] for _, fmt, values in columns if fmt is repr]
+                if numbers:  # one kernel call for the block's float columns
+                    floats = iter(np.split(repr_rows(np.concatenate(numbers)), len(numbers), axis=1))
+                parts = []
+                for (_, fmt, values), table in zip(columns, tables):
+                    if fmt is repr:
+                        parts.append(next(floats))
+                    elif table is not None:
+                        parts.append(table[values[rows]].T)
+                    else:
+                        parts.append(_text_rows(list(map(fmt, values[rows].tolist()))).T)
+                    parts.append(comma[:, :n])
+                parts[-1] = end[:, :n]
+                block = np.empty((sum(map(len, parts)), n), np.uint8, order="F")
+                block = np.concatenate(parts, out=block).ravel(order="F")  # row after row
+                fh.write(block.compress(block != PAD))
     except OSError as exc:
         exc.filename = exc.filename or path  # a failed buffered write names no file
         raise
@@ -369,8 +418,10 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     The bytes are those of ``csv.writer``'s default dialect: rows end in
     CR LF, and a cell is quoted only where it must be. Numeric cells are
     written as ``repr`` of their float, so they read back exactly, and never
-    need quoting. Each distinct category is quoted once and looked up. Rows
-    go through :func:`write_table`. A category that :func:`load_dataset`
+    need quoting; their text comes from the integer numpy kernel that
+    :func:`write_table` runs on float columns, which gives ``repr``'s bytes.
+    Each distinct category is quoted and encoded once, and each cell is
+    written from its category's code. A category that :func:`load_dataset`
     reads as missing (``""`` or ``NA``) raises ``DataError`` before the
     file is opened.
     """
@@ -379,12 +430,13 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     for attr in ds.schema:
         col = ds.columns[attr.name]
         if attr.kind is Kind.NUMERICAL:
-            fmt = repr
-        else:
-            cells = {v: _csv_field(v, alone) for v in set(col)}
-            if not MISSING_MARKERS.isdisjoint(cells):
-                value = min(MISSING_MARKERS.intersection(cells))
-                raise DataError(f"column {attr.name!r} holds {value!r}, which loads as a missing cell")
-            fmt = cells.__getitem__
-        columns.append((_csv_field(attr.name, alone), fmt, col))
+            columns.append((_csv_field(attr.name, alone), repr, col))
+            continue
+        categories = list(set(col))
+        if not MISSING_MARKERS.isdisjoint(categories):
+            value = min(MISSING_MARKERS.intersection(categories))
+            raise DataError(f"column {attr.name!r} holds {value!r}, which loads as a missing cell")
+        index = dict(zip(categories, range(len(categories))))
+        codes = np.fromiter(map(index.__getitem__, col.tolist()), np.min_scalar_type(len(index)), len(col))
+        columns.append((_csv_field(attr.name, alone), [_csv_field(v, alone) for v in categories], codes))
     write_table(path, columns, line_end="\r\n")

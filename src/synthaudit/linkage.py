@@ -407,15 +407,18 @@ def attack(
 def save_matches(result: LinkageResult, path: str | Path) -> None:
     """Export the matches, a column per QI score at 6 fractional digits.
 
-    A score column that holds one value throughout, such as an equality
-    QI's 1.0, is formatted once and looked up.
+    Each distinct score of a column is formatted once and looked up. Scores
+    are told apart by their bits, so -0.0 and 0.0 keep their own texts.
     """
     columns = [("original_index", str, result.original), ("synthetic_index", str, result.synthetic)]
     for name, col in result.scores.items():
-        fmt = "{:.6f}".format
-        bits = col.view(np.uint64)  # as bits, so that -0.0 and 0.0 are told apart
-        if len(col) and bits.min() == bits.max():
-            value = float(col[0])
-            fmt = {value: fmt(value)}.__getitem__
-        columns.append((f"score_{name}", fmt, col))
+        bits = col.view(np.uint64)
+        order = np.argsort(bits)
+        ordered = bits[order]
+        first = np.ones(len(bits), bool)  # of a run of equal bits in sorted order
+        first[1:] = ordered[1:] != ordered[:-1]
+        codes = np.empty(len(bits), np.intp)
+        codes[order] = np.cumsum(first) - 1
+        texts = list(map("{:.6f}".format, ordered[first].view(np.float64).tolist()))
+        columns.append((f"score_{name}", texts, codes))
     write_table(path, columns)

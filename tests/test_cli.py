@@ -1033,11 +1033,12 @@ class TestOutputBytes:
             PLAN_TEMPLATE.format(out=tmp / "sweep") + "\n[sweep]\ngrid = 0.5 1.0\nrepeats = 1\n",
         )
         # a text file opened for writing with no newline argument writes each
-        # "\n" as os.linesep; make that "\r\n", as it is on Windows
+        # "\n" as os.linesep; make that "\r\n", as it is on Windows. A
+        # binary file takes no newline argument and writes its bytes as given
         path_open = Path.open
 
         def windows_open(self, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
-            if "w" in mode and newline is None:
+            if "w" in mode and "b" not in mode and newline is None:
                 newline = "\r\n"
             return path_open(self, mode, buffering, encoding, errors, newline)
 
@@ -1092,10 +1093,11 @@ class TestImports:
     checked its config, so ``--help`` and a config fault load no numpy;
     ``hashlib`` maps OpenSSL. No command defines a record class through
     ``dataclasses``, which compiles generated methods at every start and
-    imports ``copy``."""
+    imports ``copy``. Only a command that writes floats loads the float
+    kernel, and the kernel builds its tables when first called."""
 
     AUDIT_ONLY = ("synthaudit.audit", "synthaudit.utility", "synthaudit.report", "json", "hashlib", "_hashlib")
-    WATCHED = AUDIT_ONLY + ("synthaudit.dp_synth", "dataclasses", "copy", "numpy")
+    WATCHED = AUDIT_ONLY + ("synthaudit.dp_synth", "synthaudit._shortest", "dataclasses", "copy", "numpy")
 
     @pytest.mark.parametrize(
         "run, loaded",
@@ -1103,7 +1105,10 @@ class TestImports:
             ("assert main(['link', '-c', plan, original, original]) == 0", ("numpy",)),
             ("assert main(['outliers', '-c', plan, original]) == 0", ("numpy",)),
             ("load_config(plan)", ()),  # bench/run.py's set-up probe
-            ("assert main(['audit', '--plan', plan]) == 0", AUDIT_ONLY + ("synthaudit.dp_synth", "numpy")),
+            (
+                "assert main(['audit', '--plan', plan]) == 0",
+                AUDIT_ONLY + ("synthaudit.dp_synth", "synthaudit._shortest", "numpy"),
+            ),
             ("try:\n    main(['--help'])\nexcept SystemExit as done:\n    assert done.code == 0", ()),
             ("assert main(['link', '-c', bad, original, original]) == 2", ()),
             ("assert main(['audit', '--plan', bad]) == 2", ()),
@@ -1127,6 +1132,16 @@ class TestImports:
         stdout = run_python(code, plan, tmp / "original.csv", bad)
         assert stdout.splitlines()[-1] == repr(list(loaded))
         assert ("possible matches" in stdout) == ("'link'" in run and "== 0" in run)
+
+    def test_the_float_kernel_builds_its_tables_on_first_use(self):
+        code = (
+            "import numpy as np\n"
+            "from synthaudit import _shortest\n"
+            "print(_shortest._tables.cache_info().currsize)\n"
+            "_shortest.repr_rows(np.array([0.5]))\n"
+            "print(_shortest._tables.cache_info().currsize)\n"
+        )
+        assert run_python(code) == "0\n1\n"
 
     def test_plans_are_read_and_refused_without_numpy(self, tmp_path, caplog):
         # an import of numpy fails in the child, so a command that reached one would exit 4

@@ -19,10 +19,12 @@ every position in a block and the text is cut at every position in a line.
 Both loaders must return equal datasets and log the same warning, or raise
 the same ``DataError`` message.
 
-Saved tables mix categories that csv.writer quotes or keeps as they are
-(commas, quotes, each line break, spaces at either end, ``NA``, non-ASCII
-text) with floats at ``repr``'s switch to exponent form, negative zero and
-subnormals, on 0 rows and on either side of a ``BLOCK_ROWS`` boundary. Both
+Saved tables of one column or more mix categories that csv.writer quotes
+or keeps as they are (commas, quotes, each line break, spaces at either end,
+``NA``, text of two to four UTF-8 bytes a character, a NUL anywhere, last
+included) with floats at ``repr``'s switch to exponent form, negative zero
+and subnormals, or with columns written wholly in exponent form, on 0 and 1
+rows and on either side of a ``BLOCK_ROWS`` boundary, the writer's block. Both
 writers must write the same bytes, unless a category is ``""`` or ``NA``:
 then save_dataset must refuse the table, naming the first such column,
 before it creates the file.
@@ -202,12 +204,17 @@ def test_load_dataset_equals_reference_loader(policy, block, chars, table):
 
 SAVED_CATEGORIES = st.one_of(
     st.sampled_from(["", ",", '"', '""', "\r", "\n", "\r\n", " lead", "trail ", " ", "NA", "é", "日本"]),
-    st.text(alphabet=st.sampled_from(',"\r\n aZ\u00e9\u2028'), max_size=5),
+    st.sampled_from(["\x00", "a\x00", "\x00b", "é\x00", "\U0001f600", "a,\U0001f600\x00"]),
+    st.text(alphabet=st.sampled_from(',"\r\n aZ\x00\u00e9\u2028\U0001f600'), max_size=5),
     st.text(max_size=4),
 )
 SAVED_FLOATS = st.one_of(
     st.sampled_from([1e16, 9999999999999998.0, 1e-5, 0.0001, -0.0, 0.0, 5e-324, 2.2250738585072014e-308]),
     st.floats(allow_nan=False, allow_infinity=False),
+)
+# floats repr writes in exponent form, so a column of them has no positional cell
+EXPONENT_FLOATS = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: x and not 1e-4 <= abs(x) < 1e16
 )
 ROW_COUNTS = [0, 1, 2, dataset.BLOCK_ROWS - 1, dataset.BLOCK_ROWS, dataset.BLOCK_ROWS + 1]
 
@@ -221,7 +228,9 @@ def datasets(draw):
     schema, columns = [], {}
     for name in names:
         kind = draw(st.sampled_from(list(Kind)))
-        cells = SAVED_FLOATS if kind is Kind.NUMERICAL else SAVED_CATEGORIES
+        cells = SAVED_CATEGORIES
+        if kind is Kind.NUMERICAL:
+            cells = draw(st.sampled_from([SAVED_FLOATS, EXPONENT_FLOATS]))
         pool = draw(st.lists(cells, min_size=1, max_size=6))
         schema.append(AttributeSchema(name, kind))
         columns[name] = [pool[i % len(pool)] for i in range(n)]
@@ -238,6 +247,8 @@ def one_column(kind: Kind, values: list, name: str = "c") -> Dataset:
 @example(ds=one_column(Kind.CATEGORICAL, ["", " "], name=""))
 @example(ds=one_column(Kind.CATEGORICAL, [" ", "x"], name=""))  # a lone empty name is written ""
 @example(ds=one_column(Kind.NUMERICAL, [1e16, 1e-5, -0.0, 5e-324, 1e15, 0.001]))
+@example(ds=one_column(Kind.NUMERICAL, [-1e300, 3e-5, 1e16, 2.5e-310] * dataset.BLOCK_ROWS))
+@example(ds=one_column(Kind.CATEGORICAL, ["x\x00", "\x00", "\U0001f600,é"] * 100))
 @example(ds=one_column(Kind.CATEGORICAL, []))
 def test_save_dataset_writes_what_the_reference_writer_wrote(ds):
     missing = [

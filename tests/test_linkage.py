@@ -853,7 +853,7 @@ def test_save_matches_format(tmp_path):
 
 
 def test_constant_score_columns_keep_their_bytes(tmp_path):
-    # a column of one value is formatted once; -0.0 == 0.0, but each is
+    # each distinct score is formatted once; -0.0 == 0.0, but each is
     # written with its own sign
     n = BLOCK_ROWS + 2
     scores = {
@@ -867,6 +867,20 @@ def test_constant_score_columns_keep_their_bytes(tmp_path):
     expected = reference_pair_file(result, list(scores))
     assert "-0.000000,0.000000" in expected
     assert (tmp_path / "pairs.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("widest", [0, 9, 10])
+def test_index_columns_keep_their_bytes(tmp_path, widest):
+    # indices of one digit, or of one and two digits in one block, over a
+    # block boundary
+    rng = np.random.default_rng(widest)
+    n = BLOCK_ROWS + 1
+    original = np.sort(rng.integers(0, widest + 1, n))
+    synthetic = np.append(rng.integers(0, widest + 1, n - 1), widest)
+    scores = {"s": rng.random(n)}
+    result = linkage.LinkageResult(original, synthetic, scores, (widest + 1, widest + 1))
+    save_matches(result, tmp_path / "pairs.csv")
+    assert (tmp_path / "pairs.csv").read_bytes() == reference_pair_file(result, ["s"]).encode()
 
 
 def test_result_values_are_python_scalars_and_read_only():
