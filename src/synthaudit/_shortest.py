@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import PAD  # fills the rows a value does not use
 
-WIDTH = 29  # rows of text per value
+WIDTH = 45  # rows of text per value, at most
 CHUNK = 2048  # values laid out at once, so that temporaries stay small
 
 _U = np.uint64
@@ -34,7 +34,7 @@ _LOW63 = _U((1 << 63) - 1)
 _FRACTION = _U((1 << 52) - 1)
 _ONE = _U(0x3FF0000000000000)  # the bits of 1.0
 _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
-_ROWS = np.arange(18, dtype=np.uint8)[:, None]
+_ROWS = np.arange(18, dtype=np.uint8)[:, None]  # row numbers, down a column
 _C = {c: np.uint8(ord(c)) for c in "0.e+-"}
 
 
@@ -151,8 +151,8 @@ def repr_rows(values: np.ndarray) -> np.ndarray:
     rows and ``len(values)`` columns: column i holds the ASCII text of
     ``repr(values[i])`` in order, with ``PAD`` bytes between and around its
     characters. Top to bottom, the rows hold a sign; ``0.`` and up to three
-    zeros; 17 digits with a point among them; ``e``, the exponent's sign
-    and three digits. Rows that hold no text are left out.
+    zeros; 17 digits, each followed by a row for the point; ``e``, the
+    exponent's sign and three digits. Rows that hold no text are left out.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -174,7 +174,7 @@ def _layout(bits: np.ndarray, out: np.ndarray) -> None:
     f = f * _POW10[17 - length] * ~zero  # 17 digits from the first nonzero one; 0 for a zero
     point = (k + length - 1) * ~zero  # the exponent of the first digit
 
-    digits = np.empty((18, n), dtype=np.uint8)
+    digits = np.empty((17, n), dtype=np.uint8)
     first = f // _POW10[16]
     digits[0] = first.astype(np.uint8) + _C["0"]
     rest = f - first * _POW10[16]
@@ -183,23 +183,17 @@ def _layout(bits: np.ndarray, out: np.ndarray) -> None:
     high = eights // _POW10[4]
     fours = np.stack([high, eights - high * _POW10[4]], axis=1).astype(np.intp)
     text = np.take(_tables()[3], fours, mode="clip").view(np.uint8).reshape(2, 2, n, 4)
-    digits[1:17].reshape(2, 2, 4, n)[...] = text.transpose(0, 1, 3, 2)
-    digits[17] = _C["0"]
-    significant = np.maximum(((digits[:17] != _C["0"]).view(np.uint8) * _ROWS[1:]).max(axis=0), 1)
+    digits[1:].reshape(2, 2, 4, n)[...] = text.transpose(0, 1, 3, 2)
+    significant = np.maximum(((digits != _C["0"]).view(np.uint8) * _ROWS[1:]).max(axis=0), 1)
 
     positional = (point >= -4) & (point < 16)
     small = positional & (point < 0)
-    # the row of the digit block that holds the point (18 when none does),
-    # and the rows of text in the block
-    after = np.where(positional, np.where(small, 18, point + 1), np.where(significant > 1, 1, 18))
-    end = np.where(positional & ~small, np.maximum(significant, point + 2), significant) + (after < 18)
-    after = after.astype(np.uint8)
-    block = out[6:24]
-    block[0] = digits[0]
-    block[1:] = digits[:-1]
-    block ^= (digits ^ block) & _mask(_ROWS < after)
-    block ^= (block ^ _C["."]) & _mask(_ROWS == after)
-    block |= _mask(_ROWS >= end.astype(np.uint8))
+    # the digit the point follows (17 when none does), and the digits shown;
+    # each digit row of out is followed by a row for the point
+    before = np.where(positional, np.where(small, 17, point), np.where(significant > 1, 0, 17))
+    shown = np.where(positional & ~small, np.maximum(significant, point + 2), significant)
+    out[6:40:2] = digits | _mask(_ROWS[:17] >= shown.astype(np.uint8))
+    out[7:41:2] = _C["."] | _mask(_ROWS[:17] != before.astype(np.uint8))
     out[0] = _C["-"] | _mask(bits <= _LOW63)
     if small.any():
         hide = _mask(~small)
@@ -209,12 +203,12 @@ def _layout(bits: np.ndarray, out: np.ndarray) -> None:
     else:
         out[1:6] = PAD
     if positional.all():
-        out[24:] = PAD
+        out[40:] = PAD
     else:
         magnitude = np.abs(point).astype(np.uint16)
         hide = _mask(positional)
-        out[24] = _C["e"] | hide
-        out[25] = (_C["+"] + np.uint8(2) * (point < 0)) | hide
-        out[26] = (magnitude // 100 + ord("0")).astype(np.uint8) | _mask(positional | (magnitude < 100))
-        out[27] = (magnitude // 10 % 10 + ord("0")).astype(np.uint8) | hide
-        out[28] = (magnitude % 10 + ord("0")).astype(np.uint8) | hide
+        out[40] = _C["e"] | hide
+        out[41] = (_C["+"] + np.uint8(2) * (point < 0)) | hide
+        out[42] = (magnitude // 100 + ord("0")).astype(np.uint8) | _mask(positional | (magnitude < 100))
+        out[43] = (magnitude // 10 % 10 + ord("0")).astype(np.uint8) | hide
+        out[44] = (magnitude % 10 + ord("0")).astype(np.uint8) | hide
