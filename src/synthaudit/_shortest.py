@@ -56,8 +56,9 @@ def _tables() -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
       and for a power of two's irregular spacing (the last 2,048): the
       decimal exponent k and the shift h.
     - The lowest k.
-    - Per k from the lowest: g1 and g0 and the 32-bit halves of each, where
-      g1 * 2**63 + g0 = floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1.
+    - Per k from the lowest, as (words, halves, k): g0 and g1, their low
+      32-bit halves and their high ones, where g1 * 2**63 + g0 =
+      floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1.
     - The four ASCII digits of each number below 10,000, as the bytes of a
       little-endian uint32.
     """
@@ -71,8 +72,8 @@ def _tables() -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
         r = _floor_log2_pow10(e) - 125
         num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
         g.append((num << -r if r < 0 else num) // (den << r if r > 0 else den) + 1)
-    g1, g0 = np.array([[x >> 63 for x in g], [x & ((1 << 63) - 1) for x in g]], dtype=np.uint64)
-    powers = np.stack([g1, g1 & _LOW32, g1 >> _32, g0, g0 & _LOW32, g0 >> _32])
+    g = np.array([[x & ((1 << 63) - 1) for x in g], [x >> 63 for x in g]], dtype=np.uint64)
+    powers = np.stack([g, g & _LOW32, g >> _32])
     numbers = np.arange(10_000, dtype=np.uint32)
     ascii4 = sum((numbers // 10**i % 10 + ord("0")) << (8 * (3 - i)) for i in range(4))
     return np.stack([k, h]), lowest, powers, ascii4.astype("<u4")
@@ -86,7 +87,7 @@ def _high(a_lo, a_hi, b_lo, b_hi):
 
 
 def _moved(lo, hi, g, shift, up: bool):
-    """The 128-bit number (hi, lo) plus, or minus, g << shift."""
+    """128-bit numbers (hi, lo) plus, or minus, g << shift."""
     low, high = g << shift, g >> (_U(64) - shift)
     if up:
         lo = lo + low
@@ -94,12 +95,12 @@ def _moved(lo, hi, g, shift, up: bool):
     return lo - low, hi - high - (lo < low)
 
 
-def _round_to_odd(x0, x1, y0, y1):
+def _round_to_odd(lo, hi):
     """floor(g * cp / 2**127), its last bit set when the product has more,
-    from x = g0 * cp and y = g1 * cp as (low, high) 64-bit words, where
+    from g0 * cp and g1 * cp as their (low, high) 64-bit words, where
     g = g1 * 2**63 + g0."""
-    z = (y0 >> _1) + x1
-    return (y1 + (z >> _63)) | (((z & _LOW63) + _LOW63) >> _63)
+    z = (lo[1] >> _1) + hi[0]
+    return (hi[1] + (z >> _63)) | (((z & _LOW63) + _LOW63) >> _63)
 
 
 def _mask(cond: np.ndarray) -> np.ndarray:
@@ -117,19 +118,16 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # below a power of two the next value is half as far as above it
     irregular = ((fraction == 0) & (exponent > _1)).astype(np.uint64)
     k, h = np.take(exponents, (exponent | (irregular << _U(11))).astype(np.intp), axis=1, mode="clip")
-    g1, g1_lo, g1_hi, g0, g0_lo, g0_hi = np.take(powers, k - lowest, axis=1, mode="clip")
+    g, g_lo, g_hi = np.take(powers, k - lowest, axis=2, mode="clip")  # each (g0, g1)
     # 4v and the ends of its rounding interval in units of 10**k, rounded
     # to odd, from the products of g with cp = 4c << h and with the ends'
     # cp, which lie 2 << h away, or 1 << h below a power of two
     h = h.astype(np.uint64)
     cp = c << (h + _2)
-    cp_lo, cp_hi = cp & _LOW32, cp >> _32
-    x0, x1 = g0 * cp, _high(g0_lo, g0_hi, cp_lo, cp_hi)
-    y0, y1 = g1 * cp, _high(g1_lo, g1_hi, cp_lo, cp_hi)
-    vb = _round_to_odd(x0, x1, y0, y1)
+    lo, hi = g * cp, _high(g_lo, g_hi, cp & _LOW32, cp >> _32)
+    vb = _round_to_odd(lo, hi)
     vbl, vbr = (
-        _round_to_odd(*_moved(x0, x1, g0, shift, up), *_moved(y0, y1, g1, shift, up))
-        for shift, up in ((h + _1 - irregular, False), (h + _1, True))
+        _round_to_odd(*_moved(lo, hi, g, shift, up)) for shift, up in ((h + _1 - irregular, False), (h + _1, True))
     )
     vbl += c & _1  # an odd c leaves out the ends
     vbr -= c & _1
