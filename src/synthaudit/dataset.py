@@ -8,6 +8,9 @@ every downstream computation can assume clean, finite, fully populated
 columns. The schema a table is read with (:class:`AttributeSchema`,
 :class:`Kind`, :class:`Role`, :func:`validate_schema`) is part of the plan,
 so it lives in :mod:`synthaudit.config`, which imports no numpy.
+
+:func:`categories` codes a categorical column once per dataset object, for
+saving, synthesis, utility and the linkage attack alike.
 """
 
 from __future__ import annotations
@@ -201,6 +204,22 @@ class Dataset(Record):
                 n = len(col)
             out[attr.name] = col
         return cls(schema=schema, columns=out, row_count=int(n or 0))
+
+
+def categories(ds: Dataset, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """A column's sorted distinct values, and each cell's read-only index among
+    them in ``np.min_scalar_type`` of their count; built once per dataset object."""
+    return ds.derived(_categories, name)
+
+
+def _categories(ds: Dataset, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+    col = ds.column(name)
+    cats = tuple(sorted(set(col)))
+    index = dict(zip(cats, range(len(cats))))
+    # no col.tolist(): a list the length of the column raises the peak RSS
+    codes = np.fromiter(map(index.__getitem__, col), np.min_scalar_type(len(cats)), len(col))
+    codes.flags.writeable = False
+    return cats, codes
 
 
 def _csv_rows(fh, path: Path):
@@ -420,8 +439,8 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     written as ``repr`` of their float, so they read back exactly, and never
     need quoting; their text comes from the integer numpy kernel that
     :func:`write_table` runs on float columns, which gives ``repr``'s bytes.
-    Each distinct category is quoted and encoded once, and each cell is
-    written from its category's code. A category that :func:`load_dataset`
+    Each distinct category of :func:`categories` is quoted and encoded once,
+    and each cell is written from its code. A category that :func:`load_dataset`
     reads as missing (``""`` or ``NA``) raises ``DataError`` before the
     file is opened.
     """
@@ -432,11 +451,9 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         if attr.kind is Kind.NUMERICAL:
             columns.append((_csv_field(attr.name, alone), repr, col))
             continue
-        categories = list(set(col))
-        if not MISSING_MARKERS.isdisjoint(categories):
-            value = min(MISSING_MARKERS.intersection(categories))
+        cats, codes = categories(ds, attr.name)
+        if not MISSING_MARKERS.isdisjoint(cats):
+            value = min(MISSING_MARKERS.intersection(cats))
             raise DataError(f"column {attr.name!r} holds {value!r}, which loads as a missing cell")
-        index = dict(zip(categories, range(len(categories))))
-        codes = np.fromiter(map(index.__getitem__, col.tolist()), np.min_scalar_type(len(index)), len(col))
-        columns.append((_csv_field(attr.name, alone), [_csv_field(v, alone) for v in categories], codes))
+        columns.append((_csv_field(attr.name, alone), [_csv_field(v, alone) for v in cats], codes))
     write_table(path, columns, line_end="\r\n")

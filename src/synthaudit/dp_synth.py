@@ -27,13 +27,12 @@ the output.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
 
 from .config import DEFAULT_NUM_BINS, AttributeSchema, Kind, SynthSettings
-from .dataset import Dataset
+from .dataset import Dataset, categories
 from .errors import ConfigError, DataError, Record
 
 
@@ -80,8 +79,8 @@ def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np
     SynthSettings(num_bins=num_bins)  # refuses a num_bins that [synth] refuses
     if ds.row_count == 0:
         raise DataError("cannot build a histogram from an empty dataset")
-    col = ds.columns[attr.name]
     if attr.kind is Kind.NUMERICAL:
+        col = ds.columns[attr.name]
         lo, hi = float(np.min(col)), float(np.max(col))
         if not math.isfinite(hi - lo):
             raise DataError(f"attribute {attr.name!r}: range {lo} to {hi} overflows a float, so it cannot be binned")
@@ -94,8 +93,8 @@ def _count(ds: Dataset, attr: AttributeSchema, num_bins: int) -> tuple[tuple, np
             counts = counts.astype(np.float64)
         bins: tuple = tuple(edges)
     else:
-        bins, counts = zip(*sorted(Counter(col.tolist()).items()))
-        counts = np.array(counts, dtype=np.float64)
+        bins, codes = categories(ds, attr.name)
+        counts = np.bincount(codes, minlength=len(bins)).astype(np.float64)
     counts.flags.writeable = False
     return bins, counts
 

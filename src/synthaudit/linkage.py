@@ -9,8 +9,11 @@ match is a unique match, the maximum-risk case.
 
 An ``exact`` QI at any threshold, and a Levenshtein QI at threshold 1,
 demand exact agreement, so :func:`attack` keys each target and variant row on
-the values of every such QI and compares only pairs of equal key; a partition
-is a key both sides hold. Each Gauss rule becomes a radius,
+every such QI and compares only pairs of equal key; a partition is a key both
+sides hold. The keys, and the category pairs a Levenshtein QI below threshold
+1 scores, come from each dataset's stored coding (:func:`categories`); the
+variant's codes are mapped into the original's with one lookup per category.
+Each Gauss rule becomes a radius,
 ``score >= t  <=>  |x - y| <= offset + scale * sqrt(-log2 t)``. One sort of
 the rows per Gauss rule on (key, value), across every partition, and two
 ``searchsorted`` calls give each target the window of rows of its key within
@@ -42,7 +45,7 @@ import numpy as np
 
 from .comparators import ComparatorKind
 from .config import OutlierConfig, QIConfig, QIRule
-from .dataset import Dataset, write_table
+from .dataset import Dataset, categories, write_table
 from .errors import ConfigError, DataError, Record
 from .outliers import detect_outliers
 
@@ -128,9 +131,10 @@ def filter_matches(
 ) -> LinkageResult:
     """Keep pairs whose every QI score meets its threshold; aggregate counts."""
     names = cfg.names()
+    expected = set(names)
     matches = []
     for pair in scored:
-        if set(pair.scores) != set(names):
+        if pair.scores.keys() != expected:
             raise ConfigError("scored pair does not carry one score per configured QI")
         if all(pair.scores[r.name] >= r.threshold for r in cfg.rules):
             matches.append(pair)
@@ -150,29 +154,22 @@ PAIR_BUDGET = 1 << 14  # candidate pairs generated and scored at once
 GAUSS_SLACK = 1e-9
 
 
-def _codes(values: np.ndarray) -> tuple[list, np.ndarray]:
-    """Distinct values in first-seen order, and each value's index among them."""
-    cats = list(dict.fromkeys(values))
-    code = {c: k for k, c in enumerate(cats)}
-    return cats, np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
-
-
 def _keys(columns: list[tuple], n_targets: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Int keys below n_targets + n_rows of the targets and of the rows, equal
     iff they agree on every column.
 
-    ``columns`` holds (target values, row values) per column; with no
+    ``columns`` holds (target codes, row codes, radix) per column; with no
     column every key is 0. Each column's codes extend the key as one more
     mixed-radix digit; the keys are re-densified, a sort of every key, only
-    once the product of category counts passes n_targets + n_rows.
+    once the product of radices passes n_targets + n_rows.
     """
     key = np.zeros(n_targets + n_rows, dtype=np.int64)
     bound = 1  # every key is below it
-    for o, v in columns:
-        cats, codes = _codes(np.concatenate([o, v]))
-        key *= len(cats)
-        key += codes
-        bound *= len(cats)
+    for t, r, radix in columns:
+        key *= radix
+        key[:n_targets] += t
+        key[n_targets:] += r
+        bound *= radix
         if bound > len(key):
             distinct, key = np.unique(key, return_inverse=True)
             bound = len(distinct)
@@ -230,16 +227,16 @@ class _GaussRule:
 class _CategoryRule:
     """A Levenshtein QI below threshold 1, scored once per category pair it meets."""
 
-    def __init__(self, rule: QIRule, o_values: np.ndarray, v_values: np.ndarray):
+    def __init__(self, rule: QIRule, o_cats: tuple, v_cats: tuple, o_codes: np.ndarray, v_codes: np.ndarray):
         self.rule = rule
-        self._o_cats, self._o = _codes(o_values)
-        self._v_cats, self._v = _codes(v_values)
+        self._o_cats, self._v_cats, self._o, self._v = o_cats, v_cats, o_codes, v_codes
         self._memo: dict[int, float] = {}  # o code * len(v cats) + v code -> score
 
     def scores(self, t_sel: np.ndarray, r_sel: np.ndarray) -> np.ndarray:
         """Exact scores of the pairs (t_sel[k], r_sel[k])."""
         width = len(self._v_cats)
-        keys, inverse = np.unique(self._o[t_sel] * width + self._v[r_sel], return_inverse=True)
+        # int64 first: the codes' small unsigned type would wrap silently
+        keys, inverse = np.unique(self._o[t_sel].astype(np.int64) * width + self._v[r_sel], return_inverse=True)
         score, memo = self.rule.comparator.score, self._memo
         values = []
         for key in keys.tolist():
@@ -346,9 +343,9 @@ def attack(
     drivers listed as the full range, then the Gauss QIs in configured order.
     ``blocking`` is accepted and ignored: the partitions already cover every
     such QI. Targets, and restricted variant rows, are the sorted ``index`` of
-    :func:`detect_outliers` as it is; a dataset object's outliers are detected
-    once. The matches of every chunk are sorted once, into the columns of a
-    :class:`LinkageResult`.
+    :func:`detect_outliers` as it is; a dataset object's outliers are detected,
+    and its categories coded, once. The matches of every chunk are sorted
+    once, into the columns of a :class:`LinkageResult`.
     """
     if original.schema != variant.schema:
         raise DataError("variant does not share the original's schema")
@@ -363,18 +360,28 @@ def attack(
     if 0 in surface:
         return LinkageResult(none, none, {n: np.empty(0) for n in names}, surface)
 
-    def sides(rule: QIRule) -> tuple[np.ndarray, np.ndarray]:
-        v = variant.columns[rule.name]
-        return original.columns[rule.name][targets], v if rows is None else v[rows]
+    def sides(o: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return o[targets], v if rows is None else v[rows]
+
+    def coded(name: str) -> tuple:
+        (o_cats, o_codes), (v_cats, v_codes) = categories(original, name), categories(variant, name)
+        return o_cats, v_cats, *sides(o_codes, v_codes)
+
+    def digit(name: str) -> tuple[np.ndarray, np.ndarray, int]:
+        """Codes in the original's code space and their radix; a category it lacks is len(o_cats), held by no target."""
+        o_cats, v_cats, t_codes, r_codes = coded(name)
+        index = dict(zip(o_cats, range(len(o_cats))))
+        to_o = np.fromiter((index.get(c, len(o_cats)) for c in v_cats), t_codes.dtype, len(v_cats))
+        return t_codes, to_o.take(r_codes), len(o_cats) + 1
 
     equal = [_demands_exact_agreement(r) for r in cfg.rules]
     gauss, categorical = [], []
     for r, eq in zip(cfg.rules, equal):
         if r.comparator.kind is ComparatorKind.GAUSS:
-            gauss.append(_GaussRule(r, *sides(r)))
+            gauss.append(_GaussRule(r, *sides(original.columns[r.name], variant.columns[r.name])))
         elif not eq:
-            categorical.append(_CategoryRule(r, *sides(r)))
-    keys = _keys([sides(r) for r, eq in zip(cfg.rules, equal) if eq], *surface)
+            categorical.append(_CategoryRule(r, *coded(r.name)))
+    keys = _keys([digit(r.name) for r, eq in zip(cfg.rules, equal) if eq], *surface)
 
     found = [_decide(gauss, categorical, none, none)]  # an empty part, so the columns concatenate
     drivers: dict[str, int] = {}

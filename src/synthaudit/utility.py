@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import Kind
-from .dataset import Dataset
+from .dataset import Dataset, categories
 from .errors import DataError, Record
 
 BOUNDARY_ADHERENCE = "BoundaryAdherence"
@@ -141,8 +141,7 @@ def _reduce(real: Dataset) -> MappingProxyType[str, np.ndarray]:
         elif attr.kind is Kind.NUMERICAL:
             reduced = np.array([np.min(col), _median(col), np.max(col)])
         else:
-            # no col.tolist(): a list the length of the column raises the peak RSS
-            reduced = np.array(list(set(col)), dtype=object)
+            reduced = np.array(categories(real, attr.name)[0], dtype=object)
         reduced.flags.writeable = False
         columns[attr.name] = reduced
     return MappingProxyType(columns)

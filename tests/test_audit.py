@@ -29,7 +29,7 @@ from synthaudit import (
     sweep_epsilon,
     synthesize,
 )
-from synthaudit import dp_synth, outliers, utility
+from synthaudit import dataset, dp_synth, outliers, utility
 from synthaudit.config import RunConfig, SweepSettings, SynthSettings, VariantSpec, config_hash, render_config
 from synthaudit.dp_synth import DEFAULT_NUM_BINS, generator_metadata
 from synthaudit.linkage import save_matches
@@ -415,7 +415,8 @@ def count_calls(monkeypatch, function, *modules):
 class TestOriginalPreparedOncePerRun:
     """Each layer computes its share of a dataset once per dataset object.
     The computations are counted by wrapping the private function behind
-    each public one: outliers._detect, dp_synth._count_all, utility._reduce."""
+    each public one: outliers._detect, dp_synth._count_all, utility._reduce,
+    dataset._categories."""
 
     def test_run_audit_detects_outliers_and_reduces_the_original_once(
         self, tmp_path, original_csv, monkeypatch
@@ -431,6 +432,21 @@ class TestOriginalPreparedOncePerRun:
         assert sum(len(e["linkage"]) for e in report["variants"]) == 4
         assert len(detects) == 1
         assert len(reductions) == 1
+
+    def test_run_audit_codes_each_dataset_column_once(self, tmp_path, original_csv, monkeypatch):
+        # the original's home is read by synthesis, utility and every attack, the
+        # generated variant's by its save and its attacks, the file variant's by its attacks
+        path, ds = original_csv
+        copy_path = tmp_path / "copy.csv"
+        save_dataset(ds, copy_path)
+        codings = count_calls(monkeypatch, dataset._categories, "synthaudit.dataset")
+        variants = [VariantSpec(name="generated", epsilon=1.0, seed=1), VariantSpec(name="file", file=str(copy_path))]
+        report = run_audit(*make_plan(tmp_path, path, variants, ladder=(("age", "home"), ("income", "home"))))
+        assert [e["status"] for e in report["variants"]] == ["ok", "ok"]
+        assert sum(len(e["linkage"]) for e in report["variants"]) == 4
+        # each call's dataset is held in codings, so no two of them share an id
+        assert sorted((id(coded), name) for coded, name in codings) == sorted({(id(c), n) for c, n in codings})
+        assert [name for _, name in codings] == ["home"] * 3
 
     def test_run_audit_counts_histograms_once_per_bin_count(self, tmp_path, original_csv, monkeypatch):
         path, _ = original_csv

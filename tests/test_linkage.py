@@ -27,7 +27,7 @@ from synthaudit import (
     score_pairs,
 )
 from synthaudit import audit, comparators, linkage
-from synthaudit.dataset import BLOCK_ROWS
+from synthaudit.dataset import BLOCK_ROWS, categories
 from synthaudit.linkage import save_matches
 from synthaudit.outliers import detect_outliers
 
@@ -303,6 +303,37 @@ class TestAttack:
         )
         assert {(p.original, p.synthetic) for p in result.pairs} == expected
 
+    @pytest.mark.parametrize("restrict", [False, True], ids=["all-rows", "variant-outliers"])
+    def test_oracle_equivalence_wide_codes(self, restrict):
+        # intent: 24 codes a side, so o code * width + v code passes 255.
+        # Its names are I, IN or INT and two digits, so two names one digit
+        # apart score 2/3, 3/4 or 0.8: only the INT names match each other.
+        # home: 300 codes a side, in uint16, most rows in 8 shared homes.
+        # Each side holds categories the other lacks.
+        rng = np.random.default_rng(34)
+
+        def side(n, homes, intents):
+            age = np.where(rng.random(n) < 0.2, 90.0, 30.0) + rng.integers(0, 5, n)
+            home = [f"H{i:03d}" for i in [*homes, *rng.integers(50, 58, n - len(homes))]]
+            intent = [f"{('I', 'IN', 'INT')[i % 3]}{i:02d}" for i in rng.choice(intents, n)]
+            return make_ds(age, np.zeros(n), home, intent)
+
+        original = side(900, np.arange(300), np.arange(24))
+        variant = side(1200, np.arange(50, 350), np.arange(6, 30))
+        for ds in (original, variant):
+            assert len(categories(ds, "intent")[0]) == 24
+            assert categories(ds, "home")[1].dtype == np.uint16
+        cfg = QIConfig(rules=(QIRule("home", EXACT), QIRule("intent", LEV, 0.8)))
+        outliers = OutlierConfig(k=1.5, attributes=("age",))
+        result = attack(original, variant, outliers, cfg, restrict_variant_outliers=restrict)
+        ocols = {a.name: list(original.column(a.name)) for a in SCHEMA}
+        vcols = {a.name: list(variant.column(a.name)) for a in SCHEMA}
+        targets = outlier_targets(ocols, ("age",), 1.5, "any")
+        rows = outlier_targets(vcols, ("age",), 1.5, "any") if restrict else None
+        expected = oracle_matches(ocols, vcols, [("exact", "home", 1.0), ("lev", "intent", 0.8)], targets, rows)
+        assert len(expected) > 20
+        assert {(p.original, p.synthetic) for p in result.pairs} == expected
+
     def test_qi_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -507,24 +538,22 @@ class TestJoinCost:
         # 4 x 6 keys stay below 300 + 600; 40 x 40 passes it and is re-densified
         rng = np.random.default_rng(27)
         t, v = 300, 600
-        columns = [tuple(rng.integers(0, c, n).astype(str).astype(object) for n in (t, v)) for c in counts]
+        columns = [(*(rng.integers(0, c, n).astype(np.uint8) for n in (t, v)), c) for c in counts]
         t_key, r_key = linkage._keys(columns, t, v)
         keys = np.concatenate([t_key, r_key])
-        tuples = list(zip(*(np.concatenate(col) for col in columns)))
+        tuples = list(zip(*(np.concatenate(col[:2]).tolist() for col in columns)))
         assert keys.min() >= 0 and keys.max() < t + v
         assert len(set(zip(keys.tolist(), tuples))) == len(set(keys.tolist())) == len(set(tuples))
 
     def test_keys_sort_only_once_the_category_product_passes_targets_plus_rows(self):
-        # home x grade, 4 x 6 categories, as on the bench ladder: the codes
-        # combine as mixed-radix digits, about 32 bytes a target or row at
-        # the peak (the key, the concatenated values and one column's
-        # codes); about 65 when every column re-densifies through a sort
+        # home x grade, 4 x 6 categories, as on the bench ladder, each radix
+        # one more than its count, as attack() passes it: the codes combine
+        # as mixed-radix digits, about 9 bytes a target or row at the peak
+        # (the key alone); about 56 when every column re-densifies through
+        # a sort
         rng = np.random.default_rng(28)
         t, v = 300, 60_000
-        columns = [
-            tuple(np.array([cats[i] for i in rng.integers(0, len(cats), n)], dtype=object) for n in (t, v))
-            for cats in (HOMES, list("ABCDEF"))
-        ]
+        columns = [(*(rng.integers(0, c, n).astype(np.uint8) for n in (t, v)), c + 1) for c in (4, 6)]
         (t_key, r_key), peak = traced_peak(lambda: linkage._keys(columns, t, v))
         assert len(np.unique(np.concatenate([t_key, r_key]))) == 24
         assert peak < 40 * (t + v), f"{peak / (t + v):.1f} bytes a target or row"
