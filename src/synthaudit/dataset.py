@@ -15,6 +15,7 @@ saving, synthesis, utility and the linkage attack alike.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import io
@@ -37,7 +38,7 @@ logger = logging.getLogger(__name__)
 MISSING_MARKERS = frozenset({"", "NA"})
 
 BLOCK_ROWS = 256  # CSV rows parsed or written at once
-READ_CHARS = 1 << 16  # characters of a CSV file the loader reads at once
+READ_CHARS = 1 << 16  # bytes of a CSV file the loader reads at once
 PAD = 0xFF  # a byte UTF-8 never holds: fills a written block around its text
 
 # Characters that make csv.writer's default dialect quote a cell.
@@ -230,40 +231,244 @@ def _csv_rows(fh, path: Path):
         raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from exc
 
 
-def _split_blocks(fh, path: Path):
-    """Blocks of the rows ``csv.reader`` would read from ``fh``.
+def _read_header(fh, path: Path) -> tuple[list[str], int]:
+    """The header row as ``csv.reader`` reads it from ``fh``, and the byte
+    offset of the line after it."""
+    lines = []
 
-    The text is read ``READ_CHARS`` characters at a time and cut after its
-    last line feed. A piece is split on line ends and commas while it holds
-    no quote, NUL, blank line or carriage return outside a CR LF line end,
-    and no line longer than ``csv.field_size_limit()``: there ``csv.reader``
-    finds the same cells. From the first other piece, ``csv.reader`` reads
-    the rest of the file, since a quoted field may span lines. It also takes
-    over at a last line with no line end, and where the text runs past the
-    field limit with no line feed, so the text held at once stays bounded.
+    def read():
+        for line in iter(fh.readline, ""):
+            lines.append(line)
+            yield line
+
+    try:
+        header = next(_csv_rows(read(), path))
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    fh.buffer.seek(0)
+    bom = len(codecs.BOM_UTF8) if fh.buffer.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
+    return header, bom + len("".join(lines).encode())
+
+
+def _split_blocks(
+    fh,
+    path: Path,
+    start: int,
+    schema: tuple[AttributeSchema, ...],
+    pos: dict[str, int],
+    missing_policy: MissingPolicy,
+):
+    """(data rows read, parsed columns or None) for each block of the rows
+    ``csv.reader`` would read from ``fh`` after byte ``start``.
+
+    The bytes are read ``READ_CHARS`` at a time and cut after their last
+    line feed. A piece that holds no quote, NUL, blank line or carriage
+    return outside a CR LF line end, and no line longer than
+    ``csv.field_size_limit()``, is parsed as bytes by :func:`_parse_piece`:
+    there ``csv.reader`` finds the same cells. Its bytes must be UTF-8. From
+    the first other piece, ``csv.reader`` reads the rest of the file, since a
+    quoted field may span lines, and :func:`_parse_block` parses its rows
+    ``BLOCK_ROWS`` at a time. It also takes over at a last line with no line
+    end, and where the text runs past the field limit with no line feed, so
+    the bytes held at once stay bounded.
     """
     limit = csv.field_size_limit()
-    rest = ""
+    raw = fh.buffer
+    raw.seek(start)
+    rest = b""
     while True:
-        chunk = fh.read(READ_CHARS)
-        text = rest + chunk
-        end = text.rfind("\n") + 1
-        text, rest = text[:end], text[end:]
-        plain = text.replace("\r\n", "\n") if "\r" in text else text
-        lines = plain[:-1].split("\n") if plain else []
+        chunk = raw.read(READ_CHARS)
+        piece = rest + chunk
+        end = piece.rfind(b"\n") + 1
+        piece, rest = piece[:end], piece[end:]
+        plain = piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
+        codes = np.frombuffer(plain, np.uint8)
+        seps = codes == ord(",")
+        seps |= codes == ord("\n")
+        # positions as int32 halve the piece's index arrays
+        seps = np.flatnonzero(seps).astype(np.int32 if len(plain) < 2**30 else np.intp)
+        feeds = seps[codes[seps] == ord("\n")]
+        spans = np.diff(feeds, prepend=-1)  # each line's bytes, its line feed included
         if (
-            (rest and not chunk) or len(rest) > limit or "" in lines
-            or '"' in plain or "\0" in plain or "\r" in plain
-            or (len(plain) > limit and max(map(len, lines)) > limit)
+            (rest and not chunk) or len(rest) > limit
+            or b'"' in plain or b"\0" in plain or b"\r" in plain
+            or (spans == 1).any() or spans.max(initial=0) > limit + 1
         ):
             break
-        for start in range(0, len(lines), BLOCK_ROWS):
-            yield [line.split(",") for line in lines[start : start + BLOCK_ROWS]]
+        if not plain.isascii():
+            plain.decode()  # a piece that is not UTF-8 fails the load
+        piece = plain  # the text as read is needed only by csv.reader
+        if len(feeds):
+            yield len(feeds), _parse_piece(plain, seps, len(feeds), schema, pos, missing_policy)
+        start += end
         if not chunk:
             return
-    # the rest of a cut line completes the text, so csv.reader sees whole lines
-    rows = _csv_rows(chain(io.StringIO(text + rest + fh.readline(), newline=""), fh), path)
-    yield from iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
+    # csv.reader reads the piece, then the file from the line after it
+    fh.seek(start + end)
+    rows = _csv_rows(chain(io.StringIO(piece.decode(), newline=""), fh), path)
+    for block in iter(lambda: list(islice(rows, BLOCK_ROWS)), []):
+        yield len(block), _parse_block(block, schema, pos, missing_policy)
+
+
+def _words(data: bytes) -> np.ndarray:
+    """A read-only uint64 array whose item i holds bytes i to i + 7 of
+    ``data`` in little-endian order, zeros past its end: a stride-1 view
+    over ``data`` padded by 8 bytes."""
+    padded = np.frombuffer(data + bytes(8), np.uint8)
+    return np.ndarray((len(data) + 1,), "<u8", padded, strides=(1,))
+
+
+_U = np.uint64
+_1, _3, _4, _8 = map(_U, (1, 3, 4, 8))
+_ALL = _U(2**64 - 1)
+# tiny tables, read with mode="clip" so that an index past either end reads the end
+_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(9)], np.uint64)  # a word's first i bytes
+_PAD_BITS = np.array([56] + [64 - 8 * i for i in range(1, 9)], np.uint64)  # moves i >= 1 digits to the top
+_POW10 = 10.0 ** np.arange(9)  # exact doubles
+
+
+def _bytes8(byte: int) -> np.uint64:
+    """The word whose eight bytes each hold ``byte``."""
+    return _U(0x0101010101010101 * byte)
+
+
+def _floats(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``float()`` of each cell ``data[start:start + length]``, NaN where
+    ``float()`` refuses the cell; ``words`` is ``_words(data)``.
+
+    A cell of 1 to 8 bytes that is an optional ``-`` and ASCII digits with
+    at most one ``.`` among them is read here, from its bytes as one uint64:
+    the sign and the point are taken out, the digits are checked, and they
+    fold into an integer M < 10**8 in three multiply-shift steps (Langdale
+    and Lemire's eight-digit parse). M and 10**k, for k decimals, are exact
+    doubles and IEEE division is correctly rounded, so M / 10**k is
+    ``float()``'s value bit for bit (Clinger's fast path), and a sign makes
+    it negative, -0.0 included. Every other cell goes to ``float()``. The
+    steps work in place, so that a piece holds few arrays of its cells.
+    """
+    w = words[starts]
+    w &= np.take(_LOW_BYTES, lengths, mode="clip")
+    digits = np.minimum(lengths, 8)
+    sign = ((w & _U(0xFF)) == _U(ord("-"))).view(np.uint8)
+    w >>= sign.astype(np.uint64) << _3
+    digits -= sign
+    # 0x80 in the bytes that hold a point, from the zero bytes of w ^ "........"
+    point = w ^ _bytes8(ord("."))
+    below = point & _bytes8(0x7F)
+    below += _bytes8(0x7F)
+    point |= below
+    point |= _bytes8(0x7F)
+    np.invert(point, out=point)
+    fast = (point & (point - _1)) == 0  # one point at most
+    digits -= point != 0
+    below = point  # the bytes before the point; all of them without one
+    below >>= _U(7)
+    below -= _1
+    point = w >> _8
+    point &= ~below
+    w &= below
+    w |= point
+    del point
+    below &= _bytes8(1)
+    below *= _bytes8(1)
+    below >>= _U(56)  # bytes before the point, 8 without one
+    decimals = digits - below.view(np.int64)
+    fast &= (lengths >= 1) & (lengths <= 8) & (digits >= 1)
+    shift = np.take(_PAD_BITS, digits, mode="clip")
+    w <<= shift
+    w |= _bytes8(ord("0")) & ~(_ALL << shift)  # leading zeros, to eight digits
+    shift = w + _bytes8(6)
+    shift &= _bytes8(0xF0)
+    shift >>= _4
+    shift |= w & _bytes8(0xF0)
+    fast &= shift == _bytes8(0x33)  # eight ASCII digits
+    del shift
+    w &= _bytes8(0x0F)
+    w *= _U(10 * 2**8 + 1)
+    w >>= _8
+    w &= _U(0x00FF00FF00FF00FF)
+    w *= _U(100 * 2**16 + 1)
+    w >>= _U(16)
+    w &= _U(0x0000FFFF0000FFFF)
+    w *= _U(10_000 * 2**32 + 1)
+    w >>= _U(32)
+    values = w.astype(np.float64)
+    values /= np.take(_POW10, decimals, mode="clip")
+    values.view(np.uint64)[sign.view(bool)] |= _U(1 << 63)
+    for i in np.flatnonzero(~fast).tolist():
+        start = int(starts[i])
+        try:
+            values[i] = float(data[start : start + int(lengths[i])].decode())
+        except ValueError:
+            values[i] = np.nan
+    return values
+
+
+def _strings(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The text of each cell ``data[start:start + length]``, interned, as an
+    object array; ``words`` is ``_words(data)``. The cells are sorted on
+    their bytes, as uint64 words zeroed past each cell's end, so each
+    distinct text is decoded and interned once. No cell may hold a NUL byte,
+    so that its words alone tell it from a shorter one."""
+    keys = [
+        words[np.minimum(starts + 8 * i, len(data))] & np.take(_LOW_BYTES, lengths - 8 * i, mode="clip")
+        for i in range(max(1, -(-int(lengths.max(initial=0)) // 8)))
+    ]
+    # one key needs no stable sort, which is several times slower
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    first = np.zeros(len(order), bool)  # where a text differs from the one before it
+    first[:1] = True
+    for key in keys:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    codes = np.empty(len(order), np.intp)
+    codes[order] = np.cumsum(first) - 1
+    firsts = order[first].tolist()
+    texts = [sys.intern(data[s : s + n].decode()) for s, n in zip(starts[firsts].tolist(), lengths[firsts].tolist())]
+    return np.array(texts, object)[codes] if texts else np.empty(0, object)
+
+
+def _parse_piece(
+    piece: bytes,
+    seps: np.ndarray,
+    lines: int,
+    schema: tuple[AttributeSchema, ...],
+    pos: dict[str, int],
+    missing_policy: MissingPolicy,
+) -> list[np.ndarray] | None:
+    """One plain piece's schema-order columns of its kept rows, or None as
+    :func:`_parse_block` gives it. ``seps`` holds the positions of its
+    commas and line feeds. A row holding a missing cell is found from its
+    cells' lengths and first two bytes; the numeric cells of the kept rows
+    go through one :func:`_floats` call, and each categorical column
+    through one :func:`_strings` call."""
+    width = len(pos)
+    codes = np.frombuffer(piece, np.uint8)
+    if len(seps) != lines * width or not (codes[seps[width - 1 :: width]] == ord("\n")).all():
+        return None
+    starts = np.empty_like(seps)
+    starts[:1] = 0
+    starts[1:] = seps[:-1] + 1
+    lengths = seps - starts
+    missing = lengths == 0
+    two = np.flatnonzero(lengths == 2)
+    missing[two] = (codes[starts[two]] == ord("N")) & (codes[starts[two] + 1] == ord("A"))
+    dropped = missing.reshape(lines, width).any(axis=1)
+    starts, lengths = starts.reshape(lines, width).T, lengths.reshape(lines, width).T
+    if dropped.any():
+        if missing_policy is MissingPolicy.ERROR:
+            return None
+        starts, lengths = starts[:, ~dropped], lengths[:, ~dropped]
+    words = _words(piece)
+    numeric = [pos[a.name] for a in schema if a.kind is Kind.NUMERICAL]
+    values = _floats(piece, words, starts[numeric].ravel(), lengths[numeric].ravel())
+    if not np.isfinite(values).all():
+        return None
+    values = iter(values.reshape(len(numeric), starts.shape[1]))
+    return [
+        next(values) if a.kind is Kind.NUMERICAL else _strings(piece, words, starts[pos[a.name]], lengths[pos[a.name]])
+        for a in schema
+    ]
 
 
 def _parse_block(
@@ -359,10 +564,15 @@ def load_dataset(
     so a bad token in it is not an error. A file that cannot be opened, is
     not UTF-8 or is not well-formed CSV raises ``DataError`` naming the path.
 
-    The rows after the header come from :func:`_split_blocks` and are parsed
-    ``BLOCK_ROWS`` at a time: a block's incomplete rows are dropped at once,
-    then numeric cells go through Python's ``float()`` one column at a time
-    and categorical cells are interned. A load that fails is read again,
+    The rows after the header come from :func:`_split_blocks`. A piece of
+    the file that needs no quotes is parsed as bytes by :func:`_parse_piece`:
+    its rows with a missing cell are dropped at once, all its numeric cells
+    go through one call of the numeric kernel :func:`_floats`, which hands
+    what it does not read to ``float()``, and each categorical column is
+    sorted once so that each distinct text is decoded and interned once.
+    From the first piece that needs ``csv.reader``, its rows are parsed
+    ``BLOCK_ROWS`` at a time by :func:`_parse_block`, with ``float()`` and
+    ``sys.intern`` per cell. A load that fails is read again,
     from its start, by ``csv.reader`` alone, row by row, so the ``DataError``
     is the first one ``csv.reader`` meets and names its data row.
 
@@ -370,7 +580,7 @@ def load_dataset(
     and then loaded as a file holding its bytes. Those bytes are read once
     to count their line ends, which bound the rows, so each block's kept
     rows are copied straight into one array per column: the load holds the
-    table once, plus one block. More rows than line ends mean the file
+    table once, plus one piece or block. More rows than line ends mean the file
     changed while it was read, a ``DataError``. A column is the first
     ``row_count`` slots of its array, copied down to them when the array
     has more than twice as many.
@@ -386,10 +596,7 @@ def load_dataset(
         if not fh.seekable():  # a pipe, held so it can be counted and read again
             fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), newline="", encoding="utf-8-sig")
         capacity = BLOCK_ROWS + _count_line_ends(fh)
-        try:
-            header = next(_csv_rows(fh, path))
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
+        header, start = _read_header(fh, path)
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
         expected = {a.name for a in schema}
@@ -405,8 +612,7 @@ def load_dataset(
         rows = line = kept = 0
         failed = False
         try:
-            for block in _split_blocks(fh, path):
-                parts = _parse_block(block, schema, pos, missing_policy)
+            for read, parts in _split_blocks(fh, path, start, schema, pos, missing_policy):
                 if parts is None:
                     failed = True
                     break
@@ -416,7 +622,7 @@ def load_dataset(
                 for col, part in zip(columns, parts):
                     col[rows:kept] = part
                 rows = kept
-                line += len(block)
+                line += read
         except (DataError, UnicodeDecodeError):
             failed = True
         if failed:

@@ -72,7 +72,7 @@ def boundary_adherence(real_col: np.ndarray, synth_col: np.ndarray) -> float:
     if len(synth_col) == 0:
         raise DataError("boundary_adherence needs a non-empty synthetic column")
     lo, hi = float(np.min(real_col)), float(np.max(real_col))
-    inside = np.count_nonzero((synth_col >= lo) & (synth_col <= hi))
+    inside = int(np.count_nonzero((synth_col >= lo) & (synth_col <= hi)))
     return inside / len(synth_col)
 
 

@@ -2,11 +2,14 @@
 save_dataset against the reference ``csv.writer`` loop.
 
 Small CSV files mix valid numeric tokens (with surrounding space, an
-exponent, a digit separator, a negative zero), the missing markers ``""``
+exponent, a digit separator, a negative zero, and at the limits of the
+loader's byte kernel: 8 and 9 digits, a leading or trailing point, a sign
+before 7 digits), the missing markers ``""``
 and ``NA``, bad numeric tokens (``x``, ``inf``, ``nan``), categorical cells
 drawn from a pool that holds commas and line breaks or from one that needs
-no quotes, and rows with one cell too few or too many, under a header in any
-column order, with rows ending in LF or CR LF. Examples add what
+no quotes (texts over 8 and 16 bytes among them), and rows with one cell
+too few or too many, under a header in any column order, with rows ending
+in LF or CR LF. Examples add what
 ``csv.writer`` never writes: a blank line, a last line with no line end, a
 lone carriage return, a NUL byte, a first quote late in the file and a field
 longer than the csv module's limit (lowered here, so that it stays small),
@@ -57,8 +60,11 @@ SCHEMA = (
 )
 
 VALID_NUMBERS = [" 7", "1e3", "1_0", "-0", "2.5", "0.1"]
+VALID_NUMBERS += ["12345678", "123456789", "-0.5", ".5", "5.", "-1234567"]  # at the byte kernel's limits
 CATEGORIES = ["A", "b c", "with,comma", "line\nbreak", "crlf\r\nbreak", "NA ", 'say "hi"']
 PLAIN_CATEGORIES = ["A", "b c", " lead", "NA ", "\u2028", "é\x0b"]  # csv.writer quotes none
+# over 8 and over 16 bytes, alike but for their second or third 8-byte word
+PLAIN_CATEGORIES += ["category one", "category two", "the category of one", "the category of two"]
 INVALID = ["", "NA", "x", "inf", "nan"]
 FIELD_LIMIT = 40  # csv.field_size_limit() while a file is loaded
 ONE_COLUMN = (AttributeSchema("c", Kind.CATEGORICAL),)

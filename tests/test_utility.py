@@ -236,6 +236,14 @@ class TestComputeUtility:
         for scores in report.per_attribute.values():
             assert all(v == 1.0 for v in scores.values())
 
+    def test_every_score_is_a_python_float(self, toy_dataset):
+        # a numpy float64 prints as np.float64(...) in a library caller's output
+        synth = synthesize(toy_dataset, 1.0, 20, num_bins=4, seed=3)
+        report = compute_utility(toy_dataset, synth)
+        assert "BoundaryAdherence" in report.aggregate
+        for entry in (*report.per_attribute.values(), *report.aggregate.values()):
+            assert {k: type(v) for k, v in entry.items()} == dict.fromkeys(entry, float)
+
 
 SCHEMA_EDGES = (
     AttributeSchema("age", Kind.NUMERICAL, Role.QI),
