@@ -332,23 +332,31 @@ def _bytes8(byte: int) -> np.uint64:
     return _U(0x0101010101010101 * byte)
 
 
-def _floats(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``float()`` of each cell ``data[start:start + length]``, NaN where
-    ``float()`` refuses the cell; ``words`` is ``_words(data)``.
+def _floats(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each cell ``data[start:start + length]``, where
+    ``words`` is ``_words(data)``, and whether it was read here: where it
+    was, the value is ``float()``'s bit for bit, and where it was not, the
+    cell is for ``float()`` to read.
 
     A cell of 1 to 8 bytes that is an optional ``-`` and ASCII digits with
-    at most one ``.`` among them is read here, from its bytes as one uint64:
+    at most one ``.`` among them is read, from its bytes as one uint64:
     the sign and the point are taken out, the digits are checked, and they
     fold into an integer M < 10**8 in three multiply-shift steps (Langdale
     and Lemire's eight-digit parse). M and 10**k, for k decimals, are exact
     doubles and IEEE division is correctly rounded, so M / 10**k is
     ``float()``'s value bit for bit (Clinger's fast path), and a sign makes
-    it negative, -0.0 included. Every other cell goes to ``float()``. The
-    steps work in place, so that a piece holds few arrays of its cells.
+    it negative, -0.0 included. The steps work in place, so that a piece
+    holds few arrays of its cells.
     """
+    short = lengths <= 8
+    if not short.all():  # the steps run on the cells they can read only
+        values, read = np.zeros(len(starts)), short
+        if short.any():
+            values[short], read[short] = _floats(words, starts[short], lengths[short])
+        return values, read
     w = words[starts]
     w &= np.take(_LOW_BYTES, lengths, mode="clip")
-    digits = np.minimum(lengths, 8)
+    digits = lengths.copy()
     sign = ((w & _U(0xFF)) == _U(ord("-"))).view(np.uint8)
     w >>= sign.astype(np.uint64) << _3
     digits -= sign
@@ -359,7 +367,7 @@ def _floats(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndar
     point |= below
     point |= _bytes8(0x7F)
     np.invert(point, out=point)
-    fast = (point & (point - _1)) == 0  # one point at most
+    read = (point & (point - _1)) == 0  # one point at most
     digits -= point != 0
     below = point  # the bytes before the point; all of them without one
     below >>= _U(7)
@@ -373,7 +381,7 @@ def _floats(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndar
     below *= _bytes8(1)
     below >>= _U(56)  # bytes before the point, 8 without one
     decimals = digits - below.view(np.int64)
-    fast &= (lengths >= 1) & (lengths <= 8) & (digits >= 1)
+    read &= (lengths >= 1) & (digits >= 1)
     shift = np.take(_PAD_BITS, digits, mode="clip")
     w <<= shift
     w |= _bytes8(ord("0")) & ~(_ALL << shift)  # leading zeros, to eight digits
@@ -381,7 +389,7 @@ def _floats(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndar
     shift &= _bytes8(0xF0)
     shift >>= _4
     shift |= w & _bytes8(0xF0)
-    fast &= shift == _bytes8(0x33)  # eight ASCII digits
+    read &= shift == _bytes8(0x33)  # eight ASCII digits
     del shift
     w &= _bytes8(0x0F)
     w *= _U(10 * 2**8 + 1)
@@ -395,13 +403,7 @@ def _floats(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndar
     values = w.astype(np.float64)
     values /= np.take(_POW10, decimals, mode="clip")
     values.view(np.uint64)[sign.view(bool)] |= _U(1 << 63)
-    for i in np.flatnonzero(~fast).tolist():
-        start = int(starts[i])
-        try:
-            values[i] = float(data[start : start + int(lengths[i])].decode())
-        except ValueError:
-            values[i] = np.nan
-    return values
+    return values, read
 
 
 def _strings(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -439,9 +441,15 @@ def _parse_piece(
     """One plain piece's schema-order columns of its kept rows, or None as
     :func:`_parse_block` gives it. ``seps`` holds the positions of its
     commas and line feeds. A row holding a missing cell is found from its
-    cells' lengths and first two bytes; the numeric cells of the kept rows
-    go through one :func:`_floats` call, and each categorical column
-    through one :func:`_strings` call."""
+    cells' lengths and first two bytes. The numeric cells of the kept rows
+    go through one :func:`_floats` call. Where it reads them all, the
+    categorical cells go through one :func:`_strings` call, which sorts
+    them once for all columns. Where it does not, the piece's text is split
+    once on its separators, and the cells it left and the categorical cells
+    are taken from there, through ``float()`` and ``sys.intern``, as
+    :func:`_parse_block` takes them. Such cells cost a Python object each
+    whichever way they are found, and one split of the piece finds them
+    most cheaply."""
     width = len(pos)
     codes = np.frombuffer(piece, np.uint8)
     if len(seps) != lines * width or not (codes[seps[width - 1 :: width]] == ord("\n")).all():
@@ -453,22 +461,33 @@ def _parse_piece(
     missing = lengths == 0
     two = np.flatnonzero(lengths == 2)
     missing[two] = (codes[starts[two]] == ord("N")) & (codes[starts[two] + 1] == ord("A"))
-    dropped = missing.reshape(lines, width).any(axis=1)
+    kept = ~missing.reshape(lines, width).any(axis=1)
     starts, lengths = starts.reshape(lines, width).T, lengths.reshape(lines, width).T
-    if dropped.any():
+    if not kept.all():
         if missing_policy is MissingPolicy.ERROR:
             return None
-        starts, lengths = starts[:, ~dropped], lengths[:, ~dropped]
+        starts, lengths = starts[:, kept], lengths[:, kept]
     words = _words(piece)
     numeric = [pos[a.name] for a in schema if a.kind is Kind.NUMERICAL]
-    values = _floats(piece, words, starts[numeric].ravel(), lengths[numeric].ravel())
+    categorical = [pos[a.name] for a in schema if a.kind is Kind.CATEGORICAL]
+    values, read = _floats(words, starts[numeric].ravel(), lengths[numeric].ravel())
+    if read.all():
+        texts = _strings(piece, words, starts[categorical].ravel(), lengths[categorical].ravel())
+    else:
+        cells = np.array(piece.replace(b"\n", b",").decode().split(",")[:-1], object)
+        cells = cells.reshape(lines, width)[kept].T
+        numbers, texts = cells[numeric].ravel(), cells[categorical].ravel()
+        left = np.flatnonzero(~read)
+        try:
+            values[left] = np.fromiter(map(float, numbers[left].tolist()), np.float64, len(left))
+        except ValueError:
+            return None
+        texts = np.fromiter(map(sys.intern, texts.tolist()), object, len(texts))
     if not np.isfinite(values).all():
         return None
     values = iter(values.reshape(len(numeric), starts.shape[1]))
-    return [
-        next(values) if a.kind is Kind.NUMERICAL else _strings(piece, words, starts[pos[a.name]], lengths[pos[a.name]])
-        for a in schema
-    ]
+    texts = iter(texts.reshape(len(categorical), starts.shape[1]))
+    return [next(values) if a.kind is Kind.NUMERICAL else next(texts) for a in schema]
 
 
 def _parse_block(
@@ -567,9 +586,12 @@ def load_dataset(
     The rows after the header come from :func:`_split_blocks`. A piece of
     the file that needs no quotes is parsed as bytes by :func:`_parse_piece`:
     its rows with a missing cell are dropped at once, all its numeric cells
-    go through one call of the numeric kernel :func:`_floats`, which hands
-    what it does not read to ``float()``, and each categorical column is
-    sorted once so that each distinct text is decoded and interned once.
+    go through one call of the uint64 kernel :func:`_floats`, which reads
+    the short plain decimals, and its categorical cells are sorted once so
+    that each distinct text is decoded and interned once. A piece with a
+    number the kernel does not read is split once as text instead, and
+    those numbers and its categorical cells go through ``float()`` and
+    ``sys.intern``.
     From the first piece that needs ``csv.reader``, its rows are parsed
     ``BLOCK_ROWS`` at a time by :func:`_parse_block`, with ``float()`` and
     ``sys.intern`` per cell. A load that fails is read again,
